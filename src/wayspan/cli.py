@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +24,11 @@ from .model import (
     load_system_csv,
 )
 
-__all__ = ["main", "entry", "RunConfig"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    system_path: str | None
-    field_path: str | None
-    provenance: str | None
-    out_dir: str | None
-    seed: int
 
 
 def _load_system_any(path: str) -> QuantumSystem:

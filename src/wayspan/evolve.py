@@ -34,6 +34,8 @@ __all__ = [
 
 TRAJECTORY_TOL = 1e-10
 
+StepData = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class ControlField:
@@ -104,51 +106,66 @@ def density_matrix(entries, *, tol: float = TRAJECTORY_TOL) -> np.ndarray:
     return out
 
 
-def _step_data(sys: QuantumSystem, field: ControlField) -> tuple[np.ndarray, np.ndarray]:
-    """Batched eigendecomposition of every step generator h0 - eps_m mu."""
+def _step_data(sys: QuantumSystem, field: ControlField) -> StepData:
+    """Eigenvalues ``w`` (M, N) and eigenvectors ``v`` (M, N, N) of every h0 - eps_m mu."""
     gens = sys.h0[None, :, :] - field.values[:, None, None] * sys.mu[None, :, :]
     return np.linalg.eigh(gens)
 
 
-def _phase_conjugate(v: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Batched V diag(phases) V†."""
-    return np.einsum("mab,mb,mcb->mac", v, phases, v.conj())
+def _phase_conjugate(eig: StepData, t: float) -> np.ndarray:
+    """Every step's exponential over time ``t``: batched V diag(exp(-i t w)) V†."""
+    w, v = eig
+    return (v * np.exp(-1j * t * w)[:, None, :]) @ dagger(v)
 
 
-def _step_unitaries(sys: QuantumSystem, field: ControlField) -> np.ndarray:
-    w, v = _step_data(sys, field)
-    return _phase_conjugate(v, np.exp(-1j * field.dt * w))
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """Propagators at every node: ``U_0 = I`` exactly and ``U_{m+1} = steps[m] U_m``."""
+    m_total, n, _ = steps.shape
+    out = np.empty((m_total + 1, n, n), dtype=complex)
+    out[0] = np.eye(n)
+    for m in range(m_total):
+        np.matmul(steps[m], out[m], out=out[m + 1])
+    return out
 
 
-def _final_propagator(sys: QuantumSystem, field: ControlField) -> np.ndarray:
-    """Endpoint propagator only; skips trajectory storage and validation."""
-    steps = _step_unitaries(sys, field)
-    u = np.eye(sys.dim, dtype=complex)
-    for s in steps:
-        u = s @ u
-    return u
+def _final_propagator(sys: QuantumSystem, field: ControlField) -> tuple[np.ndarray, StepData]:
+    """Endpoint propagator and its step data; a pairwise tree product, later steps
+    on the left, with no trajectory storage or validation."""
+    eig = _step_data(sys, field)
+    u = _phase_conjugate(eig, field.dt)
+    while u.shape[0] > 1:
+        pairs = u[1::2] @ u[0:-1:2]
+        u = np.concatenate([pairs, u[-1:]]) if u.shape[0] % 2 else pairs
+    return u[0], eig
 
 
-def _step_frames(sys: QuantumSystem, field: ControlField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step data for exact control derivatives.
+def _step_frames(sys: QuantumSystem, field: ControlField, eig: StepData) -> tuple[np.ndarray, ...]:
+    """Step propagators, half-step propagators and the corrected coupling ``mu_bar``.
 
-    Returns the step propagators, half-step propagators and the
-    spectrally corrected coupling ``mu_bar`` for each step: in the step
-    eigenbasis the coupling entries are damped by
-    sinc(dt (w_a - w_b) / 2), which makes the derivative of the step
-    exponential with respect to the control amplitude exact,
-
-        d(step)/d(eps) = i dt * half_step @ mu_bar @ half_step.
+    ``eig`` comes from ``_step_data``; ``_midpoint_couplings`` explains ``mu_bar``.
     """
-    w, v = _step_data(sys, field)
+    w, v = eig
     dt = field.dt
-    step = _phase_conjugate(v, np.exp(-1j * dt * w))
-    half = _phase_conjugate(v, np.exp(-0.5j * dt * w))
-    mu_eig = np.einsum("mba,bc,mcd->mad", v.conj(), sys.mu.astype(complex), v)
-    gaps = 0.5 * dt * (w[:, :, None] - w[:, None, :])
-    kernel = np.sinc(gaps / np.pi)
-    mu_bar = np.einsum("mab,mbc,mdc->mad", v, mu_eig * kernel, v.conj())
-    return step, half, mu_bar
+    mu_eig = dagger(v) @ sys.mu @ v
+    kernel = np.sinc(0.5 * dt * (w[:, :, None] - w[:, None, :]) / np.pi)
+    mu_bar = v @ (mu_eig * kernel) @ dagger(v)
+    return _phase_conjugate(eig, dt), _phase_conjugate(eig, 0.5 * dt), mu_bar
+
+
+def _midpoint_couplings(sys: QuantumSystem, field: ControlField, eig: StepData) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint propagator ``U_M`` and the exact midpoint coupling of every step.
+
+    In the eigenbasis of step m the coupling entries are damped by
+    sinc(dt (w_a - w_b) / 2), which makes the derivative of the step
+    exponential exact: d(step)/d(eps) = i dt * half_step @ mu_bar @ half_step.
+    With ``u_mid = half_m U_m`` and ``mid_hat_m = u_mid† mu_bar u_mid`` it
+    follows that dU_M / d(eps_m) = i dt U_M mid_hat_m, with no discretisation
+    error; every control gradient is a trace against these couplings.
+    """
+    step, half, mu_bar = _step_frames(sys, field, eig)
+    prefix = _prefix_products(step)
+    u_mid = half @ prefix[:-1]
+    return prefix[-1], dagger(u_mid) @ mu_bar @ u_mid
 
 
 def propagate(sys: QuantumSystem, field: ControlField, *, validate: bool = True) -> PropagatorTrajectory:
@@ -159,23 +176,16 @@ def propagate(sys: QuantumSystem, field: ControlField, *, validate: bool = True)
     ``validate`` the unitarity of every node and the Hermitian traceless
     structure of every conjugated dipole are checked at 1e-10.
     """
-    steps = _step_unitaries(sys, field)
-    m_total = field.steps
-    n = sys.dim
-    unitaries = np.empty((m_total + 1, n, n), dtype=complex)
-    unitaries[0] = np.eye(n)
-    for m in range(m_total):
-        unitaries[m + 1] = steps[m] @ unitaries[m]
-    mu_hats = np.einsum("mba,bc,mcd->mad", unitaries.conj(), sys.mu.astype(complex), unitaries)
-    times = np.linspace(0.0, field.horizon, m_total + 1)
+    unitaries = _prefix_products(_phase_conjugate(_step_data(sys, field), field.dt))
+    mu_hats = dagger(unitaries) @ sys.mu @ unitaries
+    times = np.linspace(0.0, field.horizon, field.steps + 1)
 
     if validate:
-        eye = np.eye(n)
-        gram = np.einsum("mba,mbc->mac", unitaries.conj(), unitaries)
-        defect = float(np.linalg.norm(gram - eye, axis=(1, 2)).max())
+        gram = dagger(unitaries) @ unitaries
+        defect = float(np.linalg.norm(gram - np.eye(sys.dim), axis=(1, 2)).max())
         if defect > TRAJECTORY_TOL:
             raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
-        herm = float(np.abs(mu_hats - mu_hats.conj().transpose(0, 2, 1)).max())
+        herm = float(np.abs(mu_hats - dagger(mu_hats)).max())
         traces = float(np.abs(np.trace(mu_hats, axis1=1, axis2=2)).max())
         if herm > TRAJECTORY_TOL or traces > TRAJECTORY_TOL:
             raise RuntimeError(
@@ -207,7 +217,7 @@ def evolve_density(traj: PropagatorTrajectory, rho0: np.ndarray) -> np.ndarray:
     if rho0.shape != (traj.dim, traj.dim):
         raise ValueError(f"density matrix shape {rho0.shape} does not match dimension {traj.dim}")
     u = traj.unitaries
-    out = np.einsum("mab,bc,mdc->mad", u, rho0, u.conj())
+    out = u @ rho0 @ dagger(u)
     out.setflags(write=False)
     return out
 

@@ -90,7 +90,9 @@ def spanning_rank(mats, *, rank_tol: float = RANK_TOL) -> SpanReport:
     n = arr.shape[1]
     basis = basis_zt(n)
     coords = np.real(np.einsum("kij,mji->mk", basis, arr))
-    _, s, vt = np.linalg.svd(coords, full_matrices=True)
+    # The complement needs every right-singular vector; the thin SVD
+    # returns them all unless there are fewer samples than dimensions.
+    _, s, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > rank_tol * smax)) if smax > 0.0 else 0
     full = rank == n * n - 1
@@ -176,12 +178,10 @@ def gradient(
 ) -> np.ndarray:
     """Derivative of Tr(rho(T) obs) with respect to each control step.
 
-    Realized as ``g_m = -dt Im Tr(O_T [mu_hat_m, rho0])`` with
-    ``O_T = U_M† obs U_M`` and ``mu_hat_m`` the spectrally corrected
-    coupling conjugated by the half-step (midpoint) propagator of step m
-    (see ``evolve._step_frames``); with that correction the discrete
-    derivative is exact, and the central finite-difference check is the
-    normative contract pinning sign and convention.
+    Realized as ``g_m = -dt Im Tr(O_T [mid_hat_m, rho0])`` with
+    ``O_T = U_M† obs U_M`` and ``mid_hat_m`` the exact midpoint coupling
+    from ``evolve._midpoint_couplings``; the central finite-difference
+    check is the normative contract pinning sign and convention.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
@@ -190,16 +190,8 @@ def gradient(
         raise ValueError(
             f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}"
         )
-    step, half, mu_bar = evolve._step_frames(sys, field)
-    m_total = field.steps
-    mid_hats = np.empty((m_total, n, n), dtype=complex)
-    u = np.eye(n, dtype=complex)
-    for m in range(m_total):
-        u_mid = half[m] @ u
-        mid_hats[m] = dagger(u_mid) @ mu_bar[m] @ u_mid
-        u = step[m] @ u
-    o_t = dagger(u) @ obs @ u
-    ro = rho0 @ o_t
+    u, mid_hats = evolve._midpoint_couplings(sys, field, evolve._step_data(sys, field))
+    ro = rho0 @ dagger(u) @ obs @ u
     return -2.0 * field.dt * np.imag(np.einsum("mab,ba->m", mid_hats, ro))
 
 
@@ -217,7 +209,7 @@ def finite_difference_gradient(
 
     def objective(values: np.ndarray) -> float:
         probe = ControlField(horizon=field.horizon, values=values)
-        u = evolve._final_propagator(sys, probe)
+        u, _ = evolve._final_propagator(sys, probe)
         return float(np.real(np.einsum("ij,ji->", u @ rho0 @ dagger(u), obs)))
 
     out = np.empty(field.steps)

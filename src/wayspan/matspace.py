@@ -57,8 +57,8 @@ def _square(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m).T)
+    """Conjugate transpose of the last two axes, batched over any leading ones."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
 def hs_norm(a: np.ndarray) -> float:

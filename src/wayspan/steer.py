@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve, reachability
-from .evolve import ControlField, concat_fields
+from .evolve import ControlField, StepData, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
 from .matspace import assert_unitary, dagger
 from .model import QuantumSystem
@@ -32,6 +32,7 @@ ARMIJO = 1e-4
 MIN_STEP = 1e-12
 GRAD_FLOOR = 1e-14
 INIT_AMPLITUDE = 0.1
+PIVOT_RTOL = 1e-9
 
 
 class NotControllableError(ValueError):
@@ -91,32 +92,26 @@ class WaypointSynthesis:
         return all(v.visited for v in self.visits)
 
 
-def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, np.ndarray]:
-    u = evolve._final_propagator(sys, field)
-    return gate_fidelity(target, u), u
+def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, StepData]:
+    """Fidelity of one line-search trial and the step eigendecomposition it used."""
+    u, eig = evolve._final_propagator(sys, field)
+    return gate_fidelity(target, u), eig
 
 
-def _fidelity_gradient(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, np.ndarray]:
+def _fidelity_gradient(
+    sys: QuantumSystem, field: ControlField, target: np.ndarray, eig: StepData
+) -> tuple[float, np.ndarray]:
     """Fidelity and the exact gradient of its square wrt each step amplitude.
 
     With z = Tr(target† U_M), the objective is |z|^2 / N^2 and
-    dz/d(eps_m) = i dt Tr(mu_hat_m target† U_M) with mu_hat_m the
-    spectrally corrected midpoint conjugate from ``evolve._step_frames``;
-    the overall phase of the target drops out of the product with
-    conj(z), so the iterates are invariant under target phase shifts.
+    dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), with mid_hat_m the exact
+    midpoint coupling from ``evolve._midpoint_couplings``.  ``eig`` is the
+    field's step eigendecomposition, as ``_fidelity_state`` returns it.
     """
     n = sys.dim
-    step, half, mu_bar = evolve._step_frames(sys, field)
-    m_total = field.steps
-    mid_hats = np.empty((m_total, n, n), dtype=complex)
-    u = np.eye(n, dtype=complex)
-    for m in range(m_total):
-        u_mid = half[m] @ u
-        mid_hats[m] = dagger(u_mid) @ mu_bar[m] @ u_mid
-        u = step[m] @ u
+    u, mid_hats = evolve._midpoint_couplings(sys, field, eig)
     z = complex(np.vdot(target, u))
-    b = dagger(target) @ u
-    dz = 1j * field.dt * np.einsum("mab,ba->m", mid_hats, b)
+    dz = 1j * field.dt * np.einsum("mab,ba->m", mid_hats, dagger(target) @ u)
     grad = 2.0 * np.real(np.conj(z) * dz) / (n * n)
     return abs(z) / n, grad
 
@@ -128,6 +123,14 @@ def _synthesize(
     rng: np.random.Generator,
     initial: ControlField | None,
 ) -> SynthesisResult:
+    # Canonical phase representative, so that phase-shifted copies of one target
+    # give bit-identical iterates: the first row-major entry within PIVOT_RTOL of
+    # the largest magnitude (near-ties pick the same pivot) is made real and
+    # positive, then the entries are rounded to 12 decimals (each moves < 1e-12).
+    flat = target.reshape(-1)
+    pivot = flat[np.argmax(np.abs(flat) >= (1.0 - PIVOT_RTOL) * np.abs(flat).max())]
+    target = np.round(target * (abs(pivot) / pivot), 12)
+
     m_steps = opts.steps_per_segment
     if initial is not None:
         if initial.steps != m_steps or abs(initial.horizon - opts.segment_time) > 1e-12 * opts.segment_time:
@@ -137,7 +140,7 @@ def _synthesize(
         values = rng.uniform(-INIT_AMPLITUDE, INIT_AMPLITUDE, m_steps)
 
     field = ControlField(horizon=opts.segment_time, values=values)
-    fid, grad = _fidelity_gradient(sys, field, target)
+    fid, grad = _fidelity_gradient(sys, field, target, evolve._step_data(sys, field))
     iterations = 0
     alpha = opts.step_size
     while fid < opts.fid_target and iterations < opts.max_iters:
@@ -146,20 +149,17 @@ def _synthesize(
             break
         phi = fid * fid
         alpha = min(opts.step_size, 2.0 * alpha)
-        accepted = False
         while alpha >= MIN_STEP:
             trial = ControlField(horizon=opts.segment_time, values=field.values + alpha * grad)
-            trial_fid, _ = _fidelity_state(sys, trial, target)
+            trial_fid, eig = _fidelity_state(sys, trial, target)
             if trial_fid * trial_fid >= phi + ARMIJO * alpha * gnorm2:
                 field = trial
-                fid = trial_fid
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
         iterations += 1
-        fid, grad = _fidelity_gradient(sys, field, target)
+        fid, grad = _fidelity_gradient(sys, field, target, eig)
 
     return SynthesisResult(
         field=field,
@@ -227,15 +227,13 @@ def synthesize_through_waypoints(
     rng = np.random.default_rng(opts.seed)
     reached = np.eye(sys.dim, dtype=complex)
     segments = []
-    fields = []
     for w in wset.unitaries:
         target = w @ dagger(reached)
         result = _synthesize(sys, target, opts, rng, None)
         segments.append(result)
-        fields.append(result.field)
-        reached = evolve._final_propagator(sys, result.field) @ reached
+        reached = evolve._final_propagator(sys, result.field)[0] @ reached
 
-    field = concat_fields(fields)
+    field = concat_fields([s.field for s in segments])
     traj = evolve.propagate(sys, field)
     visits = waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target)
     return WaypointSynthesis(field=field, segments=tuple(segments), visits=tuple(visits))

@@ -34,6 +34,14 @@ class TestSpanningRank:
         report = landscape.spanning_rank(np.array([SZ, SZ]))
         assert report.rank == 1
 
+    def test_tall_deficient_stack_keeps_its_complement(self):
+        # more samples than dimensions, yet rank-deficient
+        report = landscape.spanning_rank(np.array([SZ, SX] * 20))
+        assert report.rank == 2
+        (comp,) = report.complement_basis
+        overlap = abs(matspace.hs_inner(comp, SY)) / (matspace.hs_norm(comp) * matspace.hs_norm(SY))
+        assert overlap == pytest.approx(1.0, abs=1e-12)
+
     def test_quadruple_conjugates_are_full(self):
         wset = waypoints.theorem1_waypoints(np.real(SZ))
         hats = np.array([evolve.conjugated_dipole(u, SZ) for u in wset.unitaries])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SX, SZ
+from conftest import SX, SZ, random_traceless_symmetric, random_unitary
 from wayspan import evolve, landscape, steer, waypoints
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
@@ -132,3 +132,36 @@ def test_initial_field_must_match_grid(pauli_system, opts):
     bad = ControlField.constant(0.0, opts.segment_time, opts.steps_per_segment + 1)
     with pytest.raises(ValueError, match="segment_time"):
         steer.synthesize_to_target(pauli_system, target, opts, initial=bad)
+
+
+def test_fidelity_gradient_matches_central_differences(rng):
+    sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
+    field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
+    target = random_unitary(3, rng)
+    _, grad = steer._fidelity_gradient(sys3, field, target, evolve._step_data(sys3, field))
+
+    def objective(values):
+        u, _ = evolve._final_propagator(sys3, ControlField(horizon=field.horizon, values=values))
+        return abs(np.vdot(target, u)) ** 2 / 9.0
+
+    h = 1e-6
+    fd = np.empty(field.steps)
+    for m in range(field.steps):
+        plus = field.values.copy()
+        minus = field.values.copy()
+        plus[m] += h
+        minus[m] -= h
+        fd[m] = (objective(plus) - objective(minus)) / (2.0 * h)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
+    sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
+    field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=20))
+    target = random_unitary(3, rng)
+    trial_fid, eig = steer._fidelity_state(sys3, field, target)
+    fid, grad = steer._fidelity_gradient(sys3, field, target, eig)
+    fresh_fid, fresh = steer._fidelity_gradient(sys3, field, target, evolve._step_data(sys3, field))
+    assert np.array_equal(grad, fresh)
+    assert fid == fresh_fid
+    assert fid == pytest.approx(trial_fid, abs=1e-14)
