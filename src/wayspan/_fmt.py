@@ -75,16 +75,21 @@ def hermitian_matrix(obj, name: str, n: int) -> np.ndarray:
     if arr.shape == (n, n):
         return arr.astype(complex)
     if arr.shape == (n, n, 2):
-        return arr[..., 0] + 1j * arr[..., 1]
+        return _from_pairs(arr)
     raise FormatError(
         f"field {name!r} must be {n}x{n} (reals or [re, im] pairs), got shape {arr.shape}"
     )
 
 
+def _from_pairs(arr: np.ndarray) -> np.ndarray:
+    """(..., 2) float pairs -> complex, bit for bit (``re + 1j * im`` drops -0.0)."""
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
+
+
 def complex_entries(m: np.ndarray) -> list:
     """Matrix -> nested lists of [re, im] pairs (row-major)."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_entries(obj, name: str, n: int) -> np.ndarray:
@@ -97,4 +102,4 @@ def matrix_from_entries(obj, name: str, n: int) -> np.ndarray:
         raise FormatError(
             f"field {name!r} must be {n}x{n} [re, im] pairs, got shape {arr.shape}"
         )
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _from_pairs(arr)

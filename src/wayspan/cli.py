@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import evolve, landscape, reachability, steer, waypoints
+from . import evolve, landscape, matspace, reachability, steer, waypoints
 from ._fmt import FormatError, hermitian_matrix, parse_json, require_key
 from .model import (
     HypothesisViolation,
@@ -66,44 +65,24 @@ def _print_report(report) -> None:
 
 
 def _cmd_validate(args) -> int:
-    paths = args.system
     worst = EXIT_OK
-
-    def run(path: str):
-        sys_obj = _load_system_any(path)
-        return path, check_hypotheses(sys_obj, args.tol)
-
-    results = []
-    if args.jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run, p) for p in paths]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except (FormatError, HypothesisViolation, OSError) as exc:
-                    results.append(exc)
-    else:
-        for p in paths:
-            try:
-                results.append(run(p))
-            except (FormatError, HypothesisViolation, OSError) as exc:
-                results.append(exc)
-
     reports = {}
-    for item in results:
-        if isinstance(item, HypothesisViolation):
-            print(f"INVALID: {item}")
+    for path in args.system:
+        try:
+            report = check_hypotheses(_load_system_any(path), args.tol)
+        except HypothesisViolation as exc:
+            print(f"INVALID: {exc}")
             worst = max(worst, EXIT_VERDICT)
-        elif isinstance(item, (FormatError, OSError)):
-            print(f"ERROR: {item}", file=_sys.stderr)
+            continue
+        except (FormatError, OSError) as exc:
+            print(f"ERROR: {exc}", file=_sys.stderr)
             worst = max(worst, EXIT_USAGE)
-        else:
-            path, report = item
-            print(f"{path}:")
-            _print_report(report)
-            reports[path] = report
-            if not report.ok:
-                worst = max(worst, EXIT_VERDICT)
+            continue
+        print(f"{path}:")
+        _print_report(report)
+        reports[path] = report
+        if not report.ok:
+            worst = max(worst, EXIT_VERDICT)
 
     out = _out_dir(args)
     if out is not None:
@@ -167,7 +146,7 @@ def _cmd_waypoints(args) -> int:
         print("no system given: set emitted without spanning verdict")
         return EXIT_OK
 
-    hats = np.array([evolve.conjugated_dipole(u, mu) for u in wset.unitaries])
+    hats = evolve.conjugated_dipole(wset.unitaries, mu)
     report = landscape.spanning_rank(hats, rank_tol=args.rank_tol)
     landscape.save_span_report(report, out / "span.txt")
     print(f"spanning verdict: {report.verdict}")
@@ -178,11 +157,8 @@ def _cmd_propagate(args) -> int:
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     traj = evolve.propagate(sys_obj, field)
-    final_defect = float(
-        np.linalg.norm(traj.unitaries[-1].conj().T @ traj.unitaries[-1] - np.eye(sys_obj.dim))
-    )
     print(f"steps: {field.steps}, horizon: {field.horizon}")
-    print(f"final unitarity defect: {final_defect:.3e}")
+    print(f"final unitarity defect: {matspace.unitarity_defect(traj.unitaries[-1]):.3e}")
     if args.trajectory_csv:
         evolve.trajectory_csv(traj, args.trajectory_csv)
         print(f"trajectory written to {args.trajectory_csv}")
@@ -190,6 +166,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"--stride must be a positive integer, got {args.stride}")
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     traj = evolve.propagate(sys_obj, field)
@@ -238,7 +216,7 @@ def _cmd_steer(args) -> int:
     else:
         raise FormatError("steer needs --waypoints FILE or --provenance {theorem1|theorem3}")
 
-    segment_time = args.segment_time if args.segment_time else steer.default_segment_time(sys_obj)
+    segment_time = steer.default_segment_time(sys_obj) if args.segment_time is None else args.segment_time
     opts = steer.SteerOptions(
         segment_time=segment_time,
         steps_per_segment=args.steps,
@@ -276,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", nargs="+", required=True)
     p.add_argument("--tol", type=float, default=None, help="off-diagonal zero threshold")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("controllability", help="Lie closure dimension and verdict")

@@ -168,31 +168,30 @@ def _midpoint_couplings(sys: QuantumSystem, field: ControlField, eig: StepData) 
     return prefix[-1], dagger(u_mid) @ mu_bar @ u_mid
 
 
-def propagate(sys: QuantumSystem, field: ControlField, *, validate: bool = True) -> PropagatorTrajectory:
+def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     """Integrate the propagator over the control grid.
 
     ``U_m = exp(-i dt (h0 - eps_m mu)) U_{m-1}`` with ``U_0 = I`` exactly;
-    each node also gets the conjugated dipole ``U_m† mu U_m``.  With
-    ``validate`` the unitarity of every node and the Hermitian traceless
-    structure of every conjugated dipole are checked at 1e-10.
+    each node also gets the conjugated dipole ``U_m† mu U_m``.  The
+    unitarity of every node and the Hermitian traceless structure of every
+    conjugated dipole are checked at 1e-10.
     """
     unitaries = _prefix_products(_phase_conjugate(_step_data(sys, field), field.dt))
-    mu_hats = dagger(unitaries) @ sys.mu @ unitaries
+    mu_hats = conjugated_dipole(unitaries, sys.mu)
     times = np.linspace(0.0, field.horizon, field.steps + 1)
 
-    if validate:
-        gram = dagger(unitaries) @ unitaries
-        defect = float(np.linalg.norm(gram - np.eye(sys.dim), axis=(1, 2)).max())
-        if defect > TRAJECTORY_TOL:
-            raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
-        herm = float(np.abs(mu_hats - dagger(mu_hats)).max())
-        traces = float(np.abs(np.trace(mu_hats, axis1=1, axis2=2)).max())
-        if herm > TRAJECTORY_TOL or traces > TRAJECTORY_TOL:
-            raise RuntimeError(
-                f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}"
-            )
+    gram = dagger(unitaries) @ unitaries
+    defect = float(np.linalg.norm(gram - np.eye(sys.dim), axis=(1, 2)).max())
+    if defect > TRAJECTORY_TOL:
+        raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
+    herm = float(np.abs(mu_hats - dagger(mu_hats)).max())
+    traces = float(np.abs(np.trace(mu_hats, axis1=1, axis2=2)).max())
+    if herm > TRAJECTORY_TOL or traces > TRAJECTORY_TOL:
+        raise RuntimeError(
+            f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}"
+        )
 
-    for arr in (times, unitaries, mu_hats):
+    for arr in (times, unitaries):
         arr.setflags(write=False)
     return PropagatorTrajectory(times=times, unitaries=unitaries, mu_hats=mu_hats)
 
@@ -200,11 +199,13 @@ def propagate(sys: QuantumSystem, field: ControlField, *, validate: bool = True)
 def conjugated_dipole(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Coupling operator in the frame of ``u``: u† mu u.
 
-    Hermitian and traceless whenever ``mu`` is, with the same HS norm.
+    Batched: ``u`` is one unitary or a stack (..., N, N), conjugated in
+    one matmul.  Hermitian and traceless whenever ``mu`` is, with the same
+    HS norm.
     """
     u = np.asarray(u)
     mu = np.asarray(mu)
-    if u.shape != mu.shape or u.ndim != 2:
+    if mu.ndim != 2 or u.ndim < 2 or u.shape[-2:] != mu.shape:
         raise ValueError(f"dimension mismatch: u {u.shape} vs mu {mu.shape}")
     out = dagger(u) @ mu @ u
     out.setflags(write=False)

@@ -15,7 +15,7 @@ import numpy as np
 from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import ControlField, PropagatorTrajectory
-from .matspace import basis_zt, dagger
+from .matspace import basis_zt, dagger, from_coords, to_coords
 from .model import QuantumSystem
 from .waypoints import WaypointSet
 
@@ -89,19 +89,15 @@ def spanning_rank(mats, *, rank_tol: float = RANK_TOL) -> SpanReport:
         raise ValueError(f"matrices must be square, got shape {arr.shape}")
     n = arr.shape[1]
     basis = basis_zt(n)
-    coords = np.real(np.einsum("kij,mji->mk", basis, arr))
+    coords = to_coords(arr, basis)
     # The complement needs every right-singular vector; the thin SVD
     # returns them all unless there are fewer samples than dimensions.
     _, s, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > rank_tol * smax)) if smax > 0.0 else 0
     full = rank == n * n - 1
-    if full:
-        complement = np.zeros((0, n, n), dtype=complex)
-    else:
-        complement = np.einsum("ck,kij->cij", vt[rank:], basis)
-    for out in (s, complement):
-        out.setflags(write=False)
+    complement = from_coords(vt[rank:], basis)
+    s.setflags(write=False)
     return SpanReport(
         dim=n,
         count=int(arr.shape[0]),

@@ -206,23 +206,41 @@ def basis_zt(n: int) -> np.ndarray:
     return _readonly(out)
 
 
-def to_coords(z, basis: np.ndarray) -> np.ndarray:
-    """Real coordinates of a traceless Hermitian matrix in an orthonormal basis.
+def _real_rows(stack: np.ndarray) -> np.ndarray:
+    """Real row view of a stack of complex n x n matrices: (..., 2 n^2).
 
-    ``c_k = hs_inner(basis_k, z)``; the reconstruction ``sum c_k basis_k``
-    recovers ``z`` and the map is a linear isometry onto R^(n^2 - 1).
+    Under it the real HS inner product Re Tr(A†B) is a dot product.  A
+    contiguous complex stack is viewed, not copied, so writes reach it.
     """
-    z = _square(z, "z")
-    if basis.shape[1:] != z.shape:
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    return stack.reshape(*stack.shape[:-2], stack.shape[-2] * stack.shape[-1]).view(float)
+
+
+def to_coords(z, basis: np.ndarray) -> np.ndarray:
+    """Real coordinates of traceless Hermitian matrices in an orthonormal basis.
+
+    Batched: ``z`` is one matrix or a stack (..., n, n), and the result
+    has shape (..., n^2 - 1), computed as one matmul against the flattened
+    basis.  ``c_k = hs_inner(basis_k, z)``; the reconstruction
+    ``sum c_k basis_k`` recovers ``z`` and the map is a linear isometry
+    onto R^(n^2 - 1).
+    """
+    z = np.asarray(z)
+    if z.ndim < 2 or z.shape[-2:] != basis.shape[1:]:
         raise ValueError(f"dimension mismatch: basis {basis.shape[1:]} vs z {z.shape}")
-    return _readonly(np.real(np.einsum("kij,ji->k", basis, z)))
+    return _readonly(_real_rows(z) @ _real_rows(basis).T)
 
 
 def from_coords(coords, basis: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_coords`: assemble the matrix sum c_k basis_k."""
+    """Inverse of :func:`to_coords`: assemble the matrices sum c_k basis_k.
+
+    Batched: ``coords`` has shape (..., n^2 - 1) and the result
+    (..., n, n), computed as one matmul against the flattened basis.
+    """
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (basis.shape[0],):
+    if coords.ndim < 1 or coords.shape[-1] != basis.shape[0]:
         raise ValueError(
-            f"coordinate vector must have length {basis.shape[0]}, got {coords.shape}"
+            f"coordinate vectors must have length {basis.shape[0]}, got {coords.shape}"
         )
-    return _readonly(np.einsum("k,kij->ij", coords, basis))
+    flat = coords @ _real_rows(basis)
+    return _readonly(flat.view(complex).reshape(*coords.shape[:-1], *basis.shape[1:]))

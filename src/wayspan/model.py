@@ -24,6 +24,7 @@ from ._fmt import (
     require_key,
     write_text,
 )
+from .matspace import TRACE_RTOL
 
 __all__ = [
     "FormatError",
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 SYMMETRY_ENTRY_TOL = 1e-12
-TRACE_RTOL = 1e-12
 
 
 class HypothesisViolation(ValueError):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matspace import _real_rows
+
 __all__ = [
     "VERDICT_SU",
     "VERDICT_U",
@@ -48,79 +50,73 @@ class LieClosureResult:
     verdict: str
 
 
-def _real_hs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
-
-
-def lie_closure(
-    h0: np.ndarray,
-    mu: np.ndarray,
-    *,
-    rank_rtol: float = RANK_RTOL,
-    abs_floor: float = ABS_FLOOR,
-) -> LieClosureResult:
+def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     """Compute the Lie algebra generated by -i h0 and -i mu inside u(N).
 
-    Starts from the orthonormalized generators (normalized to unit HS norm
-    first, which removes scale dependence of the tolerance) and repeatedly
-    appends Gram-Schmidt-orthonormalized commutators, breadth first: every
-    element pairs with all of its predecessors in the round after it was
-    added, so the schedule is deterministic and each unordered pair is
-    visited exactly once.  Stops at closure or at dimension N^2.
+    The basis lives in one preallocated (N^2, N, N) complex stack whose
+    real row view (``matspace._real_rows``, i.e. ``reshape(N^2, -1).view(float)``)
+    turns Re Tr(A†B) into a dot product.  The generators are normalized to unit HS norm first,
+    which removes scale dependence of the tolerance.  Commutators are
+    then taken breadth first: every element pairs with all of its
+    predecessors in the round after it was added (one batched matmul per
+    element), so the schedule is deterministic and each unordered pair is
+    visited exactly once.  Each candidate is projected off the current
+    basis by two block passes ``r -= B.T @ (B @ r)`` and accepted, in
+    schedule order, when its residual clears the tolerance.  Stops at
+    closure or at dimension N^2.
     """
     h0 = np.asarray(h0, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
     if h0.ndim != 2 or h0.shape[0] != h0.shape[1] or h0.shape != mu.shape:
         raise ValueError(f"generators must be square with equal shape, got {h0.shape} and {mu.shape}")
     n = h0.shape[0]
-
-    basis: list[np.ndarray] = []
+    full = n * n
+    stack = np.zeros((full, n, n), dtype=complex)
+    rows = _real_rows(stack)
+    dim = 0
 
     def try_add(cand: np.ndarray, pre_norm: float) -> bool:
-        resid = cand
-        # Two projection passes keep the basis orthonormal to round-off.
+        nonlocal dim
+        basis = rows[:dim]
+        # Two projection passes keep the basis orthonormal to round-off;
+        # every candidate is a temporary, so it is projected in place.
         for _ in range(2):
-            for e in basis:
-                resid = resid - _real_hs(e, resid) * e
-        norm = float(np.linalg.norm(resid))
-        if norm <= max(rank_rtol * pre_norm, abs_floor):
+            cand -= basis.T @ (basis @ cand)
+        norm = float(np.linalg.norm(cand))
+        if norm <= max(RANK_RTOL * pre_norm, ABS_FLOOR):
             return False
-        basis.append(resid / norm)
+        rows[dim] = cand / norm
+        dim += 1
         return True
 
     new: list[int] = []
     for gen in (-1j * h0, -1j * mu):
         norm = float(np.linalg.norm(gen))
-        if norm <= abs_floor:
-            continue
-        if try_add(gen / norm, 1.0):
-            new.append(len(basis) - 1)
+        if norm > ABS_FLOOR and try_add(_real_rows(gen / norm), 1.0):
+            new.append(dim - 1)
 
-    while new and len(basis) < n * n:
+    while new and dim < full:
         next_new: list[int] = []
         for b_idx in new:
-            for a_idx in range(b_idx):
-                cand = basis[a_idx] @ basis[b_idx] - basis[b_idx] @ basis[a_idx]
-                pre_norm = float(np.linalg.norm(cand))
-                if pre_norm <= abs_floor:
-                    continue
-                if try_add(cand, pre_norm):
-                    next_new.append(len(basis) - 1)
-            if len(basis) >= n * n:
+            head, e = stack[:b_idx], stack[b_idx]
+            cands = _real_rows(head @ e - e @ head)
+            for cand, pre_norm in zip(cands, np.linalg.norm(cands, axis=1)):
+                if pre_norm > ABS_FLOOR and try_add(cand, float(pre_norm)):
+                    next_new.append(dim - 1)
+            if dim >= full:
                 break
         new = next_new
 
-    dim = len(basis)
-    stacked = np.array(basis) if basis else np.zeros((0, n, n), dtype=complex)
-    stacked.setflags(write=False)
-    traceless = all(abs(complex(np.trace(e))) < 1e-10 for e in basis)
-    if dim == n * n:
+    basis = stack[:dim]
+    basis.setflags(write=False)
+    traceless = bool(np.all(np.abs(np.trace(basis, axis1=1, axis2=2)) < 1e-10))
+    if dim == full:
         verdict = VERDICT_U
-    elif dim == n * n - 1 and traceless:
+    elif dim == full - 1 and traceless:
         verdict = VERDICT_SU
     else:
         verdict = VERDICT_NO
-    return LieClosureResult(dimension=dim, basis=stacked, verdict=verdict)
+    return LieClosureResult(dimension=dim, basis=basis, verdict=verdict)
 
 
 def is_controllable(sys) -> str:

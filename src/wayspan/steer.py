@@ -65,11 +65,6 @@ class SteerOptions:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @classmethod
-    def for_system(cls, sys: QuantumSystem, **overrides) -> "SteerOptions":
-        overrides.setdefault("segment_time", default_segment_time(sys))
-        return cls(**overrides)
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -175,7 +170,6 @@ def synthesize_to_target(
     opts: SteerOptions,
     *,
     initial: ControlField | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SynthesisResult:
     """Gradient-ascent synthesis of a control hitting ``target`` up to phase.
 
@@ -194,9 +188,7 @@ def synthesize_to_target(
     target = assert_unitary(target, name="target")
     if target.shape != (sys.dim, sys.dim):
         raise ValueError(f"target shape {target.shape} does not match dimension {sys.dim}")
-    if rng is None:
-        rng = np.random.default_rng(opts.seed)
-    return _synthesize(sys, target, opts, rng, initial)
+    return _synthesize(sys, target, opts, np.random.default_rng(opts.seed), initial)
 
 
 def synthesize_through_waypoints(

@@ -1,7 +1,13 @@
-"""Shared fixtures and random-matrix helpers."""
+"""Shared fixtures, random-matrix helpers and the hypothesis profile."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Derandomized examples make every run of the suite draw the same cases;
+# no deadline, because BLAS timings on a shared machine are noisy.
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.load_profile("default")
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

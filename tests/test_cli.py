@@ -1,0 +1,193 @@
+"""Exit codes and output files of every ``wayspan`` subcommand.
+
+The exit codes are the scripting contract: 0 for success or a passing
+verdict, 1 for a failed verdict, 2 for usage, parse or shape errors.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import SX, SZ, coupled_traceless_symmetric
+from wayspan import cli, evolve, waypoints
+from wayspan.evolve import ControlField
+from wayspan.model import QuantumSystem, save_system
+
+
+def _system(path, h0, mu):
+    save_system(QuantumSystem(len(h0), np.asarray(h0, dtype=float), np.asarray(mu, dtype=float)), path)
+    return str(path)
+
+
+def _matrix_doc(path, m):
+    path.write_text(json.dumps({"n": len(m), "entries": np.real(m).tolist()}))
+    return str(path)
+
+
+@pytest.fixture
+def files(tmp_path, rng):
+    """A controllable 2-level and 3-level system, an uncontrollable one, and inputs."""
+    out = {
+        "pauli": _system(tmp_path / "pauli.json", np.real(SZ), np.real(SX)),
+        "three": _system(tmp_path / "three.json", np.diag([0.0, 1.0, 2.5]), coupled_traceless_symmetric(3, rng)),
+        "diag": _system(tmp_path / "diag.json", np.diag([0.0, 1.0, 3.0]), np.diag([1.0, 0.0, -1.0])),
+        "traced": str(tmp_path / "traced.json"),
+        "bad": str(tmp_path / "bad.json"),
+        "field": str(tmp_path / "field.json"),
+        "rho0": _matrix_doc(tmp_path / "rho0.json", np.diag([1.0, 0.0])),
+        "obs": _matrix_doc(tmp_path / "obs.json", np.real(SZ)),
+        "rho0_3": _matrix_doc(tmp_path / "rho0_3.json", np.diag([1.0, 0.0, 0.0])),
+    }
+    (tmp_path / "traced.json").write_text(json.dumps({"n": 2, "h0": np.eye(2).tolist(), "mu": np.eye(2).tolist()}))
+    (tmp_path / "bad.json").write_text("{not json")
+    evolve.save_field(ControlField(horizon=3.0, values=rng.normal(size=30)), out["field"])
+    return out
+
+
+def run(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+class TestValidate:
+    def test_valid_system_writes_hypotheses(self, files, tmp_path, capsys):
+        out = tmp_path / "val"
+        assert run("validate", "--system", files["pauli"], files["three"], "--out", out) == 0
+        doc = json.loads((out / "hypotheses.json").read_text())
+        assert set(doc) == {files["pauli"], files["three"]}
+        assert doc[files["pauli"]]["controllable"] == "SU"
+        assert doc[files["pauli"]]["lie_dimension"] == 3
+        assert "controllable: SU" in capsys.readouterr().out
+
+    def test_failed_hypothesis_exits_1(self, files):
+        assert run("validate", "--system", files["diag"]) == 1
+
+    def test_violation_at_load_exits_1(self, files, capsys):
+        assert run("validate", "--system", files["pauli"], files["traced"]) == 1
+        assert "INVALID" in capsys.readouterr().out
+
+    def test_bad_json_and_missing_file_exit_2(self, files, tmp_path):
+        assert run("validate", "--system", files["pauli"], files["bad"]) == 2
+        assert run("validate", "--system", tmp_path / "absent.json") == 2
+
+    def test_jobs_flag_is_rejected(self, files):
+        with pytest.raises(SystemExit) as exc:
+            run("validate", "--system", files["pauli"], "--jobs", 2)
+        assert exc.value.code == 2
+
+
+class TestControllability:
+    def test_controllable_writes_basis(self, files, tmp_path, capsys):
+        csv = tmp_path / "basis.csv"
+        assert run("controllability", "--system", files["pauli"], "--basis-csv", csv) == 0
+        assert "verdict: SU" in capsys.readouterr().out
+        rows = csv.read_text().splitlines()
+        assert len(rows) == 3
+        assert all(len(r.split(",")) == 8 for r in rows)
+
+    def test_uncontrollable_exits_1(self, files, capsys):
+        assert run("controllability", "--system", files["diag"]) == 1
+        assert "verdict: NO" in capsys.readouterr().out
+
+    def test_bad_json_exits_2(self, files):
+        assert run("controllability", "--system", files["bad"]) == 2
+
+
+class TestWaypoints:
+    def test_theorem1_writes_set_and_span(self, files, tmp_path, capsys):
+        out = tmp_path / "wp"
+        assert run("waypoints", "--provenance", "theorem1", "--system", files["three"], "--out", out) == 0
+        wset = waypoints.load_waypoints(out / "waypoints.json")
+        assert (len(wset), wset.dim, wset.provenance) == (12, 3, "theorem1")
+        assert "FULL" in (out / "span.txt").read_text().splitlines()
+        assert "spanning verdict: FULL" in capsys.readouterr().out
+
+    def test_theorem3_without_system_has_no_verdict(self, tmp_path):
+        out = tmp_path / "wp"
+        assert run("waypoints", "--provenance", "theorem3", "--n", 3, "--out", out) == 0
+        assert len(waypoints.load_waypoints(out / "waypoints.json")) == waypoints.theorem3_count(3)
+        assert not (out / "span.txt").exists()
+
+    def test_theorem3_with_zero_couplings_is_deficient(self, files, tmp_path):
+        out = tmp_path / "wp"
+        assert run("waypoints", "--provenance", "theorem3", "--system", files["diag"], "--out", out) == 1
+        text = (out / "span.txt").read_text()
+        assert "DEFICIENT rank=" in text and "complement" in text
+
+    def test_missing_inputs_exit_2(self, tmp_path):
+        assert run("waypoints", "--provenance", "theorem1", "--out", tmp_path) == 2
+        assert run("waypoints", "--provenance", "theorem3", "--out", tmp_path) == 2
+
+
+class TestPropagate:
+    def test_writes_trajectory(self, files, tmp_path, capsys):
+        csv = tmp_path / "traj.csv"
+        assert run("propagate", "--system", files["pauli"], "--field", files["field"], "--trajectory-csv", csv) == 0
+        assert "final unitarity defect" in capsys.readouterr().out
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 1 + 31
+        assert len(lines[0].split(",")) == 1 + 2 * 4
+
+    def test_bad_field_exits_2(self, files):
+        assert run("propagate", "--system", files["pauli"], "--field", files["bad"]) == 2
+
+
+class TestCheck:
+    def test_full_trajectory_with_gradient(self, files, tmp_path, capsys):
+        out = tmp_path / "chk"
+        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        assert run(*argv, "--rho0", files["rho0"], "--obs", files["obs"], "--out", out) == 0
+        text = capsys.readouterr().out
+        assert "independence verdict: FULL (31 samples, dim 2)" in text
+        assert "kinematic residual" in text
+        assert "FULL" in (out / "span.txt").read_text().splitlines()
+
+    def test_sparse_stride_is_deficient(self, files, tmp_path):
+        out = tmp_path / "chk"
+        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        assert run(*argv, "--stride", 20, "--out", out) == 1
+        assert "DEFICIENT rank=2" in (out / "span.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_nonpositive_stride_exits_2(self, files, stride, capsys):
+        assert run("check", "--system", files["pauli"], "--field", files["field"], "--stride", stride) == 2
+        assert "stride" in capsys.readouterr().err
+
+    def test_shape_mismatch_exits_2(self, files):
+        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        assert run(*argv, "--rho0", files["rho0_3"], "--obs", files["obs"]) == 2
+
+
+class TestGradientCheck:
+    def test_pass_and_fail(self, files):
+        argv = ("gradient-check", "--system", files["pauli"], "--field", files["field"],
+                "--rho0", files["rho0"], "--obs", files["obs"])
+        assert run(*argv) == 0
+        assert run(*argv, "--tol", 1e-300) == 1
+
+
+class TestSteer:
+    def test_custom_waypoints_write_outputs(self, files, tmp_path, capsys):
+        wfile = tmp_path / "custom.json"
+        targets = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)]
+        waypoints.save_waypoints(waypoints.WaypointSet(dim=2, unitaries=targets, provenance="custom"), wfile)
+        out = tmp_path / "st"
+        argv = ("steer", "--system", files["pauli"], "--waypoints", wfile, "--steps", 20, "--out", out)
+        assert run(*argv, "--fid-target", 0.99) == 0
+        assert "segments converged: 2/2" in capsys.readouterr().out
+        assert evolve.load_field(out / "field.json").steps == 40
+        rows = (out / "visits.csv").read_text().splitlines()
+        assert rows[0] == "waypoint,fidelity,time" and len(rows) == 3
+        assert "FULL" in (out / "span.txt").read_text().splitlines()
+
+    def test_zero_segment_time_exits_2(self, files, capsys):
+        argv = ("steer", "--system", files["pauli"], "--provenance", "theorem3")
+        assert run(*argv, "--segment-time", 0) == 2
+        assert "segment_time" in capsys.readouterr().err
+
+    def test_uncontrollable_exits_1(self, files, capsys):
+        assert run("steer", "--system", files["diag"], "--provenance", "theorem3") == 1
+        assert "not controllable" in capsys.readouterr().err
+
+    def test_needs_a_waypoint_source(self, files):
+        assert run("steer", "--system", files["pauli"]) == 2

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SX,
     SY,
     SZ,
     random_density,
+    random_traceless_hermitian,
     random_traceless_symmetric,
 )
 from wayspan import evolve, landscape, matspace, waypoints
@@ -57,6 +60,27 @@ class TestSpanningRank:
         combo = 0.3 * mats[0] - 1.7 * mats[3]
         extended = landscape.spanning_rank(np.concatenate([mats, combo[None]]))
         assert extended.rank == base.rank
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(min_value=2, max_value=4),
+        count=st.integers(min_value=1, max_value=18),
+        extra=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rank_invariant_under_permutation_and_combinations(self, n, count, extra, seed):
+        rng = np.random.default_rng(seed)
+        mats = np.array([random_traceless_hermitian(n, rng) for _ in range(count)])
+        base = landscape.spanning_rank(mats)
+        assert base.rank == min(count, n * n - 1)
+        smax = base.singular_values[0]
+        shuffled = landscape.spanning_rank(mats[rng.permutation(count)])
+        assert shuffled.rank == base.rank
+        assert np.allclose(shuffled.singular_values, base.singular_values, rtol=0.0, atol=1e-12 * smax)
+        combos = np.einsum("ck,kij->cij", rng.normal(size=(extra, count)), mats)
+        extended = landscape.spanning_rank(np.concatenate([mats, combos]))
+        assert extended.rank == base.rank
+        assert extended.complement_basis.shape == base.complement_basis.shape
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

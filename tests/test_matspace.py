@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ, random_traceless_hermitian
 from wayspan import matspace
@@ -155,3 +157,49 @@ def test_unitary_constructor_validates():
         matspace.unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
     out = matspace.unitary(np.eye(3))
     assert not out.flags.writeable
+
+
+def _hermitian_stack(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_traceless_hermitian(n, rng) for _ in range(count)])
+
+
+@settings(max_examples=30)
+@given(n=st.integers(min_value=2, max_value=6), count=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_coords_match_per_matrix(n, count, seed):
+    basis = matspace.basis_zt(n)
+    z = _hermitian_stack(n, count, seed)
+    coords = matspace.to_coords(z, basis)
+    assert coords.shape == (count, n * n - 1)
+    for m in range(count):
+        ref = [matspace.hs_inner(b, z[m]) for b in basis]
+        assert np.abs(coords[m] - ref).max() < 1e-13
+        assert np.abs(coords[m] - matspace.to_coords(z[m], basis)).max() < 1e-13
+    back = matspace.from_coords(coords, basis)
+    assert back.shape == z.shape
+    for m in range(count):
+        ref = sum(c * b for c, b in zip(coords[m], basis))
+        assert np.abs(back[m] - ref).max() < 1e-13
+        assert np.abs(back[m] - matspace.from_coords(coords[m], basis)).max() < 1e-13
+
+
+@settings(max_examples=30)
+@given(n=st.integers(min_value=2, max_value=8), count=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_coords_roundtrip_is_isometry(n, count, seed):
+    basis = matspace.basis_zt(n)
+    z = _hermitian_stack(n, count, seed)
+    coords = matspace.to_coords(z, basis)
+    assert np.abs(matspace.from_coords(coords, basis) - z).max() < 1e-12
+    norms = np.linalg.norm(z, axis=(1, 2))
+    assert np.allclose(np.linalg.norm(coords, axis=1), norms, rtol=1e-12, atol=0.0)
+    # inner products are preserved too, not just norms
+    gram = np.real(np.einsum("aij,bji->ab", z, z))
+    assert np.allclose(coords @ coords.T, gram, rtol=0.0, atol=1e-12 * norms.max() ** 2)
+
+
+def test_coords_reject_mismatched_shapes():
+    basis = matspace.basis_zt(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        matspace.to_coords(np.zeros((4, 2, 2)), basis)
+    with pytest.raises(ValueError, match="length 8"):
+        matspace.from_coords(np.zeros((4, 3)), basis)

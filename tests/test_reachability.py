@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SX, SZ, random_real_symmetric
+from conftest import SX, SZ, coupled_traceless_symmetric, random_real_symmetric
 from wayspan import reachability
 from wayspan.model import QuantumSystem
 
@@ -82,3 +84,64 @@ def test_traceless_generators_give_su_not_u(rng):
     assert result.verdict == "SU"
     for e in result.basis:
         assert abs(np.trace(e)) < 1e-10
+
+
+def _assert_orthonormal_skew(result):
+    rows = np.asarray(result.basis).reshape(result.dimension, -1)
+    gram = np.real(rows.conj() @ rows.T)
+    assert np.abs(gram - np.eye(result.dimension)).max() < 1e-10
+    assert np.abs(result.basis + np.conj(np.swapaxes(result.basis, 1, 2))).max() < 1e-10
+
+
+@settings(max_examples=20)
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=8, seed=0)
+def test_fully_coupled_closure_is_u(n, seed):
+    rng = np.random.default_rng(seed)
+    h0 = random_real_symmetric(n, rng) + np.eye(n)
+    result = reachability.lie_closure(h0, coupled_traceless_symmetric(n, rng))
+    assert (result.dimension, result.verdict) == (n * n, "U")
+    _assert_orthonormal_skew(result)
+
+
+@settings(max_examples=20)
+@given(
+    a=st.floats(min_value=0.01, max_value=100.0),
+    b=st.floats(min_value=-100.0, max_value=-0.01),
+)
+def test_scaled_pauli_pair_closes_su2(a, b):
+    result = reachability.lie_closure(a * np.real(SZ), b * np.real(SX))
+    assert (result.dimension, result.verdict) == (3, "SU")
+    _assert_orthonormal_skew(result)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(min_value=2, max_value=8), split=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=8, split=4, seed=0)
+def test_block_diagonal_closure_is_not_controllable(n, split, seed):
+    rng = np.random.default_rng(seed)
+    m = min(split, n - 1)
+
+    def block_pair():
+        out = np.zeros((n, n))
+        out[:m, :m] = random_real_symmetric(m, rng)
+        out[m:, m:] = random_real_symmetric(n - m, rng)
+        return out
+
+    result = reachability.lie_closure(block_pair(), block_pair())
+    assert result.verdict == "NO"
+    assert result.dimension <= m * m + (n - m) ** 2
+    _assert_orthonormal_skew(result)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=8, seed=0)
+def test_commuting_pair_is_not_controllable(n, seed):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    h0 = q @ np.diag(rng.uniform(-1.0, 1.0, n)) @ q.T
+    mu = q @ np.diag(rng.uniform(-1.0, 1.0, n)) @ q.T
+    result = reachability.lie_closure(h0, mu)
+    assert (result.dimension, result.verdict) == (2, "NO")
+    _assert_orthonormal_skew(result)

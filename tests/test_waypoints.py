@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SX,
@@ -189,6 +191,29 @@ class TestSeparatingWitness:
                 hits_first_two += 1
         # measured expectation, recorded rather than asserted tightly
         assert hits_first_two / trials > 0.9
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(min_value=2, max_value=32),
+        degenerate=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=32, degenerate=False, seed=0)
+    @example(n=32, degenerate=True, seed=1)
+    def test_identity_alignment_meets_chebyshev_bound(self, n, degenerate, seed):
+        rng = np.random.default_rng(seed)
+        z = random_traceless_hermitian(n, rng)
+        mu = random_traceless_hermitian(n, rng)
+        if degenerate:
+            # one eigenvalue against N - 1 equal ones: the most degenerate spectrum
+            q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            z = q @ np.diag(np.r_[n - 1.0, -np.ones(n - 1)]) @ q.conj().T
+        wit = waypoints.separating_unitary(z, mu)
+        assert wit.permutation == tuple(range(n))
+        assert abs(wit.value) >= matspace.hs_norm(z) * matspace.hs_norm(mu) / n**2
+        assert matspace.unitarity_defect(wit.unitary) < 1e-10
+        trace = np.einsum("ij,ji->", z, wit.unitary.conj().T @ mu @ wit.unitary)
+        assert abs(trace.real - wit.value) < 1e-8 * max(1.0, abs(wit.value))
 
     def test_rejects_zero_input(self):
         with pytest.raises(ValueError, match="nonzero"):
