@@ -86,7 +86,7 @@ def _cmd_validate(args) -> int:
 
     out = _out_dir(args)
     if out is not None:
-        from ._fmt import canonical_dumps, write_text
+        from ._fmt import write_document
 
         doc = {
             path: {
@@ -100,7 +100,7 @@ def _cmd_validate(args) -> int:
             }
             for path, r in reports.items()
         }
-        write_text(out / "hypotheses.json", canonical_dumps(doc))
+        write_document(out / "hypotheses.json", doc)
     return worst
 
 

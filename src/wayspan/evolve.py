@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matspace
-from ._fmt import FormatError, canonical_dumps, parse_json, require_key, write_text
+from ._fmt import FormatError, parse_json, require_key, write_document, write_text
 from .matspace import dagger
 from .model import QuantumSystem
+from .tolerances import TRAJECTORY_TOL
 
 __all__ = [
     "ControlField",
@@ -31,8 +32,6 @@ __all__ = [
     "save_field",
     "trajectory_csv",
 ]
-
-TRAJECTORY_TOL = 1e-10
 
 StepData = tuple[np.ndarray, np.ndarray]
 
@@ -269,8 +268,7 @@ def load_field(source) -> ControlField:
 
 
 def save_field(field: ControlField, target) -> None:
-    doc = {"T": field.horizon, "M": field.steps, "values": field.values.tolist()}
-    write_text(target, canonical_dumps(doc))
+    write_document(target, {"T": field.horizon, "M": field.steps, "values": field.values})
 
 
 def trajectory_csv(traj: PropagatorTrajectory, target) -> None:

@@ -17,6 +17,7 @@ from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import ControlField, PropagatorTrajectory
 from .matspace import basis_zt, dagger, from_coords, to_coords
 from .model import QuantumSystem
+from .tolerances import RANK_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -33,10 +34,6 @@ __all__ = [
     "save_span_report",
     "visits_csv",
 ]
-
-# Conjugated dipoles are unit scale, so the gap between true rank
-# deficiency and round-off is many orders of magnitude at desk scale.
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ def save_span_report(report: SpanReport, target) -> None:
     text = "\n".join(lines) + "\n"
     if not report.full:
         text += "complement\n"
-        text += canonical_dumps([complex_entries(m) for m in report.complement_basis])
+        text += canonical_dumps(complex_entries(report.complement_basis))
     write_text(target, text)
 
 

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerances for constructed values: comfortably above double-precision
-# round-off up to the soft dimension cap N = 32, far below any physical
-# scale in this problem class.
-HERMITIAN_ENTRY_TOL = 1e-12
-TRACE_RTOL = 1e-12
-UNITARY_TOL = 1e-10
+from .tolerances import HERMITIAN_ENTRY_TOL, TRACE_RTOL, UNITARY_TOL
 
 __all__ = [
     "HERMITIAN_ENTRY_TOL",

@@ -17,14 +17,13 @@ import numpy as np
 from . import reachability
 from ._fmt import (
     FormatError,
-    canonical_dumps,
     parse_json,
     read_text,
     real_matrix,
     require_key,
-    write_text,
+    write_document,
 )
-from .matspace import TRACE_RTOL
+from .tolerances import SYMMETRY_ENTRY_TOL, TRACE_RTOL
 
 __all__ = [
     "FormatError",
@@ -37,8 +36,6 @@ __all__ = [
     "check_hypotheses",
     "default_offdiag_tol",
 ]
-
-SYMMETRY_ENTRY_TOL = 1e-12
 
 
 class HypothesisViolation(ValueError):
@@ -216,7 +213,7 @@ def load_system_csv(source) -> QuantumSystem:
 
 def save_system(sys: QuantumSystem, target) -> None:
     """Write the canonical system document; reloading recovers it bit-exactly."""
-    doc = {"n": sys.dim, "h0": sys.h0.tolist(), "mu": sys.mu.tolist()}
+    doc = {"n": sys.dim, "h0": sys.h0, "mu": sys.mu}
     if sys.label is not None:
         doc["label"] = sys.label
-    write_text(target, canonical_dumps(doc))
+    write_document(target, doc)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matspace import _real_rows
+from .tolerances import ABS_FLOOR, CLOSURE_TRACE_TOL, RANK_RTOL
 
 __all__ = [
     "VERDICT_SU",
@@ -26,13 +27,6 @@ __all__ = [
 VERDICT_SU = "SU"
 VERDICT_U = "U"
 VERDICT_NO = "NO"
-
-# A new direction is accepted when its component orthogonal to the current
-# basis exceeds this fraction of the candidate's norm before projection
-# (commutators shrink in scale, so the test must be relative), with an
-# absolute floor guarding against noise amplification.
-RANK_RTOL = 1e-10
-ABS_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,10 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     element), so the schedule is deterministic and each unordered pair is
     visited exactly once.  Each candidate is projected off the current
     basis by two block passes ``r -= B.T @ (B @ r)`` and accepted, in
-    schedule order, when its residual clears the tolerance.  Stops at
+    schedule order, when its residual exceeds ``RANK_RTOL``.  Basis
+    elements have unit norm, so the residual is measured at the scale of
+    their products, not against the commutator's own norm: cancellation
+    can make that norm small and let its round-off through.  Stops at
     closure or at dimension N^2.
     """
     h0 = np.asarray(h0, dtype=complex)
@@ -75,7 +72,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     rows = _real_rows(stack)
     dim = 0
 
-    def try_add(cand: np.ndarray, pre_norm: float) -> bool:
+    def try_add(cand: np.ndarray) -> bool:
         nonlocal dim
         basis = rows[:dim]
         # Two projection passes keep the basis orthonormal to round-off;
@@ -83,7 +80,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
         for _ in range(2):
             cand -= basis.T @ (basis @ cand)
         norm = float(np.linalg.norm(cand))
-        if norm <= max(RANK_RTOL * pre_norm, ABS_FLOOR):
+        if norm <= RANK_RTOL:
             return False
         rows[dim] = cand / norm
         dim += 1
@@ -92,7 +89,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     new: list[int] = []
     for gen in (-1j * h0, -1j * mu):
         norm = float(np.linalg.norm(gen))
-        if norm > ABS_FLOOR and try_add(_real_rows(gen / norm), 1.0):
+        if norm > ABS_FLOOR and try_add(_real_rows(gen / norm)):
             new.append(dim - 1)
 
     while new and dim < full:
@@ -100,8 +97,9 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
         for b_idx in new:
             head, e = stack[:b_idx], stack[b_idx]
             cands = _real_rows(head @ e - e @ head)
+            # A commutator below ABS_FLOOR cannot clear RANK_RTOL; skip its projection.
             for cand, pre_norm in zip(cands, np.linalg.norm(cands, axis=1)):
-                if pre_norm > ABS_FLOOR and try_add(cand, float(pre_norm)):
+                if pre_norm > ABS_FLOOR and try_add(cand):
                     next_new.append(dim - 1)
             if dim >= full:
                 break
@@ -109,7 +107,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
 
     basis = stack[:dim]
     basis.setflags(write=False)
-    traceless = bool(np.all(np.abs(np.trace(basis, axis1=1, axis2=2)) < 1e-10))
+    traceless = bool(np.all(np.abs(np.trace(basis, axis1=1, axis2=2)) < CLOSURE_TRACE_TOL))
     if dim == full:
         verdict = VERDICT_U
     elif dim == full - 1 and traceless:

@@ -16,6 +16,7 @@ from .evolve import ControlField, StepData, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
 from .matspace import assert_unitary, dagger
 from .model import QuantumSystem
+from .tolerances import GRAD_FLOOR, PIVOT_RTOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -30,9 +31,7 @@ __all__ = [
 
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
-GRAD_FLOOR = 1e-14
 INIT_AMPLITUDE = 0.1
-PIVOT_RTOL = 1e-9
 
 
 class NotControllableError(ValueError):

@@ -27,14 +27,14 @@ import numpy as np
 
 from ._fmt import (
     FormatError,
-    canonical_dumps,
     complex_entries,
     matrix_from_entries,
     parse_json,
     require_key,
-    write_text,
+    write_document,
 )
 from .matspace import assert_hermitian_zt, assert_unitary, dagger, embed_2x2, hs_norm, submatrix_2x2
+from .tolerances import WITNESS_CHECK_RTOL, WITNESS_RTOL
 
 __all__ = [
     "PROVENANCES",
@@ -56,9 +56,6 @@ __all__ = [
 PROVENANCES = ("theorem1", "theorem3", "custom")
 
 LEMMA1_DET_THRESHOLD = 1e-6
-# Floor on the separating witness value, relative to ||z|| ||mu||; the
-# Chebyshev bound in separating_unitary keeps the value above 1/N^2 of it.
-WITNESS_RTOL = 1e-10
 
 # 2x2 factors multiplied onto the base unitary of each quadruple.  The
 # second and third are unitary normalizations (1/sqrt(2)); conjugating a
@@ -342,7 +339,7 @@ def separating_unitary(z: np.ndarray, mu: np.ndarray) -> SeparatingWitness:
     u = v2 @ dagger(v1)
     achieved = complex(np.einsum("ij,ji->", z, dagger(u) @ mu @ u))
     floor = WITNESS_RTOL * norm_z * norm_mu
-    if not value > floor or abs(achieved.real - value) > 1e-8 * max(1.0, value):
+    if not value > floor or abs(achieved.real - value) > WITNESS_CHECK_RTOL * max(1.0, value):
         raise RuntimeError(
             f"witness check failed: predicted {value:.6g} (floor {floor:.3g}), "
             f"conjugation gives {achieved:.6g}"
@@ -356,10 +353,10 @@ def save_waypoints(ws: WaypointSet, target) -> None:
         "dim": ws.dim,
         "provenance": ws.provenance,
         "count": len(ws),
-        "unitaries": [complex_entries(u) for u in ws.unitaries],
+        "unitaries": complex_entries(ws.unitaries),
         "pair_index": [list(entry) for entry in ws.pair_index] if ws.pair_index else None,
     }
-    write_text(target, canonical_dumps(doc))
+    write_document(target, doc)
 
 
 def load_waypoints(source) -> WaypointSet:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from wayspan.evolve import ControlField
+from wayspan.model import QuantumSystem
+
 # Derandomized examples make every run of the suite draw the same cases;
 # no deadline, because BLAS timings on a shared machine are noisy.
 settings.register_profile("default", derandomize=True, deadline=None)
@@ -53,6 +56,14 @@ def coupled_traceless_symmetric(n, rng, min_offdiag=0.1):
     diag = rng.normal(size=n)
     np.fill_diagonal(m, diag - diag.mean())
     return m
+
+
+def random_system_and_field(n, steps, seed):
+    """Seeded random traceless symmetric pair and a random field of ``steps`` steps."""
+    rng = np.random.default_rng(seed)
+    sys_n = QuantumSystem(n, random_traceless_symmetric(n, rng), random_traceless_symmetric(n, rng))
+    field = ControlField(horizon=rng.uniform(0.5, 5.0), values=rng.normal(size=steps))
+    return sys_n, field
 
 
 @pytest.fixture

@@ -7,7 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, SZ, random_density, random_traceless_symmetric, random_unitary
+from conftest import (
+    SX,
+    SZ,
+    random_density,
+    random_system_and_field,
+    random_traceless_symmetric,
+    random_unitary,
+)
 from wayspan import evolve, matspace
 from wayspan.evolve import ControlField
 from wayspan.model import FormatError, QuantumSystem
@@ -175,18 +182,11 @@ def test_trajectory_csv(tmp_path, pauli_system):
     assert len(lines) == 6
 
 
-def _random_system_and_field(n, steps, seed):
-    rng = np.random.default_rng(seed)
-    sys_n = QuantumSystem(n, random_traceless_symmetric(n, rng), random_traceless_symmetric(n, rng))
-    field = ControlField(horizon=rng.uniform(0.5, 5.0), values=rng.normal(size=steps))
-    return sys_n, field
-
-
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 50, 51])
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_tree_endpoint_matches_sequential_propagation(steps, n, seed):
-    sys_n, field = _random_system_and_field(n, steps, seed)
+    sys_n, field = random_system_and_field(n, steps, seed)
     u_end, _ = evolve._final_propagator(sys_n, field)
     expected = evolve.propagate(sys_n, field).unitaries[-1]
     assert np.abs(u_end - expected).max() < 1e-12
@@ -199,7 +199,7 @@ def test_tree_endpoint_matches_sequential_propagation(steps, n, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_midpoint_couplings_match_per_step_loop(n, steps, seed):
-    sys_n, field = _random_system_and_field(n, steps, seed)
+    sys_n, field = random_system_and_field(n, steps, seed)
     eig = evolve._step_data(sys_n, field)
     u_end, mid_hats = evolve._midpoint_couplings(sys_n, field, eig)
     # reference: a per-step loop over the same step frames
@@ -210,3 +210,22 @@ def test_midpoint_couplings_match_per_step_loop(n, steps, seed):
         assert np.abs(mid_hats[m] - u_mid.conj().T @ mu_bar[m] @ u_mid).max() < 1e-12
         u = step[m] @ u
     assert np.abs(u_end - u).max() < 1e-12
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    steps=st.integers(min_value=2, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_split_field_composes_and_stays_unitary(n, steps, seed, data):
+    sys_n, field = random_system_and_field(n, steps, seed)
+    cut = data.draw(st.integers(min_value=1, max_value=steps - 1))
+    whole = evolve.propagate(sys_n, field)
+    first = evolve.propagate(sys_n, ControlField(horizon=cut * field.dt, values=field.values[:cut]))
+    second = evolve.propagate(sys_n, ControlField(horizon=(steps - cut) * field.dt, values=field.values[cut:]))
+    assert np.abs(first.unitaries[-1] - whole.unitaries[cut]).max() < 1e-12
+    assert np.abs(second.unitaries[-1] @ first.unitaries[-1] - whole.unitaries[-1]).max() < 1e-12
+    gram = matspace.dagger(whole.unitaries) @ whole.unitaries
+    assert np.abs(gram - np.eye(n)).max() < 1e-12

@@ -1,11 +1,16 @@
 """Bit-exact document text and round trips, including -0.0 and subnormals."""
 
-import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import io
+import json
 
-from wayspan import evolve, model, waypoints
-from wayspan._fmt import canonical_dumps, complex_entries
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from wayspan import _fmt, evolve, model, waypoints
+from wayspan._fmt import canonical_dumps, complex_entries, write_document
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
 
@@ -76,3 +81,80 @@ def test_waypoint_document_is_bit_exact(tmp_path):
     assert np.array_equal(_bits(again.unitaries), _bits(wset.unitaries))
     waypoints.save_waypoints(again, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+# Values where float repr changes form (1e16 and 1e-5 switch to exponent
+# notation), signed zeros and subnormals.
+SPECIAL = [
+    -0.0, 0.0, TINY, -TINY, SUB, 1e16, np.nextafter(1e16, 0.0), 1e-5, np.nextafter(1e-5, 0.0),
+    -1e16, 1e-4, 9999999999999998.0, 1.0, 0.1,
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3)
+ARRAYS = (
+    hnp.arrays(np.float64, SHAPES, elements=FINITE)
+    | hnp.arrays(np.float64, SHAPES, elements=st.floats())
+    | hnp.arrays(np.int64, SHAPES, elements=st.integers(-(2**40), 2**40))
+)
+TEXT = st.text(alphabet='ab", [\\\né', max_size=5)
+SCALARS = st.none() | st.booleans() | st.integers(-(10**20), 10**20) | FINITE | TEXT
+DOCS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(TEXT, kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _to_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _to_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_lists(value) for value in obj]
+    return obj
+
+
+def _oracle(doc) -> str:
+    return json.dumps(_to_lists(doc), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300)
+@given(doc=DOCS, block=st.sampled_from([1, 2, 5, _fmt.BLOCK_FLOATS]))
+@example(doc={'", [': [np.array([[-0.0, 1e16], [1e-5, TINY]]), None, 3]}, block=1)
+@example(doc=np.zeros((2, 0, 3)), block=1)
+@example(doc=[np.array([1.0, np.nan, -np.inf])], block=1)
+def test_writer_matches_json_oracle(doc, block):
+    expected = _oracle(doc)
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fmt, "BLOCK_FLOATS", block)
+        assert canonical_dumps(doc) == expected
+        write_document(buf, doc)
+    assert buf.getvalue() == expected
+
+
+def test_streamed_file_matches_oracle_across_blocks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    doc = {"a": rng.normal(size=(7, 3, 2)), "b": [rng.normal(size=5), {"c": np.ones((1, 1, 1, 1))}]}
+    for block in (1, 4, 6, 7, 100):
+        monkeypatch.setattr(_fmt, "BLOCK_FLOATS", block)
+        path = tmp_path / f"doc{block}.json"
+        write_document(path, doc)
+        assert path.read_bytes() == _oracle(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ok": np.ones(3), "bad": 1j},
+        {"ok": np.ones(3), "bad": np.ones(2, dtype=complex)},
+        {"ok": np.ones(3), 1: 2.0},
+        [np.ones((2, 2)), object()],
+    ],
+)
+def test_failed_validation_leaves_no_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_document(path, doc)
+    assert not path.exists()

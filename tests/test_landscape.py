@@ -8,6 +8,7 @@ from conftest import (
     SY,
     SZ,
     random_density,
+    random_system_and_field,
     random_traceless_hermitian,
     random_traceless_symmetric,
 )
@@ -229,3 +230,19 @@ class TestReports:
         lines = out.read_text().splitlines()
         assert lines[0] == "waypoint,fidelity,time"
         assert lines[1].startswith("1,0.5,1.25")
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    steps=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
+    sys_n, field = random_system_and_field(n, steps, seed)
+    rng = np.random.default_rng(seed)
+    rho0 = random_density(n, rng)
+    obs = random_traceless_symmetric(n, rng)
+    analytic = landscape.gradient(sys_n, field, rho0, obs)
+    numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
+    assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)

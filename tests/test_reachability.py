@@ -145,3 +145,17 @@ def test_commuting_pair_is_not_controllable(n, seed):
     result = reachability.lie_closure(h0, mu)
     assert (result.dimension, result.verdict) == (2, "NO")
     _assert_orthonormal_skew(result)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_spin_chain_closure_has_exact_dimension(n):
+    # Equally spaced traceless levels and a nearest-neighbour chain of ones:
+    # the closure is sp(N/2) for even N and so(N) for odd N.  Some of its
+    # commutators are small through cancellation, which must not let their
+    # round-off into the basis.
+    h0 = np.diag(np.arange(n) - (n - 1) / 2)
+    mu = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    result = reachability.lie_closure(h0, mu)
+    assert result.dimension == (n * (n + 1) // 2 if n % 2 == 0 else n * (n - 1) // 2)
+    assert result.verdict == "NO"
+    _assert_orthonormal_skew(result)

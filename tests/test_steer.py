@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SX, SZ, random_traceless_symmetric, random_unitary
+from conftest import SX, SZ, random_system_and_field, random_traceless_symmetric, random_unitary
 from wayspan import evolve, landscape, steer, waypoints
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
@@ -134,17 +136,11 @@ def test_initial_field_must_match_grid(pauli_system, opts):
         steer.synthesize_to_target(pauli_system, target, opts, initial=bad)
 
 
-def test_fidelity_gradient_matches_central_differences(rng):
-    sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
-    field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
-    target = random_unitary(3, rng)
-    _, grad = steer._fidelity_gradient(sys3, field, target, evolve._step_data(sys3, field))
-
+def _fidelity_central_differences(sys_n, field, target, h):
     def objective(values):
-        u, _ = evolve._final_propagator(sys3, ControlField(horizon=field.horizon, values=values))
-        return abs(np.vdot(target, u)) ** 2 / 9.0
+        u, _ = evolve._final_propagator(sys_n, ControlField(horizon=field.horizon, values=values))
+        return abs(np.vdot(target, u)) ** 2 / sys_n.dim**2
 
-    h = 1e-6
     fd = np.empty(field.steps)
     for m in range(field.steps):
         plus = field.values.copy()
@@ -152,7 +148,30 @@ def test_fidelity_gradient_matches_central_differences(rng):
         plus[m] += h
         minus[m] -= h
         fd[m] = (objective(plus) - objective(minus)) / (2.0 * h)
+    return fd
+
+
+def test_fidelity_gradient_matches_central_differences(rng):
+    sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
+    field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
+    target = random_unitary(3, rng)
+    _, grad = steer._fidelity_gradient(sys3, field, target, evolve._step_data(sys3, field))
+    fd = _fidelity_central_differences(sys3, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    steps=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fidelity_gradient_matches_central_differences_on_random_systems(n, steps, seed):
+    sys_n, field = random_system_and_field(n, steps, seed)
+    target = random_unitary(n, np.random.default_rng(seed))
+    _, grad = steer._fidelity_gradient(sys_n, field, target, evolve._step_data(sys_n, field))
+    fd = _fidelity_central_differences(sys_n, field, target, 1e-6)
+    assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
