@@ -20,10 +20,13 @@ the same document with each array replaced by its ``.tolist()``:
 
 The whole document is checked before the target is opened, so an
 unserializable value or a non-string key never leaves a truncated file.
+Float tables (the trajectory and Lie-basis CSV files) are written by
+:func:`write_float_table` with the same ``float.__repr__`` text per value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 from pathlib import Path
@@ -42,11 +45,16 @@ def read_text(source) -> str:
     return Path(source).read_text()
 
 
-def write_text(target, text: str) -> None:
+def _opened(target):
+    """A path opened for writing, or a file-like object left open."""
     if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text)
+        return contextlib.nullcontext(target)
+    return open(target, "w", encoding="utf-8")
+
+
+def write_text(target, text: str) -> None:
+    with _opened(target) as fh:
+        fh.write(text)
 
 
 INDENT = "  "
@@ -64,11 +72,31 @@ def canonical_dumps(doc) -> str:
 def write_document(target, doc) -> None:
     """Write ``doc`` as canonical JSON to a path or a file-like object."""
     plan = _plan(doc)
-    if hasattr(target, "write"):
-        _emit(target, plan)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _emit(fh, plan)
+    with _opened(target) as fh:
+        _emit(fh, plan)
+
+
+def write_float_table(target, table: np.ndarray, header=None) -> None:
+    """Write a 2-D float array as CSV: an optional header line, then one line per row.
+
+    The text is ``"\n".join(lines) + "\n"`` with every value written as
+    ``repr(float(value))``, so each reloads bit-exactly, -0.0 and
+    subnormals included.  Rows are formatted and written in blocks of
+    about ``BLOCK_FLOATS`` values.
+    """
+    table = np.asarray(table, dtype=float)
+    width = table.shape[1]
+    rows = max(1, BLOCK_FLOATS // width)
+    with _opened(target) as fh:
+        sep = ""
+        if header is not None:
+            fh.write(",".join(header))
+            sep = "\n"
+        for start in range(0, len(table), rows):
+            texts = list(map(float.__repr__, table[start : start + rows].ravel().tolist()))
+            fh.write(sep + "\n".join(",".join(texts[i : i + width]) for i in range(0, len(texts), width)))
+            sep = "\n"
+        fh.write("\n")
 
 
 def _emit(fh, plan) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evolve, landscape, matspace, reachability, steer, waypoints
-from ._fmt import FormatError, hermitian_matrix, parse_json, require_key
+from ._fmt import FormatError, hermitian_matrix, parse_json, require_key, write_document, write_float_table
 from .model import (
     HypothesisViolation,
     QuantumSystem,
@@ -22,6 +22,7 @@ from .model import (
     load_system,
     load_system_csv,
 )
+from .tolerances import DIV_FLOOR, FD_GRAD_RTOL, FD_STEP
 
 __all__ = ["main", "entry"]
 
@@ -69,7 +70,7 @@ def _cmd_validate(args) -> int:
     reports = {}
     for path in args.system:
         try:
-            report = check_hypotheses(_load_system_any(path), args.tol)
+            report = check_hypotheses(_load_system_any(path))
         except HypothesisViolation as exc:
             print(f"INVALID: {exc}")
             worst = max(worst, EXIT_VERDICT)
@@ -86,8 +87,6 @@ def _cmd_validate(args) -> int:
 
     out = _out_dir(args)
     if out is not None:
-        from ._fmt import write_document
-
         doc = {
             path: {
                 "zero_trace": r.zero_trace,
@@ -110,13 +109,8 @@ def _cmd_controllability(args) -> int:
     print(f"dimension: {result.dimension}")
     print(f"verdict: {result.verdict}")
     if args.basis_csv:
-        lines = []
-        for e in result.basis:
-            flat = []
-            for v in e.reshape(-1):
-                flat += [repr(float(v.real)), repr(float(v.imag))]
-            lines.append(",".join(flat))
-        Path(args.basis_csv).write_text("\n".join(lines) + "\n")
+        n = sys_obj.dim
+        write_float_table(args.basis_csv, result.basis.view(float).reshape(result.dimension, 2 * n * n))
     return EXIT_OK if result.verdict in (reachability.VERDICT_SU, reachability.VERDICT_U) else EXIT_VERDICT
 
 
@@ -147,7 +141,7 @@ def _cmd_waypoints(args) -> int:
         return EXIT_OK
 
     hats = evolve.conjugated_dipole(wset.unitaries, mu)
-    report = landscape.spanning_rank(hats, rank_tol=args.rank_tol)
+    report = landscape.spanning_rank(hats)
     landscape.save_span_report(report, out / "span.txt")
     print(f"spanning verdict: {report.verdict}")
     return EXIT_OK if report.full else EXIT_VERDICT
@@ -174,7 +168,7 @@ def _cmd_check(args) -> int:
     indices = None
     if args.stride > 1:
         indices = np.arange(0, field.steps + 1, args.stride)
-    report = landscape.trajectory_independence(traj, indices, rank_tol=args.rank_tol)
+    report = landscape.trajectory_independence(traj, indices)
     print(f"independence verdict: {report.verdict} ({report.count} samples, dim {report.dim})")
 
     if args.rho0 is not None and args.obs is not None:
@@ -199,7 +193,7 @@ def _cmd_gradient_check(args) -> int:
     analytic = landscape.gradient(sys_obj, field, rho0, obs)
     numeric = landscape.finite_difference_gradient(sys_obj, field, rho0, obs, h=args.fd_step)
     scale = float(np.abs(analytic).max())
-    err = float(np.abs(analytic - numeric).max()) / max(scale, 1e-300)
+    err = float(np.abs(analytic - numeric).max()) / max(scale, DIV_FLOOR)
     print(f"max |analytic|: {scale:.6g}")
     print(f"relative max-norm error vs central differences: {err:.3e}")
     return EXIT_OK if err < args.tol else EXIT_VERDICT
@@ -231,8 +225,7 @@ def _cmd_steer(args) -> int:
     evolve.save_field(synthesis.field, out / "field.json")
     landscape.visits_csv(list(synthesis.visits), out / "visits.csv")
 
-    traj = evolve.propagate(sys_obj, synthesis.field)
-    span = landscape.trajectory_independence(traj)
+    span = landscape.trajectory_independence(synthesis.trajectory)
     landscape.save_span_report(span, out / "span.txt")
 
     worst = min(v.fidelity for v in synthesis.visits)
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the modeling hypotheses of system files")
     p.add_argument("--system", nargs="+", required=True)
-    p.add_argument("--tol", type=float, default=None, help="off-diagonal zero threshold")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_validate)
 
@@ -265,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default=None)
     p.add_argument("--n", type=int, default=None, help="dimension (theorem3 without a system)")
     p.add_argument("--provenance", choices=("theorem1", "theorem3"), required=True)
-    p.add_argument("--rank-tol", type=float, default=landscape.RANK_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_waypoints)
 
@@ -281,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", default=None)
     p.add_argument("--obs", default=None)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--rank-tol", type=float, default=landscape.RANK_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
@@ -290,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--rho0", required=True)
     p.add_argument("--obs", required=True)
-    p.add_argument("--fd-step", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--fd-step", type=float, default=FD_STEP)
+    p.add_argument("--tol", type=float, default=FD_GRAD_RTOL)
     p.set_defaults(func=_cmd_gradient_check)
 
     p = sub.add_parser("steer", help="synthesize a control visiting a way-point list")

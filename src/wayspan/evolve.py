@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matspace
-from ._fmt import FormatError, parse_json, require_key, write_document, write_text
-from .matspace import dagger
+from ._fmt import FormatError, parse_json, require_key, write_document, write_float_table
+from .matspace import dagger, hs_inner
 from .model import QuantumSystem
-from .tolerances import TRAJECTORY_TOL
+from .tolerances import GRID_RTOL, TRAJECTORY_TOL
 
 __all__ = [
     "ControlField",
@@ -86,19 +85,20 @@ class PropagatorTrajectory:
         return int(self.unitaries.shape[0]) - 1
 
 
-def density_matrix(entries, *, tol: float = TRAJECTORY_TOL) -> np.ndarray:
-    """Validated density matrix: Hermitian, unit trace, nonnegative spectrum."""
+def density_matrix(entries) -> np.ndarray:
+    """Validated density matrix: Hermitian, unit trace, nonnegative spectrum,
+    each within ``TRAJECTORY_TOL``."""
     rho = np.asarray(entries, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = float(np.abs(rho - dagger(rho)).max())
-    if herm > tol:
+    if herm > TRAJECTORY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > TRAJECTORY_TOL:
         raise ValueError(f"density matrix trace must be 1, got {tr:.12g}")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -tol:
+    if lo < -TRAJECTORY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     out = rho.copy()
     out.setflags(write=False)
@@ -173,7 +173,7 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     ``U_m = exp(-i dt (h0 - eps_m mu)) U_{m-1}`` with ``U_0 = I`` exactly;
     each node also gets the conjugated dipole ``U_m† mu U_m``.  The
     unitarity of every node and the Hermitian traceless structure of every
-    conjugated dipole are checked at 1e-10.
+    conjugated dipole are checked against ``TRAJECTORY_TOL``.
     """
     unitaries = _prefix_products(_phase_conjugate(_step_data(sys, field), field.dt))
     mu_hats = conjugated_dipole(unitaries, sys.mu)
@@ -223,15 +223,9 @@ def evolve_density(traj: PropagatorTrajectory, rho0: np.ndarray) -> np.ndarray:
 
 
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Observable expectation Tr(rho obs); real for Hermitian arguments."""
-    rho = np.asarray(rho)
-    obs = np.asarray(obs)
-    if rho.shape != obs.shape or rho.ndim != 2:
-        raise ValueError(f"dimension mismatch: rho {rho.shape} vs obs {obs.shape}")
-    val = complex(np.einsum("ij,ji->", rho, obs))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ValueError(f"expectation has imaginary residual {val.imag:.3e}; inputs not Hermitian")
-    return float(val.real)
+    """Observable expectation Tr(rho obs), the HS inner product of two Hermitian
+    matrices; :func:`matspace.hs_inner` rejects non-Hermitian inputs."""
+    return hs_inner(rho, obs)
 
 
 def concat_fields(fields: list[ControlField]) -> ControlField:
@@ -240,7 +234,7 @@ def concat_fields(fields: list[ControlField]) -> ControlField:
         raise ValueError("need at least one field")
     dt = fields[0].dt
     for f in fields[1:]:
-        if abs(f.dt - dt) > 1e-12 * dt:
+        if abs(f.dt - dt) > GRID_RTOL * dt:
             raise ValueError(f"step mismatch: {f.dt!r} vs {dt!r}")
     values = np.concatenate([f.values for f in fields])
     horizon = float(sum(f.horizon for f in fields))
@@ -274,14 +268,7 @@ def save_field(field: ControlField, target) -> None:
 def trajectory_csv(traj: PropagatorTrajectory, target) -> None:
     """Write t plus Re/Im of all propagator entries (row-major) as CSV."""
     n = traj.dim
-    header = ["t"]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            header += [f"re_u_{i}_{j}", f"im_u_{i}_{j}"]
-    lines = [",".join(header)]
-    for t, u in zip(traj.times, traj.unitaries):
-        row = [repr(float(t))]
-        for v in u.reshape(-1):
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        lines.append(",".join(row))
-    write_text(target, "\n".join(lines) + "\n")
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    header = ["t"] + [f"{part}_u_{i}_{j}" for i, j in pairs for part in ("re", "im")]
+    u = np.ascontiguousarray(traj.unitaries).view(float).reshape(traj.steps + 1, 2 * n * n)
+    write_float_table(target, np.column_stack([traj.times, u]), header)

@@ -17,11 +17,10 @@ from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import ControlField, PropagatorTrajectory
 from .matspace import basis_zt, dagger, from_coords, to_coords
 from .model import QuantumSystem
-from .tolerances import RANK_TOL
+from .tolerances import FD_STEP, RANK_TOL, VISIT_FID_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
-    "RANK_TOL",
     "SpanReport",
     "VisitRecord",
     "spanning_rank",
@@ -68,12 +67,12 @@ class VisitRecord:
     visited: bool
 
 
-def spanning_rank(mats, *, rank_tol: float = RANK_TOL) -> SpanReport:
+def spanning_rank(mats) -> SpanReport:
     """Rank of a set of traceless Hermitian matrices in isu(N) coordinates.
 
     Stacks the coordinates of every matrix (in the orthonormal basis from
     :func:`wayspan.matspace.basis_zt`) as rows and takes the SVD; the rank
-    counts singular values above ``rank_tol`` times the largest one.  The
+    counts singular values above ``RANK_TOL`` times the largest one.  The
     complement basis collects the right-singular vectors of the discarded
     directions mapped back to matrices.  Inputs are expected Hermitian;
     the report is invariant under permutations of the list and under
@@ -90,8 +89,7 @@ def spanning_rank(mats, *, rank_tol: float = RANK_TOL) -> SpanReport:
     # The complement needs every right-singular vector; the thin SVD
     # returns them all unless there are fewer samples than dimensions.
     _, s, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * smax)) if smax > 0.0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     full = rank == n * n - 1
     complement = from_coords(vt[rank:], basis)
     s.setflags(write=False)
@@ -105,12 +103,7 @@ def spanning_rank(mats, *, rank_tol: float = RANK_TOL) -> SpanReport:
     )
 
 
-def trajectory_independence(
-    traj: PropagatorTrajectory,
-    sample_indices=None,
-    *,
-    rank_tol: float = RANK_TOL,
-) -> SpanReport:
+def trajectory_independence(traj: PropagatorTrajectory, sample_indices=None) -> SpanReport:
     """Spanning report of the conjugated dipoles at the sampled grid nodes.
 
     A FULL verdict certifies linear independence of the conjugated-dipole
@@ -124,7 +117,7 @@ def trajectory_independence(
         if idx.min() < 0 or idx.max() >= mats.shape[0]:
             raise ValueError(f"sample indices out of range 0..{mats.shape[0] - 1}")
         mats = mats[idx]
-    return spanning_rank(mats, rank_tol=rank_tol)
+    return spanning_rank(mats)
 
 
 def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
@@ -136,7 +129,9 @@ def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
     return float(abs(np.vdot(target, u)) / target.shape[0])
 
 
-def waypoint_visits(traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: float = 1e-3) -> list[VisitRecord]:
+def waypoint_visits(
+    traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: float = VISIT_FID_TOL
+) -> list[VisitRecord]:
     """Best visit fidelity of every way-point over the trajectory nodes.
 
     Fidelity is phase-invariant, |Tr(W† U_m)| / N, since way-points only
@@ -194,7 +189,7 @@ def finite_difference_gradient(
     rho0: np.ndarray,
     obs: np.ndarray,
     *,
-    h: float = 1e-5,
+    h: float = FD_STEP,
 ) -> np.ndarray:
     """Central finite differences of the same objective; validation oracle."""
     rho0 = np.asarray(rho0, dtype=complex)

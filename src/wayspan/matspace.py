@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import HERMITIAN_ENTRY_TOL, TRACE_RTOL, UNITARY_TOL
+from .tolerances import HERMITIAN_ENTRY_TOL, INNER_IMAG_RTOL, TRACE_RTOL, UNITARY_TOL
 
 __all__ = [
-    "HERMITIAN_ENTRY_TOL",
-    "TRACE_RTOL",
-    "UNITARY_TOL",
     "dagger",
     "hs_norm",
     "hs_inner",
@@ -74,32 +71,27 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     val = complex(np.einsum("ij,ji->", a, b))
     scale = max(1.0, hs_norm(a) * hs_norm(b))
-    if abs(val.imag) > 1e-12 * scale:
+    if abs(val.imag) > INNER_IMAG_RTOL * scale:
         raise ValueError(
             f"inner product has imaginary residual {val.imag:.3e}; inputs are not Hermitian"
         )
     return float(val.real)
 
 
-def assert_hermitian_zt(
-    m,
-    *,
-    entry_tol: float = HERMITIAN_ENTRY_TOL,
-    trace_rtol: float = TRACE_RTOL,
-    name: str = "matrix",
-) -> np.ndarray:
+def assert_hermitian_zt(m, *, name: str = "matrix") -> np.ndarray:
     """Validate that ``m`` is Hermitian and traceless within tolerance.
 
-    Hermiticity is checked entrywise; the trace magnitude must be below
-    ``trace_rtol`` times the Frobenius norm (an exactly zero trace always
-    passes).  Returns ``m`` as a complex array on success.
+    Hermiticity is checked entrywise against ``HERMITIAN_ENTRY_TOL``; the
+    trace magnitude must be below ``TRACE_RTOL`` times the Frobenius norm
+    (an exactly zero trace always passes).  Returns ``m`` as a complex
+    array on success.
     """
     m = _square(m, name).astype(complex)
     herm_err = float(np.abs(m - dagger(m)).max())
-    if herm_err > entry_tol:
+    if herm_err > HERMITIAN_ENTRY_TOL:
         raise ValueError(f"{name} is not Hermitian: max entry defect {herm_err:.3e}")
     tr = abs(complex(np.trace(m)))
-    if tr != 0.0 and tr > trace_rtol * hs_norm(m):
+    if tr != 0.0 and tr > TRACE_RTOL * hs_norm(m):
         raise ValueError(f"{name} is not traceless: |trace| = {tr:.3e}")
     return m
 
@@ -116,10 +108,10 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
 
 
-def assert_unitary(u, *, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
+def assert_unitary(u, *, name: str = "matrix") -> np.ndarray:
     u = _square(u, name).astype(complex)
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: ||u†u - I||_F = {defect:.3e}")
     return u
 

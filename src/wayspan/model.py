@@ -23,7 +23,7 @@ from ._fmt import (
     require_key,
     write_document,
 )
-from .tolerances import SYMMETRY_ENTRY_TOL, TRACE_RTOL
+from .tolerances import OFFDIAG_RTOL, SYMMETRY_ENTRY_TOL, TRACE_RTOL
 
 __all__ = [
     "FormatError",
@@ -34,7 +34,6 @@ __all__ = [
     "load_system_csv",
     "save_system",
     "check_hypotheses",
-    "default_offdiag_tol",
 ]
 
 
@@ -107,7 +106,9 @@ class HypothesisReport:
 
     ``offdiag_nonzero`` is true iff every off-diagonal coupling entry
     exceeds ``offdiag_tol`` in magnitude; ``controllable`` is the Lie
-    closure verdict ("SU", "U" or "NO").
+    closure verdict ("SU", "U" or "NO").  ``zero_trace`` and ``symmetric``
+    hold for every :class:`QuantumSystem`, which rejects a violation of
+    either on construction.
     """
 
     zero_trace: bool
@@ -129,32 +130,23 @@ class HypothesisReport:
         )
 
 
-def default_offdiag_tol(mu: np.ndarray) -> float:
-    """Threshold below which an off-diagonal coupling entry counts as zero.
-
-    The nonzero-coupling hypothesis is a strict inequality, so only
-    numerically-zero entries should fail it: 1e-12 times the Frobenius
-    norm of ``mu``.
-    """
-    return 1e-12 * float(np.linalg.norm(mu))
-
-
-def check_hypotheses(sys: QuantumSystem, offdiag_tol: float | None = None) -> HypothesisReport:
+def check_hypotheses(sys: QuantumSystem) -> HypothesisReport:
     """Evaluate each standing hypothesis of a valid system independently.
 
-    Never mutates the system and is deterministic; the controllability
-    verdict is delegated to :func:`reachability.lie_closure`.
+    The nonzero-coupling hypothesis is a strict inequality, so only
+    numerically zero entries fail it: those at most ``OFFDIAG_RTOL`` times
+    the Frobenius norm of ``mu``.  Never mutates the system and is
+    deterministic; the controllability verdict is delegated to
+    :func:`reachability.lie_closure`.
     """
     mu = sys.mu
-    tol = default_offdiag_tol(mu) if offdiag_tol is None else float(offdiag_tol)
+    tol = OFFDIAG_RTOL * float(np.linalg.norm(mu))
     off_mask = ~np.eye(sys.dim, dtype=bool)
     offdiag_min = float(np.abs(mu[off_mask]).min())
     closure = reachability.lie_closure(sys.h0, sys.mu)
-    trace = abs(float(np.trace(mu)))
-    sym_defect = max(_worst_asymmetry(np.asarray(sys.h0))[0], _worst_asymmetry(np.asarray(mu))[0])
     return HypothesisReport(
-        zero_trace=trace < TRACE_RTOL * (1.0 + float(np.linalg.norm(mu))),
-        symmetric=sym_defect <= SYMMETRY_ENTRY_TOL,
+        zero_trace=True,
+        symmetric=True,
         offdiag_nonzero=offdiag_min > tol,
         controllable=closure.verdict,
         offdiag_min=offdiag_min,

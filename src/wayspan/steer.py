@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve, reachability
-from .evolve import ControlField, StepData, concat_fields
+from .evolve import ControlField, PropagatorTrajectory, StepData, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
 from .matspace import assert_unitary, dagger
 from .model import QuantumSystem
-from .tolerances import GRAD_FLOOR, PIVOT_RTOL
+from .tolerances import ARMIJO, GRAD_FLOOR, GRID_RTOL, MIN_STEP, PIVOT_RTOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "synthesize_through_waypoints",
 ]
 
-ARMIJO = 1e-4
-MIN_STEP = 1e-12
 INIT_AMPLITUDE = 0.1
 
 
@@ -75,15 +73,24 @@ class SynthesisResult:
 
 @dataclass(frozen=True)
 class WaypointSynthesis:
-    """Concatenated field, per-segment results and the visit verification."""
+    """Concatenated field, its propagated trajectory, per-segment results and
+    the visit verification."""
 
     field: ControlField
+    trajectory: PropagatorTrajectory
     segments: tuple[SynthesisResult, ...]
     visits: tuple[VisitRecord, ...]
 
     @property
     def all_visited(self) -> bool:
         return all(v.visited for v in self.visits)
+
+
+def _require_controllable(sys: QuantumSystem) -> None:
+    if reachability.is_controllable(sys) == reachability.VERDICT_NO:
+        raise NotControllableError(
+            "system is not controllable (Lie closure too small); synthesis guarantees do not apply"
+        )
 
 
 def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, StepData]:
@@ -127,7 +134,7 @@ def _synthesize(
 
     m_steps = opts.steps_per_segment
     if initial is not None:
-        if initial.steps != m_steps or abs(initial.horizon - opts.segment_time) > 1e-12 * opts.segment_time:
+        if initial.steps != m_steps or abs(initial.horizon - opts.segment_time) > GRID_RTOL * opts.segment_time:
             raise ValueError("initial field must match segment_time and steps_per_segment")
         values = initial.values.copy()
     else:
@@ -179,11 +186,7 @@ def synthesize_to_target(
     ``fid_target`` returns converged at iteration 0.  Non-convergence is
     reported in the result rather than raised.
     """
-    verdict = reachability.is_controllable(sys)
-    if verdict == reachability.VERDICT_NO:
-        raise NotControllableError(
-            "system is not controllable (Lie closure too small); synthesis guarantees do not apply"
-        )
+    _require_controllable(sys)
     target = assert_unitary(target, name="target")
     if target.shape != (sys.dim, sys.dim):
         raise ValueError(f"target shape {target.shape} does not match dimension {sys.dim}")
@@ -205,11 +208,7 @@ def synthesize_through_waypoints(
     and concatenate into a single control whose re-propagated trajectory is
     verified against the set with phase-invariant visit fidelities.
     """
-    verdict = reachability.is_controllable(sys)
-    if verdict == reachability.VERDICT_NO:
-        raise NotControllableError(
-            "system is not controllable (Lie closure too small); synthesis guarantees do not apply"
-        )
+    _require_controllable(sys)
     if len(wset) == 0:
         raise ValueError("way-point set is empty")
     if wset.dim != sys.dim:
@@ -227,4 +226,4 @@ def synthesize_through_waypoints(
     field = concat_fields([s.field for s in segments])
     traj = evolve.propagate(sys, field)
     visits = waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target)
-    return WaypointSynthesis(field=field, segments=tuple(segments), visits=tuple(visits))
+    return WaypointSynthesis(field=field, trajectory=traj, segments=tuple(segments), visits=tuple(visits))

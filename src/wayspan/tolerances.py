@@ -3,7 +3,10 @@
 All values are dimensionless and sized for double precision up to the soft
 dimension cap N = 32: far above round-off there, far below any physical
 scale of the problem class.  A module imports the constants it tests
-against from here; none defines its own.
+against from here; none defines its own, and no option overrides the
+thresholds behind a verdict.  The four settable defaults are marked (*):
+``gradient-check --fd-step`` and ``--tol``, ``finite_difference_gradient(h=)``
+and ``waypoint_visits(fid_tol=)``.
 
 ==================== ======= ===============================================
 name                 value   test (module)
@@ -13,11 +16,18 @@ HERMITIAN_ENTRY_TOL  1e-12   max entry of |m - m†| of a constructed matrix
 SYMMETRY_ENTRY_TOL   1e-12   max entry of |m - m^T| of h0 and mu (model)
 TRACE_RTOL           1e-12   |Tr m| over the HS norm of a traceless matrix
                              (matspace, model)
+OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
+                             ||mu||_HS counts as a zero coupling (model)
+INNER_IMAG_RTOL      1e-12   imaginary residual of Tr(a b) over
+                             max(1, ||a|| ||b||) for Hermitian a, b
+                             (matspace, evolve)
 UNITARY_TOL          1e-10   ||u†u - I||_F of a constructed unitary
                              (matspace)
 TRAJECTORY_TOL       1e-10   unitarity of every propagated node, Hermiticity
                              and trace of every conjugated dipole, density
                              matrix checks (evolve)
+GRID_RTOL            1e-12   relative step or horizon mismatch below which
+                             two fields share one grid (evolve, steer)
 RANK_TOL             1e-8    singular values below this fraction of the
                              largest do not count towards the spanning rank
                              (landscape)
@@ -30,6 +40,15 @@ ABS_FLOOR            1e-13   a generator or commutator with a smaller HS
                              norm is zero (reachability)
 CLOSURE_TRACE_TOL    1e-10   |Tr e| of every closure basis element for the
                              "SU" verdict (reachability)
+ZERO_NORM            1e-14   a coupling operator or witness input with a
+                             smaller HS norm is zero (waypoints)
+BLOCK_PATTERN_TOL    1e-10   max entry error of a Theorem 1 conjugated
+                             dipole's (i, j) block against its pattern
+                             (waypoints)
+OFF_BLOCK_TOL        1e-12   max entry change outside the (i, j) block
+                             within a Theorem 1 quadruple (waypoints)
+LEMMA1_DET_THRESHOLD 1e-6    |det| of the five-angle trig matrix above
+                             which a grid passes Lemma 1 (waypoints)
 WITNESS_RTOL         1e-10   floor of the separating witness value over
                              ||z|| ||mu||; Chebyshev's bound keeps the value
                              above 1/N^2 of it (waypoints)
@@ -40,19 +59,46 @@ PIVOT_RTOL           1e-9    entries within this fraction of the largest
                              magnitude tie for the target's phase pivot
                              (steer)
 GRAD_FLOOR           1e-14   gradient norm at which steering stops (steer)
+ARMIJO               1e-4    sufficient-increase fraction of the Armijo
+                             test on the squared fidelity (steer)
+MIN_STEP             1e-12   step size below which the line search gives
+                             up (steer)
+VISIT_FID_TOL        1e-3    (*) shortfall from 1 of the best fidelity
+                             that still counts as a visit (landscape)
+FD_STEP              1e-5    (*) central-difference step of the gradient
+                             oracle (landscape, cli)
+FD_GRAD_RTOL         1e-5    (*) largest relative max-norm gap between the
+                             analytic and central-difference gradients
+                             that passes gradient-check (cli)
+DIV_FLOOR            1e-300  floor of the gradient scale that divides that
+                             gap, so a zero gradient does not divide by
+                             zero (cli)
 ==================== ======= ===============================================
 """
 
 HERMITIAN_ENTRY_TOL = 1e-12
 SYMMETRY_ENTRY_TOL = 1e-12
 TRACE_RTOL = 1e-12
+OFFDIAG_RTOL = 1e-12
+INNER_IMAG_RTOL = 1e-12
 UNITARY_TOL = 1e-10
 TRAJECTORY_TOL = 1e-10
+GRID_RTOL = 1e-12
 RANK_TOL = 1e-8
 RANK_RTOL = 1e-10
 ABS_FLOOR = 1e-13
 CLOSURE_TRACE_TOL = 1e-10
+ZERO_NORM = 1e-14
+BLOCK_PATTERN_TOL = 1e-10
+OFF_BLOCK_TOL = 1e-12
+LEMMA1_DET_THRESHOLD = 1e-6
 WITNESS_RTOL = 1e-10
 WITNESS_CHECK_RTOL = 1e-8
 PIVOT_RTOL = 1e-9
 GRAD_FLOOR = 1e-14
+ARMIJO = 1e-4
+MIN_STEP = 1e-12
+VISIT_FID_TOL = 1e-3
+FD_STEP = 1e-5
+FD_GRAD_RTOL = 1e-5
+DIV_FLOOR = 1e-300

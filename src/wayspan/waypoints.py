@@ -34,7 +34,14 @@ from ._fmt import (
     write_document,
 )
 from .matspace import assert_hermitian_zt, assert_unitary, dagger, embed_2x2, hs_norm, submatrix_2x2
-from .tolerances import WITNESS_CHECK_RTOL, WITNESS_RTOL
+from .tolerances import (
+    BLOCK_PATTERN_TOL,
+    LEMMA1_DET_THRESHOLD,
+    OFF_BLOCK_TOL,
+    WITNESS_CHECK_RTOL,
+    WITNESS_RTOL,
+    ZERO_NORM,
+)
 
 __all__ = [
     "PROVENANCES",
@@ -54,8 +61,6 @@ __all__ = [
 ]
 
 PROVENANCES = ("theorem1", "theorem3", "custom")
-
-LEMMA1_DET_THRESHOLD = 1e-6
 
 # 2x2 factors multiplied onto the base unitary of each quadruple.  The
 # second and third are unitary normalizations (1/sqrt(2)); conjugating a
@@ -171,14 +176,14 @@ def _check_quadruple(mu: np.ndarray, quad: list[np.ndarray], i: int, j: int, lam
     hats = [dagger(w) @ mu @ w for w in quad]
     for k, (hat, block) in enumerate(zip(hats, expected)):
         err = float(np.abs(submatrix_2x2(hat, i, j) - block).max())
-        if err > 1e-10:
+        if err > BLOCK_PATTERN_TOL:
             raise RuntimeError(
                 f"way-point {k + 1} of pair ({i},{j}) misses its block pattern by {err:.3e}"
             )
     mask = _off_block_mask(mu.shape[0], i - 1, j - 1)
     for k in range(1, 4):
         err = float(np.abs((hats[k] - hats[0])[mask]).max()) if mask.any() else 0.0
-        if err > 1e-12:
+        if err > OFF_BLOCK_TOL:
             raise RuntimeError(
                 f"way-point {k + 1} of pair ({i},{j}) disturbs off-block entries by {err:.3e}"
             )
@@ -202,7 +207,7 @@ def theorem1_waypoints(mu: np.ndarray) -> WaypointSet:
     every quadruple at construction time.
     """
     mu = assert_hermitian_zt(mu, name="mu")
-    if hs_norm(mu) < 1e-14:
+    if hs_norm(mu) < ZERO_NORM:
         raise ValueError("coupling operator must be nonzero")
     n = mu.shape[0]
     w, q = np.linalg.eigh(mu)
@@ -241,9 +246,9 @@ def lemma1_check(grid) -> Lemma1Result:
     """Nonsingularity check for the five-angle trig system.
 
     Builds the 5x5 matrix with rows (1, cos t, sin t, cos 2t, sin 2t) over
-    the grid angles and tests |det| against 1e-6; a grid passing the check
-    pins all five coefficients of such a trig polynomial from its five
-    sampled values.
+    the grid angles and tests |det| against ``LEMMA1_DET_THRESHOLD``; a
+    grid passing the check pins all five coefficients of such a trig
+    polynomial from its five sampled values.
     """
     angles = grid.angles if isinstance(grid, ThetaGrid) else ThetaGrid(np.asarray(grid)).angles
     rows = np.column_stack(
@@ -331,7 +336,7 @@ def separating_unitary(z: np.ndarray, mu: np.ndarray) -> SeparatingWitness:
     if z.shape != mu.shape:
         raise ValueError(f"dimension mismatch: z {z.shape} vs mu {mu.shape}")
     norm_z, norm_mu = hs_norm(z), hs_norm(mu)
-    if norm_z < 1e-14 or norm_mu < 1e-14:
+    if norm_z < ZERO_NORM or norm_mu < ZERO_NORM:
         raise ValueError("witness needs nonzero matrices")
     w1, v1 = np.linalg.eigh(z)
     w2, v2 = np.linalg.eigh(mu)

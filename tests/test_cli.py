@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import SX, SZ, coupled_traceless_symmetric
-from wayspan import cli, evolve, waypoints
+from wayspan import cli, evolve, reachability, waypoints
 from wayspan.evolve import ControlField
-from wayspan.model import QuantumSystem, save_system
+from wayspan.model import QuantumSystem, load_system, save_system
 
 
 def _system(path, h0, mu):
@@ -75,8 +75,29 @@ class TestValidate:
             run("validate", "--system", files["pauli"], "--jobs", 2)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--system", "{pauli}", "--tol", 1e-3),
+            ("waypoints", "--provenance", "theorem3", "--n", 2, "--rank-tol", 1e-3),
+            ("check", "--system", "{pauli}", "--field", "{field}", "--rank-tol", 1e-3),
+        ],
+    )
+    def test_tolerance_flags_are_rejected(self, files, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*(str(a).format(**files) for a in argv), "--out", tmp_path)
+        assert exc.value.code == 2
+
 
 class TestControllability:
+    def test_basis_csv_matches_per_entry_text(self, files, tmp_path):
+        csv = tmp_path / "basis.csv"
+        assert run("controllability", "--system", files["three"], "--basis-csv", csv) == 0
+        sys_obj = load_system(files["three"])
+        basis = reachability.lie_closure(sys_obj.h0, sys_obj.mu).basis
+        lines = [",".join(repr(float(x)) for v in e.reshape(-1) for x in (v.real, v.imag)) for e in basis]
+        assert csv.read_text() == "\n".join(lines) + "\n"
+
     def test_controllable_writes_basis(self, files, tmp_path, capsys):
         csv = tmp_path / "basis.csv"
         assert run("controllability", "--system", files["pauli"], "--basis-csv", csv) == 0

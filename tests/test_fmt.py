@@ -158,3 +158,47 @@ def test_failed_validation_leaves_no_file(tmp_path, doc):
     with pytest.raises(TypeError):
         write_document(path, doc)
     assert not path.exists()
+
+
+def _per_entry_table(table, header=None):
+    lines = [",".join(header)] if header is not None else []
+    lines += [",".join(repr(float(v)) for v in row) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100)
+@given(
+    shape=st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=5)),
+    data=st.data(),
+    block=st.sampled_from([1, 4, _fmt.BLOCK_FLOATS]),
+    header=st.sampled_from([None, ["t", "x"]]),
+)
+def test_float_table_matches_per_entry_repr(shape, data, block, header):
+    table = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fmt, "BLOCK_FLOATS", block)
+        _fmt.write_float_table(buf, table, header)
+    assert buf.getvalue() == _per_entry_table(table, header)
+
+
+def test_float_table_keeps_signed_zero_and_subnormals(tmp_path):
+    table = np.array([[-0.0, TINY, SUB], [-TINY, 1e-310, 0.0], [-SUB, 1.0, -0.0]])
+    path = tmp_path / "table.csv"
+    _fmt.write_float_table(path, table)
+    text = path.read_text()
+    assert text == _per_entry_table(table)
+    back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+    assert np.array_equal(_bits(back), _bits(table))
+
+
+def test_trajectory_csv_matches_per_entry_text(tmp_path):
+    rng = np.random.default_rng(3)
+    h0 = rng.normal(size=(3, 3))
+    mu = rng.normal(size=(3, 3))
+    mu = mu + mu.T - np.trace(mu + mu.T) / 3 * np.eye(3)
+    traj = evolve.propagate(QuantumSystem(3, h0 + h0.T, mu), ControlField(2.0, rng.normal(size=9)))
+    header = ["t"] + [f"{p}_u_{i}_{j}" for i in range(1, 4) for j in range(1, 4) for p in ("re", "im")]
+    rows = [[t] + [x for v in u.reshape(-1) for x in (v.real, v.imag)] for t, u in zip(traj.times, traj.unitaries)]
+    evolve.trajectory_csv(traj, tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_text() == _per_entry_table(rows, header)

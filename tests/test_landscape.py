@@ -83,6 +83,11 @@ class TestSpanningRank:
         assert extended.rank == base.rank
         assert extended.complement_basis.shape == base.complement_basis.shape
 
+    def test_zero_matrices_have_rank_zero(self):
+        report = landscape.spanning_rank(np.zeros((3, 2, 2)))
+        assert report.rank == 0 and report.verdict == "DEFICIENT rank=0"
+        assert report.complement_basis.shape == (3, 2, 2)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             landscape.spanning_rank(np.zeros((0, 2, 2)))

@@ -111,6 +111,15 @@ def test_chain_through_quadruple_set(pauli_system, opts):
     assert landscape.trajectory_independence(traj).full
 
 
+def test_synthesis_carries_the_propagated_trajectory(pauli_system, opts):
+    wset = waypoints.theorem1_waypoints(pauli_system.mu)
+    synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
+    traj = evolve.propagate(pauli_system, synthesis.field)
+    assert np.array_equal(synthesis.trajectory.unitaries, traj.unitaries)
+    assert np.array_equal(synthesis.trajectory.mu_hats, traj.mu_hats)
+    assert synthesis.visits == tuple(landscape.waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target))
+
+
 def test_concatenated_field_reproduces_segment_boundaries(pauli_system, opts):
     wset = waypoints.theorem1_waypoints(pauli_system.mu)
     synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
