@@ -71,10 +71,11 @@ def spanning_rank(mats) -> SpanReport:
     """Rank of a set of traceless Hermitian matrices in isu(N) coordinates.
 
     Stacks the coordinates of every matrix (in the orthonormal basis from
-    :func:`wayspan.matspace.basis_zt`) as rows and takes the SVD; the rank
-    counts singular values above ``RANK_TOL`` times the largest one.  The
-    complement basis collects the right-singular vectors of the discarded
-    directions mapped back to matrices.  Inputs are expected Hermitian;
+    :func:`wayspan.matspace.basis_zt`) as rows and takes their singular
+    values; the rank counts those above ``RANK_TOL`` times the largest
+    one.  Only a deficient span has a complement, so only then is the SVD
+    taken again for its right-singular vectors; the discarded directions
+    are mapped back to matrices.  Inputs are expected Hermitian;
     the report is invariant under permutations of the list and under
     appending linear combinations of existing elements.
     """
@@ -86,11 +87,14 @@ def spanning_rank(mats) -> SpanReport:
     n = arr.shape[1]
     basis = basis_zt(n)
     coords = to_coords(arr, basis)
-    # The complement needs every right-singular vector; the thin SVD
-    # returns them all unless there are fewer samples than dimensions.
-    _, s, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])
+    s = np.linalg.svd(coords, compute_uv=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     full = rank == n * n - 1
+    vt = np.empty((0, n * n - 1))
+    if not full:
+        # The complement needs every right-singular vector; the thin SVD
+        # returns them all unless there are fewer samples than dimensions.
+        vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])[2]
     complement = from_coords(vt[rank:], basis)
     s.setflags(write=False)
     return SpanReport(

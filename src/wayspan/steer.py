@@ -65,10 +65,13 @@ class SteerOptions:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The synthesized field, its fidelity and its endpoint propagator U_M."""
+
     field: ControlField
     achieved_fidelity: float
     iterations: int
     converged: bool
+    endpoint: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,16 @@ def _require_controllable(sys: QuantumSystem) -> None:
         )
 
 
-def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, StepData]:
-    """Fidelity of one line-search trial and the step eigendecomposition it used."""
+def _fidelity_state(
+    sys: QuantumSystem, field: ControlField, target: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float, StepData]:
+    """Fidelity of one line-search trial and the step eigendecomposition it used.
+
+    The trial's endpoint propagator is copied into ``out`` when one is given.
+    """
     u, eig = evolve._final_propagator(sys, field)
+    if out is not None:
+        out[...] = u
     return gate_fidelity(target, u), eig
 
 
@@ -144,6 +154,7 @@ def _synthesize(
     fid, grad = _fidelity_gradient(sys, field, target, evolve._step_data(sys, field))
     iterations = 0
     alpha = opts.step_size
+    endpoint = None
     while fid < opts.fid_target and iterations < opts.max_iters:
         gnorm2 = float(np.dot(grad, grad))
         if gnorm2 < GRAD_FLOOR**2:
@@ -152,9 +163,10 @@ def _synthesize(
         alpha = min(opts.step_size, 2.0 * alpha)
         while alpha >= MIN_STEP:
             trial = ControlField(horizon=opts.segment_time, values=field.values + alpha * grad)
-            trial_fid, eig = _fidelity_state(sys, trial, target)
+            trial_u = np.empty_like(target)
+            trial_fid, eig = _fidelity_state(sys, trial, target, trial_u)
             if trial_fid * trial_fid >= phi + ARMIJO * alpha * gnorm2:
-                field = trial
+                field, endpoint = trial, trial_u
                 break
             alpha *= 0.5
         else:
@@ -162,11 +174,14 @@ def _synthesize(
         iterations += 1
         fid, grad = _fidelity_gradient(sys, field, target, eig)
 
+    if endpoint is None:
+        endpoint = evolve._final_propagator(sys, field)[0]
     return SynthesisResult(
         field=field,
         achieved_fidelity=fid,
         iterations=iterations,
         converged=fid >= opts.fid_target,
+        endpoint=endpoint,
     )
 
 
@@ -221,7 +236,7 @@ def synthesize_through_waypoints(
         target = w @ dagger(reached)
         result = _synthesize(sys, target, opts, rng, None)
         segments.append(result)
-        reached = evolve._final_propagator(sys, result.field)[0] @ reached
+        reached = result.endpoint @ reached
 
     field = concat_fields([s.field for s in segments])
     traj = evolve.propagate(sys, field)

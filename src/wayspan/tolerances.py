@@ -21,8 +21,8 @@ OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
 INNER_IMAG_RTOL      1e-12   imaginary residual of Tr(a b) over
                              max(1, ||a|| ||b||) for Hermitian a, b
                              (matspace, evolve)
-UNITARY_TOL          1e-10   ||u†u - I||_F of a constructed unitary
-                             (matspace)
+UNITARY_TOL          1e-10   ||u†u - I||_F of a constructed unitary or
+                             way-point (matspace, waypoints)
 TRAJECTORY_TOL       1e-10   unitarity of every propagated node, Hermiticity
                              and trace of every conjugated dipole, density
                              matrix checks (evolve)

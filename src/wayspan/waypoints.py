@@ -33,11 +33,12 @@ from ._fmt import (
     require_key,
     write_document,
 )
-from .matspace import assert_hermitian_zt, assert_unitary, dagger, embed_2x2, hs_norm, submatrix_2x2
+from .matspace import assert_hermitian_zt, dagger, embed_2x2, hs_norm, submatrix_2x2
 from .tolerances import (
     BLOCK_PATTERN_TOL,
     LEMMA1_DET_THRESHOLD,
     OFF_BLOCK_TOL,
+    UNITARY_TOL,
     WITNESS_CHECK_RTOL,
     WITNESS_RTOL,
     ZERO_NORM,
@@ -61,6 +62,10 @@ __all__ = [
 ]
 
 PROVENANCES = ("theorem1", "theorem3", "custom")
+# Way-points per batch of the unitarity check.  A whole-set batch would make
+# set-sized temporaries, and once freed they raise glibc's mmap threshold, so a
+# process that loads sets repeatedly keeps that much more memory resident.
+UNITARY_CHECK_BLOCK = 64
 
 # 2x2 factors multiplied onto the base unitary of each quadruple.  The
 # second and third are unitary normalizations (1/sqrt(2)); conjugating a
@@ -115,8 +120,15 @@ class WaypointSet:
         arr = np.array(self.unitaries, dtype=complex)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] != self.dim:
             raise ValueError(f"unitaries must be (count, {self.dim}, {self.dim}), got {arr.shape}")
-        for k, u in enumerate(arr):
-            assert_unitary(u, name=f"way-point {k + 1}")
+        for start in range(0, len(arr), UNITARY_CHECK_BLOCK):
+            block = arr[start : start + UNITARY_CHECK_BLOCK]
+            gram = (dagger(block) @ block).reshape(len(block), self.dim * self.dim)
+            gram[:, :: self.dim + 1] -= 1.0  # u†u - I, flattened
+            defects = np.linalg.norm(gram.view(float), axis=1)
+            bad = np.flatnonzero(defects > UNITARY_TOL)
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(f"way-point {start + k + 1} is not unitary: ||u†u - I||_F = {defects[k]:.3e}")
         expected = {
             "theorem1": theorem1_count(self.dim),
             "theorem3": theorem3_count(self.dim),

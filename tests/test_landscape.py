@@ -251,3 +251,52 @@ def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     analytic = landscape.gradient(sys_n, field, rho0, obs)
     numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
     assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+
+def _reference_svd(mats):
+    """Singular values and rank from the thin SVD with singular vectors."""
+    coords = matspace.to_coords(mats, matspace.basis_zt(mats.shape[1]))
+    s = np.linalg.svd(coords, full_matrices=False)[1]
+    return s, int(np.sum(s > landscape.RANK_TOL * s[0]))
+
+
+@pytest.mark.parametrize("n, count", [(2, 3), (3, 40), (4, 15), (5, 24), (8, 200)])
+def test_full_span_reports_singular_values_without_complement(n, count):
+    rng = np.random.default_rng(1000 * n + count)
+    mats = np.array([random_traceless_hermitian(n, rng) for _ in range(count)])
+    report = landscape.spanning_rank(mats)
+    s, rank = _reference_svd(mats)
+    assert report.full and report.rank == rank == n * n - 1
+    assert np.allclose(report.singular_values, s, rtol=1e-12, atol=0.0)
+    assert report.complement_basis.shape == (0, n, n)
+
+
+def _assert_complement_of(report, mats):
+    n = mats.shape[1]
+    comp = report.complement_basis
+    assert comp.shape == (n * n - 1 - report.rank, n, n)
+    rows = comp.reshape(len(comp), -1)
+    assert np.abs(np.real(rows.conj() @ rows.T) - np.eye(len(comp))).max() < 1e-10
+    for c in comp:
+        assert np.abs(c - c.conj().T).max() < 1e-12
+        for m in mats:
+            assert abs(matspace.hs_inner(c, m)) <= 1e-10 * max(1.0, matspace.hs_norm(m))
+
+
+def test_tall_deficient_stack_rank_and_complement_match_the_full_svd():
+    mats = np.array([SZ, SX] * 20)
+    report = landscape.spanning_rank(mats)
+    s, rank = _reference_svd(mats)
+    assert report.rank == rank == 2
+    assert np.abs(report.singular_values - s).max() <= 1e-12 * s[0]
+    _assert_complement_of(report, mats)
+
+
+def test_random_deficient_samples_rank_and_complement_match_the_full_svd():
+    rng = np.random.default_rng(41)
+    mats = np.array([random_traceless_hermitian(8, rng) for _ in range(41)])
+    report = landscape.spanning_rank(mats)
+    s, rank = _reference_svd(mats)
+    assert report.rank == rank == 41 and not report.full
+    assert np.abs(report.singular_values - s).max() <= 1e-12 * s[0]
+    _assert_complement_of(report, mats)

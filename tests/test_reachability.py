@@ -159,3 +159,111 @@ def test_spin_chain_closure_has_exact_dimension(n):
     assert result.dimension == (n * (n + 1) // 2 if n % 2 == 0 else n * (n - 1) // 2)
     assert result.verdict == "NO"
     _assert_orthonormal_skew(result)
+
+
+def _complex_closure_oracle(h0, mu):
+    """The closure on complex skew-Hermitian matrices, projected against one
+    mixed basis: the reference for the real, parity-split ``lie_closure``."""
+    from wayspan.matspace import _real_rows
+    from wayspan.tolerances import ABS_FLOOR, CLOSURE_TRACE_TOL, RANK_RTOL
+
+    n = h0.shape[0]
+    full = n * n
+    stack = np.zeros((full, n, n), dtype=complex)
+    rows = _real_rows(stack)
+    dim = 0
+
+    def try_add(cand):
+        nonlocal dim
+        basis = rows[:dim]
+        for _ in range(2):
+            cand -= basis.T @ (basis @ cand)
+        norm = float(np.linalg.norm(cand))
+        if norm <= RANK_RTOL:
+            return False
+        rows[dim] = cand / norm
+        dim += 1
+        return True
+
+    new = []
+    for gen in (-1j * np.asarray(h0, dtype=complex), -1j * np.asarray(mu, dtype=complex)):
+        norm = float(np.linalg.norm(gen))
+        if norm > ABS_FLOOR and try_add(_real_rows(gen / norm)):
+            new.append(dim - 1)
+    while new and dim < full:
+        next_new = []
+        for b_idx in new:
+            head, e = stack[:b_idx], stack[b_idx]
+            cands = _real_rows(head @ e - e @ head)
+            for cand, pre_norm in zip(cands, np.linalg.norm(cands, axis=1)):
+                if pre_norm > ABS_FLOOR and try_add(cand):
+                    next_new.append(dim - 1)
+            if dim >= full:
+                break
+        new = next_new
+    basis = stack[:dim]
+    traceless = bool(np.all(np.abs(np.trace(basis, axis1=1, axis2=2)) < CLOSURE_TRACE_TOL))
+    verdict = "U" if dim == full else ("SU" if dim == full - 1 and traceless else "NO")
+    return dim, basis, verdict
+
+
+def _assert_matches_oracle(h0, mu):
+    result = reachability.lie_closure(h0, mu)
+    dim, basis, verdict = _complex_closure_oracle(h0, mu)
+    assert (result.dimension, result.verdict) == (dim, verdict)
+    assert result.basis.dtype == complex
+    assert np.abs(result.basis - basis).max(initial=0.0) < 1e-10
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(["generic", "traceless", "block", "commuting"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=8, kind="generic", seed=0)
+def test_real_closure_matches_the_complex_oracle(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        h0, mu = random_real_symmetric(n, rng), random_real_symmetric(n, rng)
+    elif kind == "traceless":
+        h0, mu = random_real_symmetric(n, rng), coupled_traceless_symmetric(n, rng)
+        h0 -= np.trace(h0) / n * np.eye(n)
+    elif kind == "block":
+        m = int(rng.integers(1, n))
+        h0, mu = np.zeros((n, n)), np.zeros((n, n))
+        for g in (h0, mu):
+            g[:m, :m] = random_real_symmetric(m, rng)
+            g[m:, m:] = random_real_symmetric(n - m, rng)
+    else:
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        h0 = q @ np.diag(rng.uniform(-1.0, 1.0, n)) @ q.T
+        mu = q @ np.diag(rng.uniform(-1.0, 1.0, n)) @ q.T
+    _assert_matches_oracle(h0, mu)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_real_closure_matches_the_complex_oracle_on_spin_chains(n):
+    h0 = np.diag(np.arange(n) - (n - 1) / 2)
+    mu = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    _assert_matches_oracle(h0, mu)
+
+
+def test_generic_system_at_the_dimension_cap_is_u():
+    # Drawn like perfbench/gen.py's systems: positive non-degenerate levels
+    # and a traceless dipole with every |mu_ij| >= 0.1.
+    rng = np.random.default_rng(101)
+    n = 32
+    h0 = np.diag(np.cumsum(rng.uniform(0.5, 1.5, n)))
+    mu = coupled_traceless_symmetric(n, rng)
+    result = reachability.lie_closure(h0, mu)
+    assert (result.dimension, result.verdict) == (n * n, "U")
+    _assert_orthonormal_skew(result)
+
+
+@pytest.mark.parametrize("which", ["h0", "mu"])
+def test_complex_generators_are_rejected(which):
+    gens = {"h0": np.real(SZ), "mu": np.real(SX)}
+    gens[which] = gens[which].astype(complex)
+    with pytest.raises(ValueError, match="complex"):
+        reachability.lie_closure(gens["h0"], gens["mu"])

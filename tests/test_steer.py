@@ -193,3 +193,36 @@ def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
     assert np.array_equal(grad, fresh)
     assert fid == fresh_fid
     assert fid == pytest.approx(trial_fid, abs=1e-14)
+
+
+def test_result_endpoint_is_the_final_propagator_of_its_field(pauli_system, opts):
+    target = free_propagator(pauli_system.h0, opts.segment_time)
+    initial = ControlField.constant(0.0, opts.segment_time, opts.steps_per_segment)
+    converged_at_start = steer.synthesize_to_target(pauli_system, target, opts, initial=initial)
+    assert converged_at_start.iterations == 0
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    iterated = steer.synthesize_to_target(pauli_system, swap, opts)
+    assert iterated.iterations > 0
+    for result in (converged_at_start, iterated):
+        assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field)[0])
+
+
+def test_chain_computes_no_endpoint_twice(pauli_system, opts, monkeypatch):
+    calls = []
+    real_final = evolve._final_propagator
+
+    def counted(sys_, field):
+        calls.append(field)
+        return real_final(sys_, field)
+
+    monkeypatch.setattr(evolve, "_final_propagator", counted)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    wset = waypoints.WaypointSet(dim=2, unitaries=np.array([swap, np.eye(2)]), provenance="custom")
+    synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
+    # One call per line-search trial, plus one per segment that accepted no trial.
+    fields = [np.asarray(f.values).tobytes() for f in calls]
+    assert len(fields) == len(set(fields))
+    reached = np.eye(2)
+    for seg in synthesis.segments:
+        reached = seg.endpoint @ reached
+    assert np.allclose(reached, synthesis.trajectory.unitaries[-1], atol=1e-12)

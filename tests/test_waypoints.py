@@ -251,3 +251,20 @@ class TestSerialization:
     def test_count_enforced_for_known_provenance(self):
         with pytest.raises(ValueError, match="must have"):
             WaypointSet(dim=2, unitaries=np.array([np.eye(2)]), provenance="theorem1")
+
+
+def test_set_names_the_first_non_unitary_waypoint(rng):
+    unitaries = np.array([np.eye(3, dtype=complex)] * 6)
+    unitaries[2] *= 1.0 + 1e-8
+    unitaries[4, 0, 0] = 2.0
+    expected = matspace.unitarity_defect(unitaries[2])
+    with pytest.raises(ValueError, match=rf"^way-point 3 is not unitary: \|\|u†u - I\|\|_F = {expected:.3e}$"):
+        WaypointSet(dim=3, unitaries=unitaries, provenance="custom")
+    # Blocks of the check: the first failure past the first block is named.
+    many = np.array([np.eye(2, dtype=complex)] * (2 * waypoints.UNITARY_CHECK_BLOCK + 3))
+    many[[waypoints.UNITARY_CHECK_BLOCK + 5, -1], 1, 1] = 0.5
+    with pytest.raises(ValueError, match=rf"^way-point {waypoints.UNITARY_CHECK_BLOCK + 6} is not unitary"):
+        WaypointSet(dim=2, unitaries=many, provenance="custom")
+    # Round-off-sized defects pass.
+    wset = waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
+    WaypointSet(dim=4, unitaries=wset.unitaries * (1.0 + 1e-12), provenance="theorem1")
