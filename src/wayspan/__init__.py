@@ -15,8 +15,6 @@ from .evolve import (
     concat_fields,
     conjugated_dipole,
     density_matrix,
-    evolve_density,
-    expectation,
     load_field,
     propagate,
     save_field,

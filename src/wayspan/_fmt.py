@@ -22,6 +22,13 @@ The whole document is checked before the target is opened, so an
 unserializable value or a non-string key never leaves a truncated file.
 Float tables (the trajectory and Lie-basis CSV files) are written by
 :func:`write_float_table` with the same ``float.__repr__`` text per value.
+
+Every array read from a document goes through :func:`float_array`, which
+converts it once and rejects a wrong shape, a non-numeric entry or a
+non-finite value with a :class:`FormatError` naming the field; integer
+fields go through :func:`int_field`.  Complex matrices travel as
+``[re, im]`` pairs, written by :func:`complex_entries` and read back by
+:func:`complex_from_entries`.
 """
 
 from __future__ import annotations
@@ -205,36 +212,35 @@ def require_key(doc: dict, key: str):
     return doc[key]
 
 
-def real_matrix(obj, name: str, n: int) -> np.ndarray:
-    """Parse an n x n nested list of reals; raise FormatError otherwise."""
+def int_field(doc: dict, key: str, minimum: int) -> int:
+    """The integer field ``key`` of ``doc``, at least ``minimum``; ``true`` is not an integer."""
+    value = require_key(doc, key)
+    if type(value) is not int or value < minimum:
+        raise FormatError(f"field {key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def float_array(obj, name: str, *shapes: tuple) -> np.ndarray:
+    """A document array as floats: its shape one of ``shapes`` and every entry finite."""
     try:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"field {name!r} is not a numeric matrix: {exc}") from exc
-    if arr.shape != (n, n):
-        raise FormatError(f"field {name!r} must be {n}x{n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"field {name!r} is not a numeric array: {exc}") from exc
+    if arr.shape not in shapes:
+        expected = " or ".join(map(str, shapes))
+        raise FormatError(f"field {name!r} must have shape {expected}, got {arr.shape}")
+    # min and max carry any NaN or infinity without an elementwise temporary,
+    # which a process that reloads large documents would keep resident.
+    if not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all():
         raise FormatError(f"field {name!r} contains non-finite entries")
     return arr
 
 
-def hermitian_matrix(obj, name: str, n: int) -> np.ndarray:
-    """Parse an n x n matrix whose entries are reals or [re, im] pairs."""
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"field {name!r} is not a numeric matrix: {exc}") from exc
-    if arr.shape == (n, n):
-        return arr.astype(complex)
-    if arr.shape == (n, n, 2):
-        return _from_pairs(arr)
-    raise FormatError(
-        f"field {name!r} must be {n}x{n} (reals or [re, im] pairs), got shape {arr.shape}"
-    )
+def complex_from_entries(arr: np.ndarray) -> np.ndarray:
+    """(..., 2) float pairs -> complex, bit for bit (``re + 1j * im`` drops -0.0).
 
-
-def _from_pairs(arr: np.ndarray) -> np.ndarray:
-    """(..., 2) float pairs -> complex, bit for bit (``re + 1j * im`` drops -0.0)."""
+    The inverse of :func:`complex_entries`.
+    """
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
@@ -245,16 +251,3 @@ def complex_entries(m: np.ndarray) -> np.ndarray:
     """
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(*m.shape, 2)
-
-
-def matrix_from_entries(obj, name: str, n: int) -> np.ndarray:
-    """Nested [re, im]-pair lists -> complex n x n matrix."""
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"field {name!r} is not an entry table: {exc}") from exc
-    if arr.shape != (n, n, 2):
-        raise FormatError(
-            f"field {name!r} must be {n}x{n} [re, im] pairs, got shape {arr.shape}"
-        )
-    return _from_pairs(arr)

@@ -8,13 +8,23 @@ shape errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys as _sys
 from pathlib import Path
 
 import numpy as np
 
 from . import evolve, landscape, matspace, reachability, steer, waypoints
-from ._fmt import FormatError, hermitian_matrix, parse_json, require_key, write_document, write_float_table
+from ._fmt import (
+    FormatError,
+    complex_from_entries,
+    float_array,
+    int_field,
+    parse_json,
+    require_key,
+    write_document,
+    write_float_table,
+)
 from .model import (
     HypothesisViolation,
     QuantumSystem,
@@ -39,14 +49,15 @@ def _load_system_any(path: str) -> QuantumSystem:
 
 def _load_matrix(path: str, name: str, n: int) -> np.ndarray:
     doc = parse_json(path)
-    dim = require_key(doc, "n")
+    dim = int_field(doc, "n", 2)
     if dim != n:
         raise FormatError(f"{name} document has n = {dim}, system has n = {n}")
-    return hermitian_matrix(require_key(doc, "entries"), name, n)
+    arr = float_array(require_key(doc, "entries"), name, (n, n), (n, n, 2))
+    return arr.astype(complex) if arr.ndim == 2 else complex_from_entries(arr)
 
 
 def _out_dir(args) -> Path | None:
-    if getattr(args, "out", None) is None:
+    if args.out is None:
         return None
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -87,19 +98,7 @@ def _cmd_validate(args) -> int:
 
     out = _out_dir(args)
     if out is not None:
-        doc = {
-            path: {
-                "zero_trace": r.zero_trace,
-                "symmetric": r.symmetric,
-                "offdiag_nonzero": r.offdiag_nonzero,
-                "controllable": r.controllable,
-                "lie_dimension": r.lie_dimension,
-                "offdiag_min": r.offdiag_min,
-                "offdiag_tol": r.offdiag_tol,
-            }
-            for path, r in reports.items()
-        }
-        write_document(out / "hypotheses.json", doc)
+        write_document(out / "hypotheses.json", {path: dataclasses.asdict(r) for path, r in reports.items()})
     return worst
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import FormatError, parse_json, require_key, write_document, write_float_table
-from .matspace import dagger, hs_inner
+from ._fmt import FormatError, float_array, int_field, parse_json, require_key, write_document, write_float_table
+from .matspace import dagger, unitarity_defect
 from .model import QuantumSystem
 from .tolerances import GRID_RTOL, TRAJECTORY_TOL
 
@@ -24,8 +24,6 @@ __all__ = [
     "density_matrix",
     "propagate",
     "conjugated_dipole",
-    "evolve_density",
-    "expectation",
     "concat_fields",
     "load_field",
     "save_field",
@@ -92,13 +90,13 @@ def density_matrix(entries) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = float(np.abs(rho - dagger(rho)).max())
-    if herm > TRAJECTORY_TOL:
+    if not herm <= TRAJECTORY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRAJECTORY_TOL:
+    if not abs(tr - 1.0) <= TRAJECTORY_TOL:
         raise ValueError(f"density matrix trace must be 1, got {tr:.12g}")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -TRAJECTORY_TOL:
+    if not lo >= -TRAJECTORY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     out = rho.copy()
     out.setflags(write=False)
@@ -179,13 +177,12 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     mu_hats = conjugated_dipole(unitaries, sys.mu)
     times = np.linspace(0.0, field.horizon, field.steps + 1)
 
-    gram = dagger(unitaries) @ unitaries
-    defect = float(np.linalg.norm(gram - np.eye(sys.dim), axis=(1, 2)).max())
-    if defect > TRAJECTORY_TOL:
+    defect = float(unitarity_defect(unitaries).max())
+    if not defect <= TRAJECTORY_TOL:
         raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
     herm = float(np.abs(mu_hats - dagger(mu_hats)).max())
     traces = float(np.abs(np.trace(mu_hats, axis1=1, axis2=2)).max())
-    if herm > TRAJECTORY_TOL or traces > TRAJECTORY_TOL:
+    if not (herm <= TRAJECTORY_TOL and traces <= TRAJECTORY_TOL):
         raise RuntimeError(
             f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}"
         )
@@ -211,23 +208,6 @@ def conjugated_dipole(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve_density(traj: PropagatorTrajectory, rho0: np.ndarray) -> np.ndarray:
-    """Density trajectory rho_m = U_m rho0 U_m† along the grid."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (traj.dim, traj.dim):
-        raise ValueError(f"density matrix shape {rho0.shape} does not match dimension {traj.dim}")
-    u = traj.unitaries
-    out = u @ rho0 @ dagger(u)
-    out.setflags(write=False)
-    return out
-
-
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Observable expectation Tr(rho obs), the HS inner product of two Hermitian
-    matrices; :func:`matspace.hs_inner` rejects non-Hermitian inputs."""
-    return hs_inner(rho, obs)
-
-
 def concat_fields(fields: list[ControlField]) -> ControlField:
     """Concatenate fields sharing one step length into a single grid."""
     if not fields:
@@ -245,18 +225,10 @@ def load_field(source) -> ControlField:
     """Load a control document: JSON with fields ``T``, ``M``, ``values``."""
     doc = parse_json(source)
     horizon = require_key(doc, "T")
-    m = require_key(doc, "M")
-    values = require_key(doc, "values")
-    if not isinstance(m, int) or m < 1:
-        raise FormatError(f"field 'M' must be a positive integer, got {m!r}")
+    m = int_field(doc, "M", 1)
+    values = float_array(require_key(doc, "values"), "values", (m,))
     try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"field 'values' is not numeric: {exc}") from exc
-    if arr.shape != (m,):
-        raise FormatError(f"'values' must hold M = {m} numbers, got shape {arr.shape}")
-    try:
-        return ControlField(horizon=float(horizon), values=arr)
+        return ControlField(horizon=float(horizon), values=values)
     except (TypeError, ValueError) as exc:
         raise FormatError(str(exc)) from exc
 

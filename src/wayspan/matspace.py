@@ -88,10 +88,10 @@ def assert_hermitian_zt(m, *, name: str = "matrix") -> np.ndarray:
     """
     m = _square(m, name).astype(complex)
     herm_err = float(np.abs(m - dagger(m)).max())
-    if herm_err > HERMITIAN_ENTRY_TOL:
+    if not herm_err <= HERMITIAN_ENTRY_TOL:
         raise ValueError(f"{name} is not Hermitian: max entry defect {herm_err:.3e}")
     tr = abs(complex(np.trace(m)))
-    if tr != 0.0 and tr > TRACE_RTOL * hs_norm(m):
+    if tr != 0.0 and not tr <= TRACE_RTOL * hs_norm(m):
         raise ValueError(f"{name} is not traceless: |trace| = {tr:.3e}")
     return m
 
@@ -101,17 +101,24 @@ def hermitian_zt(entries) -> np.ndarray:
     return _readonly(assert_hermitian_zt(entries).copy())
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius norm of u†u - I."""
-    u = _square(u, "u")
-    n = u.shape[0]
-    return float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
+def unitarity_defect(u) -> np.ndarray:
+    """Frobenius norm of u†u - I, one value per matrix of a stack (..., n, n).
+
+    A single matrix gives a scalar.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"u must be a square matrix or a stack of them, got shape {u.shape}")
+    n = u.shape[-1]
+    gram = (dagger(u) @ u).reshape(*u.shape[:-2], n * n)
+    gram[..., :: n + 1] -= 1.0
+    return np.linalg.norm(gram.view(float), axis=-1)
 
 
 def assert_unitary(u, *, name: str = "matrix") -> np.ndarray:
     u = _square(u, name).astype(complex)
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: ||u†u - I||_F = {defect:.3e}")
     return u
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reachability
-from ._fmt import (
-    FormatError,
-    parse_json,
-    read_text,
-    real_matrix,
-    require_key,
-    write_document,
-)
+from ._fmt import FormatError, float_array, int_field, parse_json, read_text, require_key, write_document
 from .tolerances import OFFDIAG_RTOL, SYMMETRY_ENTRY_TOL, TRACE_RTOL
 
 __all__ = [
@@ -163,11 +156,9 @@ def load_system(source) -> QuantumSystem:
     break the modeling assumptions.
     """
     doc = parse_json(source)
-    n = require_key(doc, "n")
-    if not isinstance(n, int) or n < 2:
-        raise FormatError(f"field 'n' must be an integer >= 2, got {n!r}")
-    h0 = real_matrix(require_key(doc, "h0"), "h0", n)
-    mu = real_matrix(require_key(doc, "mu"), "mu", n)
+    n = int_field(doc, "n", 2)
+    h0 = float_array(require_key(doc, "h0"), "h0", (n, n))
+    mu = float_array(require_key(doc, "mu"), "mu", (n, n))
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise FormatError("field 'label' must be a string")
@@ -181,26 +172,11 @@ def load_system_csv(source) -> QuantumSystem:
         raise FormatError("empty CSV system document")
     try:
         n = int(lines[0])
+        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
     except ValueError as exc:
-        raise FormatError(f"first CSV line must be the dimension: {exc}") from exc
-    if len(lines) != 1 + 2 * n:
-        raise FormatError(f"CSV system document needs {1 + 2 * n} lines for n = {n}, got {len(lines)}")
-
-    def rows(block: list[str], name: str) -> np.ndarray:
-        parsed = []
-        for ln in block:
-            try:
-                row = [float(tok) for tok in ln.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"bad {name} row {ln!r}: {exc}") from exc
-            if len(row) != n:
-                raise FormatError(f"{name} row has {len(row)} entries, expected {n}")
-            parsed.append(row)
-        return np.array(parsed, dtype=float)
-
-    h0 = rows(lines[1 : 1 + n], "h0")
-    mu = rows(lines[1 + n : 1 + 2 * n], "mu")
-    return QuantumSystem(dim=n, h0=h0, mu=mu)
+        raise FormatError(f"bad CSV system document: {exc}") from exc
+    table = float_array(rows, "h0 and mu rows", (2 * n, n))
+    return QuantumSystem(dim=n, h0=table[:n], mu=table[n:])
 
 
 def save_system(sys: QuantumSystem, target) -> None:

@@ -28,12 +28,14 @@ import numpy as np
 from ._fmt import (
     FormatError,
     complex_entries,
-    matrix_from_entries,
+    complex_from_entries,
+    float_array,
+    int_field,
     parse_json,
     require_key,
     write_document,
 )
-from .matspace import assert_hermitian_zt, dagger, embed_2x2, hs_norm, submatrix_2x2
+from .matspace import assert_hermitian_zt, dagger, embed_2x2, hs_norm, submatrix_2x2, unitarity_defect
 from .tolerances import (
     BLOCK_PATTERN_TOL,
     LEMMA1_DET_THRESHOLD,
@@ -121,11 +123,8 @@ class WaypointSet:
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] != self.dim:
             raise ValueError(f"unitaries must be (count, {self.dim}, {self.dim}), got {arr.shape}")
         for start in range(0, len(arr), UNITARY_CHECK_BLOCK):
-            block = arr[start : start + UNITARY_CHECK_BLOCK]
-            gram = (dagger(block) @ block).reshape(len(block), self.dim * self.dim)
-            gram[:, :: self.dim + 1] -= 1.0  # u†u - I, flattened
-            defects = np.linalg.norm(gram.view(float), axis=1)
-            bad = np.flatnonzero(defects > UNITARY_TOL)
+            defects = unitarity_defect(arr[start : start + UNITARY_CHECK_BLOCK])
+            bad = np.flatnonzero(~(defects <= UNITARY_TOL))
             if bad.size:
                 k = int(bad[0])
                 raise ValueError(f"way-point {start + k + 1} is not unitary: ||u†u - I||_F = {defects[k]:.3e}")
@@ -378,15 +377,10 @@ def save_waypoints(ws: WaypointSet, target) -> None:
 
 def load_waypoints(source) -> WaypointSet:
     doc = parse_json(source)
-    n = require_key(doc, "dim")
-    if not isinstance(n, int) or n < 2:
-        raise FormatError(f"field 'dim' must be an integer >= 2, got {n!r}")
+    n = int_field(doc, "dim", 2)
     provenance = require_key(doc, "provenance")
-    count = require_key(doc, "count")
-    raw = require_key(doc, "unitaries")
-    if not isinstance(raw, list) or len(raw) != count:
-        raise FormatError(f"'unitaries' must hold count = {count} matrices")
-    unitaries = np.array([matrix_from_entries(u, "unitaries", n) for u in raw])
+    count = int_field(doc, "count", 1)
+    unitaries = complex_from_entries(float_array(require_key(doc, "unitaries"), "unitaries", (count, n, n, 2)))
     pair_index = doc.get("pair_index")
     if pair_index is not None:
         pair_index = tuple(tuple(entry) for entry in pair_index)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import (
     SX,
     SZ,
-    random_density,
     random_system_and_field,
     random_traceless_symmetric,
     random_unitary,
@@ -108,35 +107,6 @@ def test_trajectory_dipole_spectra_match(rng, pauli_system):
         assert np.allclose(np.sort(np.linalg.eigvalsh(hat)), ref, atol=1e-9)
 
 
-def test_evolve_density_fixed_point_and_purity(rng, pauli_system):
-    field = ControlField(horizon=1.0, values=rng.normal(size=20))
-    traj = evolve.propagate(pauli_system, field)
-    mixed = evolve.evolve_density(traj, np.eye(2) / 2)
-    assert np.allclose(mixed, np.eye(2) / 2, atol=1e-12)
-    pure = evolve.evolve_density(traj, np.diag([1.0, 0.0]).astype(complex))
-    purities = np.einsum("mab,mba->m", pure, pure).real
-    assert np.all(np.abs(purities - 1.0) < 1e-10)
-
-
-def test_evolve_density_preserves_spectrum(rng, pauli_system):
-    field = ControlField(horizon=1.0, values=rng.normal(size=20))
-    traj = evolve.propagate(pauli_system, field)
-    rho0 = random_density(2, rng)
-    rhos = evolve.evolve_density(traj, rho0)
-    ref = np.sort(np.linalg.eigvalsh(rho0))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(rhos[-1])), ref, atol=1e-9)
-
-
-def test_expectation_values(rng):
-    obs = np.diag([2.0, 5.0, 11.0])
-    assert evolve.expectation(np.eye(3) / 3, obs) == pytest.approx(np.trace(obs) / 3)
-    assert evolve.expectation(np.diag([1.0, 0.0, 0.0]).astype(complex), obs) == pytest.approx(2.0)
-    lo, hi = 2.0, 11.0
-    for _ in range(20):
-        val = evolve.expectation(random_density(3, rng), obs)
-        assert lo - 1e-9 <= val <= hi + 1e-9
-
-
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
         evolve.density_matrix(np.eye(2))
@@ -229,3 +199,35 @@ def test_split_field_composes_and_stays_unitary(n, steps, seed, data):
     assert np.abs(second.unitaries[-1] @ first.unitaries[-1] - whole.unitaries[-1]).max() < 1e-12
     gram = matspace.dagger(whole.unitaries) @ whole.unitaries
     assert np.abs(gram - np.eye(n)).max() < 1e-12
+
+
+def test_density_matrix_rejects_a_nan_entry():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve.density_matrix(rho)
+
+
+def test_propagate_rejects_nan_propagators_and_dipoles(monkeypatch, pauli_system):
+    field = ControlField(horizon=1.0, values=[0.3, -0.2, 0.1])
+    phase_conjugate = evolve._phase_conjugate
+
+    def nan_step(eig, t):
+        steps = phase_conjugate(eig, t)
+        steps[1, 0, 1] = np.nan
+        return steps
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "_phase_conjugate", nan_step)
+        with pytest.raises(RuntimeError, match="lost unitarity: defect nan"):
+            evolve.propagate(pauli_system, field)
+    conjugated_dipole = evolve.conjugated_dipole
+
+    def nan_dipole(u, mu):
+        hats = conjugated_dipole(u, mu).copy()
+        hats[2, 1, 1] = np.nan
+        return hats
+
+    monkeypatch.setattr(evolve, "conjugated_dipole", nan_dipole)
+    with pytest.raises(RuntimeError, match="off structure: hermiticity nan"):
+        evolve.propagate(pauli_system, field)

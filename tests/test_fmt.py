@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wayspan import _fmt, evolve, model, waypoints
-from wayspan._fmt import canonical_dumps, complex_entries, write_document
+from wayspan import _fmt, cli, evolve, model, waypoints
+from wayspan._fmt import FormatError, canonical_dumps, complex_entries, write_document
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
 
@@ -202,3 +202,107 @@ def test_trajectory_csv_matches_per_entry_text(tmp_path):
     rows = [[t] + [x for v in u.reshape(-1) for x in (v.real, v.imag)] for t, u in zip(traj.times, traj.unitaries)]
     evolve.trajectory_csv(traj, tmp_path / "traj.csv")
     assert (tmp_path / "traj.csv").read_text() == _per_entry_table(rows, header)
+
+
+# Every document kind, each broken in four ways; each must be rejected by its
+# loader with FormatError and by the CLI with exit code 2.
+NAN = float("nan")
+H0 = [[0.0, 0.0], [0.0, 1.0]]
+MU = [[0.0, 1.0], [1.0, 0.0]]
+EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+BAD_DOCUMENTS = {
+    ("system", "nan"): {"n": 2, "h0": [[NAN, 0.0], [0.0, 1.0]], "mu": MU},
+    ("system", "shape"): {"n": 2, "h0": H0, "mu": [[0.0, 1.0]]},
+    ("system", "non-numeric"): {"n": 2, "h0": H0, "mu": [[0.0, "one"], [1.0, 0.0]]},
+    ("system", "bool-int"): {"n": True, "h0": [[0.0]], "mu": [[0.0]]},
+    ("system-csv", "nan"): "2\nnan,0\n0,1\n0,1\n1,0\n",
+    ("system-csv", "shape"): "2\n0,0\n0,1\n0,1\n1,0,0\n",
+    ("system-csv", "non-numeric"): "2\n0,0\n0,1\n0,one\n1,0\n",
+    ("system-csv", "bool-int"): "true\n0,0\n0,1\n0,1\n1,0\n",
+    ("field", "nan"): {"T": 1.0, "M": 2, "values": [0.5, NAN]},
+    ("field", "shape"): {"T": 1.0, "M": 2, "values": [[0.5, 0.5]]},
+    ("field", "non-numeric"): {"T": 1.0, "M": 2, "values": [0.5, None]},
+    ("field", "bool-int"): {"T": 1.0, "M": True, "values": [0.5]},
+    ("waypoints", "nan"): {"dim": 2, "provenance": "custom", "count": 1, "unitaries": [[[[NAN, 0.0], [0.0, 0.0]], EYE_PAIRS[1]]]},
+    ("waypoints", "shape"): {"dim": 2, "provenance": "custom", "count": 2, "unitaries": [EYE_PAIRS]},
+    ("waypoints", "non-numeric"): {"dim": 2, "provenance": "custom", "count": 1, "unitaries": [[EYE_PAIRS[0], "I"]]},
+    ("waypoints", "bool-int"): {"dim": 2, "provenance": "custom", "count": True, "unitaries": [EYE_PAIRS]},
+    ("rho0", "nan"): {"n": 2, "entries": [[1.0, 0.0], [0.0, NAN]]},
+    ("rho0", "shape"): {"n": 2, "entries": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    ("rho0", "non-numeric"): {"n": 2, "entries": [[1.0, 0.0], ["zero", 0.0]]},
+    ("rho0", "bool-int"): {"n": True, "entries": [[1.0]]},
+    ("obs", "nan"): {"n": 2, "entries": [EYE_PAIRS[0], [[0.0, 0.0], [NAN, 0.0]]]},
+    ("obs", "shape"): {"n": 2, "entries": [[1.0, 0.0]]},
+    ("obs", "non-numeric"): {"n": 2, "entries": [[1.0, 0.0], [0.0, {}]]},
+    ("obs", "bool-int"): {"n": True, "entries": [[1.0]]},
+}
+LOADERS = {
+    "system": model.load_system,
+    "system-csv": model.load_system_csv,
+    "field": evolve.load_field,
+    "waypoints": waypoints.load_waypoints,
+}
+# The field a NaN entry is reported under.
+NAN_FIELDS = {
+    "system": "h0",
+    "system-csv": "h0 and mu rows",
+    "field": "values",
+    "waypoints": "unitaries",
+    "rho0": "rho0",
+    "obs": "obs",
+}
+
+
+def _cli_runs(kind: str, bad: str, good: dict) -> list[list[str]]:
+    """CLI calls that read the ``kind`` document from ``bad`` and every other input from ``good``."""
+    files = dict(good, **{kind: bad})
+    if kind in ("system", "system-csv"):
+        return [["validate", "--system", bad], ["propagate", "--system", bad, "--field", files["field"]]]
+    if kind == "field":
+        return [["propagate", "--system", files["system"], "--field", bad]]
+    if kind == "waypoints":
+        return [["steer", "--system", files["system"], "--waypoints", bad]]
+    inputs = ["--system", files["system"], "--field", files["field"], "--rho0", files["rho0"], "--obs", files["obs"]]
+    return [["check", *inputs], ["gradient-check", *inputs]]
+
+
+@pytest.mark.parametrize("kind, defect", sorted(BAD_DOCUMENTS))
+def test_every_document_reader_rejects_bad_arrays(kind, defect, tmp_path, capsys):
+    doc = BAD_DOCUMENTS[kind, defect]
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    if kind in LOADERS:
+        with pytest.raises(FormatError):
+            LOADERS[kind](io.StringIO(text))
+    good = {
+        "system": str(tmp_path / "system.json"),
+        "field": str(tmp_path / "field.json"),
+        "rho0": str(tmp_path / "rho0.json"),
+        "obs": str(tmp_path / "obs.json"),
+    }
+    model.save_system(QuantumSystem(2, np.array(H0), np.array(MU)), good["system"])
+    evolve.save_field(ControlField(horizon=1.0, values=[0.5, -0.5]), good["field"])
+    write_document(good["rho0"], {"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]})
+    write_document(good["obs"], {"n": 2, "entries": MU})
+    bad = tmp_path / ("bad.csv" if kind == "system-csv" else "bad.json")
+    bad.write_text(text)
+    for argv in _cli_runs(kind, str(bad), good):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        if defect == "nan":
+            assert f"field {NAN_FIELDS[kind]!r} contains non-finite entries" in err
+
+
+def test_complex_from_entries_inverts_complex_entries():
+    m = np.array([[complex(-0.0, TINY), complex(SUB, -0.0)], [complex(1.5, -2.0), complex(0.0, -SUB)]])
+    back = _fmt.complex_from_entries(complex_entries(m))
+    assert np.array_equal(_bits(back), _bits(m))
+
+
+@settings(max_examples=200)
+@given(a=hnp.arrays(np.float64, SHAPES, elements=st.floats()))
+def test_float_array_rejects_exactly_the_non_finite_arrays(a):
+    if np.isfinite(a).all():
+        assert np.array_equal(_bits(_fmt.float_array(a, "a", a.shape)), _bits(a))
+    else:
+        with pytest.raises(FormatError, match="non-finite"):
+            _fmt.float_array(a, "a", a.shape)

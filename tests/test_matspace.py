@@ -203,3 +203,28 @@ def test_coords_reject_mismatched_shapes():
         matspace.to_coords(np.zeros((4, 2, 2)), basis)
     with pytest.raises(ValueError, match="length 8"):
         matspace.from_coords(np.zeros((4, 3)), basis)
+
+
+def test_unitarity_defect_of_a_stack_equals_per_matrix_values(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4)))
+    stack = q * np.array([1.0, 1.0 + 1e-9, 1.1])[None, :, None, None]
+    defects = matspace.unitarity_defect(stack)
+    assert defects.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert defects[idx] == matspace.unitarity_defect(stack[idx])
+        ref = np.linalg.norm(stack[idx].conj().T @ stack[idx] - np.eye(4))
+        assert defects[idx] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "check, matrix, message",
+    [
+        (matspace.assert_unitary, np.eye(3), "not unitary"),
+        (matspace.assert_hermitian_zt, np.diag([1.0, 0.0, -1.0]), "not Hermitian"),
+    ],
+)
+def test_nan_entry_fails_the_check(check, matrix, message):
+    m = matrix.astype(complex)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match=message):
+        check(m)

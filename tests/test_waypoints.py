@@ -268,3 +268,10 @@ def test_set_names_the_first_non_unitary_waypoint(rng):
     # Round-off-sized defects pass.
     wset = waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
     WaypointSet(dim=4, unitaries=wset.unitaries * (1.0 + 1e-12), provenance="theorem1")
+
+
+def test_set_rejects_a_nan_waypoint():
+    unitaries = np.array([np.eye(3, dtype=complex)] * 3)
+    unitaries[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^way-point 2 is not unitary: \|\|u†u - I\|\|_F = nan$"):
+        WaypointSet(dim=3, unitaries=unitaries, provenance="custom")
