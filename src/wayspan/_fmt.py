@@ -221,11 +221,18 @@ def int_field(doc: dict, key: str, minimum: int) -> int:
 
 
 def float_array(obj, name: str, *shapes: tuple) -> np.ndarray:
-    """A document array as floats: its shape one of ``shapes`` and every entry finite."""
+    """A document array as floats: its shape one of ``shapes`` and every entry finite.
+
+    The dtype numpy infers must be integer or float, so strings, all-boolean
+    arrays, ``null`` and integers beyond int64 and uint64 are rejected.
+    """
     try:
-        arr = np.array(obj, dtype=float)
+        arr = np.array(obj)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"field {name!r} is not a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise FormatError(f"field {name!r} is not a numeric array: its entries are read as {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.shape not in shapes:
         expected = " or ".join(map(str, shapes))
         raise FormatError(f"field {name!r} must have shape {expected}, got {arr.shape}")

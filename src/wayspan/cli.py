@@ -113,33 +113,35 @@ def _cmd_controllability(args) -> int:
     return EXIT_OK if result.verdict in (reachability.VERDICT_SU, reachability.VERDICT_U) else EXIT_VERDICT
 
 
-def _cmd_waypoints(args) -> int:
+def _waypoint_set(args, sys_obj: QuantumSystem | None) -> waypoints.WaypointSet:
+    """The ``--waypoints`` file of ``steer``, or the Theorem 1/3 set of the system or of ``--n``."""
+    if getattr(args, "waypoints", None) is not None:
+        return waypoints.load_waypoints(args.waypoints)
     if args.provenance == "theorem1":
-        if args.system is None:
+        if sys_obj is None:
             raise FormatError("--provenance theorem1 requires --system (the set depends on mu)")
-        sys_obj = _load_system_any(args.system)
-        wset = waypoints.theorem1_waypoints(sys_obj.mu)
-        mu = sys_obj.mu
-    else:
-        if args.system is not None:
-            sys_obj = _load_system_any(args.system)
-            wset = waypoints.theorem3_waypoints(sys_obj.dim)
-            mu = sys_obj.mu
-        elif args.n is not None:
-            wset = waypoints.theorem3_waypoints(args.n)
-            mu = None
-        else:
+        return waypoints.theorem1_waypoints(sys_obj.mu)
+    if args.provenance == "theorem3":
+        n = sys_obj.dim if sys_obj is not None else getattr(args, "n", None)
+        if n is None:
             raise FormatError("--provenance theorem3 needs --system or --n")
+        return waypoints.theorem3_waypoints(n)
+    raise FormatError("steer needs --waypoints FILE or --provenance {theorem1|theorem3}")
+
+
+def _cmd_waypoints(args) -> int:
+    sys_obj = None if args.system is None else _load_system_any(args.system)
+    wset = _waypoint_set(args, sys_obj)
 
     out = _out_dir(args) or Path(".")
     waypoints.save_waypoints(wset, out / "waypoints.json")
     print(f"way-points: {len(wset)} (provenance {wset.provenance}, dim {wset.dim})")
 
-    if mu is None:
+    if sys_obj is None:
         print("no system given: set emitted without spanning verdict")
         return EXIT_OK
 
-    hats = evolve.conjugated_dipole(wset.unitaries, mu)
+    hats = evolve.conjugated_dipole(wset.unitaries, sys_obj.mu)
     report = landscape.spanning_rank(hats)
     landscape.save_span_report(report, out / "span.txt")
     print(f"spanning verdict: {report.verdict}")
@@ -200,14 +202,7 @@ def _cmd_gradient_check(args) -> int:
 
 def _cmd_steer(args) -> int:
     sys_obj = _load_system_any(args.system)
-    if args.waypoints is not None:
-        wset = waypoints.load_waypoints(args.waypoints)
-    elif args.provenance == "theorem1":
-        wset = waypoints.theorem1_waypoints(sys_obj.mu)
-    elif args.provenance == "theorem3":
-        wset = waypoints.theorem3_waypoints(sys_obj.dim)
-    else:
-        raise FormatError("steer needs --waypoints FILE or --provenance {theorem1|theorem3}")
+    wset = _waypoint_set(args, sys_obj)
 
     segment_time = steer.default_segment_time(sys_obj) if args.segment_time is None else args.segment_time
     opts = steer.SteerOptions(

@@ -225,11 +225,13 @@ def load_field(source) -> ControlField:
     """Load a control document: JSON with fields ``T``, ``M``, ``values``."""
     doc = parse_json(source)
     horizon = require_key(doc, "T")
+    if type(horizon) not in (int, float):
+        raise FormatError(f"field 'T' must be a number, got {horizon!r}")
     m = int_field(doc, "M", 1)
     values = float_array(require_key(doc, "values"), "values", (m,))
     try:
         return ControlField(horizon=float(horizon), values=values)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise FormatError(str(exc)) from exc
 
 

@@ -128,38 +128,56 @@ def unitary(entries) -> np.ndarray:
     return _readonly(assert_unitary(entries).copy())
 
 
-def _block_indices(i: int, j: int, n: int) -> tuple[int, int]:
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+def _block_index(lead: tuple, i, j, n: int) -> tuple[tuple, tuple]:
+    """Leading shape and index of the 2x2 blocks at the 1-based pairs (i, j)
+    in a stack of n x n matrices, the pairs broadcast against ``lead``.
+
+    Every pair must satisfy 1 <= i < j <= n; the first that does not is named.
+    """
+    a, b = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    if a.dtype.kind not in "biu" or b.dtype.kind not in "biu":
         raise ValueError(f"indices must be integers, got ({i!r}, {j!r})")
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= {n}, got (i, j) = ({i}, {j})")
-    return int(i) - 1, int(j) - 1
+    bad = np.argwhere(~((1 <= a) & (a < b) & (b <= n)))
+    if len(bad):
+        k = tuple(bad[0])
+        raise ValueError(f"need 1 <= i < j <= {n}, got (i, j) = ({a[k]}, {b[k]})")
+    shape = np.broadcast_shapes(lead, a.shape)
+    rows = np.broadcast_to(np.stack([a - 1, b - 1], axis=-1), (*shape, 2))
+    stack = tuple(ax[..., None, None] for ax in np.ix_(*map(range, shape)))
+    return shape, (*stack, rows[..., :, None], rows[..., None, :])
 
 
-def submatrix_2x2(m, i: int, j: int) -> np.ndarray:
+def submatrix_2x2(m, i, j) -> np.ndarray:
     """2x2 sub-matrix of ``m`` formed by the i-th and j-th rows and columns.
 
     Indices are 1-based with i < j.  Returns ``[[m_ii, m_ij], [m_ji, m_jj]]``.
+    Batched: ``m`` may be a stack (..., n, n) and ``i``, ``j`` integer arrays
+    broadcast against its leading axes; the result has shape (..., 2, 2).
     """
-    m = _square(m)
-    a, b = _block_indices(i, j, m.shape[0])
-    return _readonly(m[np.ix_([a, b], [a, b])].astype(complex))
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    shape, at = _block_index(m.shape[:-2], i, j, m.shape[-1])
+    return _readonly(np.broadcast_to(m, (*shape, *m.shape[-2:]))[at].astype(complex))
 
 
-def embed_2x2(d, i: int, j: int, n: int) -> np.ndarray:
+def embed_2x2(d, i, j, n: int) -> np.ndarray:
     """Identity of size ``n`` with the 2x2 block ``d`` written into rows and
     columns i, j (1-based, i < j).
 
     The four entries of ``d`` land at positions (i,i), (i,j), (j,i), (j,j);
     every other row and column is left as in the identity.  A unitary block
-    yields a unitary result.
+    yields a unitary result.  Batched: ``d`` may be a stack (..., 2, 2) and
+    ``i``, ``j`` integer arrays broadcast against its leading axes; the
+    result has shape (..., n, n).
     """
     d = np.asarray(d, dtype=complex)
-    if d.shape != (2, 2):
+    if d.ndim < 2 or d.shape[-2:] != (2, 2):
         raise ValueError(f"block must be 2x2, got shape {d.shape}")
-    a, b = _block_indices(i, j, n)
-    out = np.eye(n, dtype=complex)
-    out[np.ix_([a, b], [a, b])] = d
+    shape, at = _block_index(d.shape[:-2], i, j, n)
+    out = np.zeros((*shape, n, n), dtype=complex)
+    out[..., range(n), range(n)] = 1.0
+    out[at] = d
     return _readonly(out)
 
 
@@ -178,25 +196,16 @@ def basis_zt(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"basis needs dimension >= 2, got {n}")
-    out = np.zeros((n * n - 1, n, n), dtype=complex)
-    pos = 0
+    a, b = np.triu_indices(n, 1)
+    sym, anti = np.arange(len(a)), len(a) + np.arange(len(a))
+    k = np.arange(1, n)[:, None]
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[pos, i, j] = inv_sqrt2
-            out[pos, j, i] = inv_sqrt2
-            pos += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[pos, i, j] = -1j * inv_sqrt2
-            out[pos, j, i] = 1j * inv_sqrt2
-            pos += 1
-    for k in range(1, n):
-        norm = np.sqrt(k * (k + 1.0))
-        for d in range(k):
-            out[pos, d, d] = 1.0 / norm
-        out[pos, k, k] = -k / norm
-        pos += 1
+    out = np.zeros((n * n - 1, n, n), dtype=complex)
+    out[sym, a, b] = out[sym, b, a] = inv_sqrt2
+    out[anti, a, b] = -1j * inv_sqrt2
+    out[anti, b, a] = 1j * inv_sqrt2
+    levels = (np.arange(n) < k) - k * (np.arange(n) == k)
+    out[2 * len(a) :, range(n), range(n)] = levels / np.sqrt(k * (k + 1.0))
     return _readonly(out)
 
 

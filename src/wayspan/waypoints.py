@@ -11,6 +11,10 @@ constructions are provided:
 * a dipole-independent set built from a five-angle grid (valid whenever
   every off-diagonal coupling entry is nonzero).
 
+Each way-point is a base unitary (a permuted eigenbasis of mu, or the
+identity) with a 2x2 block acting on one pair of columns (i, j).  Both sets
+are built as stacks over all pairs through the batched ``embed_2x2``.
+
 The separating-unitary witness produces, for any two nonzero traceless
 Hermitian matrices, a unitary whose conjugation action makes their HS
 inner product nonzero: it aligns the eigenbases in ascending spectral
@@ -64,6 +68,7 @@ __all__ = [
 ]
 
 PROVENANCES = ("theorem1", "theorem3", "custom")
+_JSON_SCALARS = (str, int, float, type(None))
 # Way-points per batch of the unitarity check.  A whole-set batch would make
 # set-sized temporaries, and once freed they raise glibc's mmap threshold, so a
 # process that loads sets repeatedly keeps that much more memory resident.
@@ -72,7 +77,7 @@ UNITARY_CHECK_BLOCK = 64
 # 2x2 factors multiplied onto the base unitary of each quadruple.  The
 # second and third are unitary normalizations (1/sqrt(2)); conjugating a
 # diagonal block diag(l1, l2) by them produces the target block patterns
-# asserted in _check_quadruple below.
+# asserted in _check_quadruples below.
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _ROTATE = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 _PHASE = np.array([[1.0j, 1.0], [1.0, 1.0j]], dtype=complex) / np.sqrt(2.0)
@@ -138,10 +143,15 @@ class WaypointSet:
                 f"{expected} elements, got {arr.shape[0]}"
             )
         if self.pair_index is not None:
-            idx = tuple(tuple(entry) for entry in self.pair_index)
+            idx = self.pair_index
+            if not isinstance(idx, (list, tuple)):
+                raise ValueError(f"pair_index must be a list, got {type(idx).__name__}")
+            for entry in idx:
+                if not isinstance(entry, (list, tuple)) or not all(isinstance(x, _JSON_SCALARS) for x in entry):
+                    raise ValueError(f"pair_index entries must be lists of JSON scalars, got {entry!r}")
             if len(idx) != arr.shape[0]:
                 raise ValueError("pair_index length must match the number of way-points")
-            object.__setattr__(self, "pair_index", idx)
+            object.__setattr__(self, "pair_index", tuple(map(tuple, idx)))
         arr.setflags(write=False)
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "unitaries", arr)
@@ -161,43 +171,32 @@ class SeparatingWitness(NamedTuple):
     permutation: tuple
 
 
-def _pairs(n: int):
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            yield i, j
+def _check_quadruples(mu: np.ndarray, quads: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
+    """Verify the conjugated-dipole block patterns of every quadruple in one pass.
 
-
-def _off_block_mask(n: int, a: int, b: int) -> np.ndarray:
-    mask = np.ones((n, n), dtype=bool)
-    mask[a, :] = mask[b, :] = False
-    mask[:, a] = mask[:, b] = False
-    return mask
-
-
-def _check_quadruple(mu: np.ndarray, quad: list[np.ndarray], i: int, j: int, lam1: float, lam2: float) -> None:
-    """Verify the conjugated-dipole block pattern of one quadruple."""
-    s = lam1 + lam2
-    d = lam1 - lam2
-    expected = [
-        np.array([[lam1, 0.0], [0.0, lam2]], dtype=complex),
-        np.array([[lam2, 0.0], [0.0, lam1]], dtype=complex),
-        0.5 * np.array([[s, d], [d, s]], dtype=complex),
-        0.5 * np.array([[s, -d * 1j], [d * 1j, s]], dtype=complex),
-    ]
-    hats = [dagger(w) @ mu @ w for w in quad]
-    for k, (hat, block) in enumerate(zip(hats, expected)):
-        err = float(np.abs(submatrix_2x2(hat, i, j) - block).max())
-        if err > BLOCK_PATTERN_TOL:
-            raise RuntimeError(
-                f"way-point {k + 1} of pair ({i},{j}) misses its block pattern by {err:.3e}"
-            )
-    mask = _off_block_mask(mu.shape[0], i - 1, j - 1)
-    for k in range(1, 4):
-        err = float(np.abs((hats[k] - hats[0])[mask]).max()) if mask.any() else 0.0
-        if err > OFF_BLOCK_TOL:
-            raise RuntimeError(
-                f"way-point {k + 1} of pair ({i},{j}) disturbs off-block entries by {err:.3e}"
-            )
+    ``quads`` is (pairs, 4, n, n), ``i`` and ``j`` the 1-based pairs as
+    columns and ``w`` the ascending spectrum of ``mu``.  The first failing
+    way-point is named: pairs in order, and within a pair a missed block
+    pattern before a disturbed off-block entry.
+    """
+    lam1, lam2 = w[0], w[-1]
+    h, g = (lam1 + lam2) / 2, (lam1 - lam2) / 2
+    expected = np.array(
+        [[[lam1, 0], [0, lam2]], [[lam2, 0], [0, lam1]], [[h, g], [g, h]], [[h, -g * 1j], [g * 1j, h]]]
+    )
+    hats = dagger(quads) @ mu @ quads
+    block_err = np.abs(submatrix_2x2(hats, i, j) - expected).max(axis=(-2, -1))
+    col = np.arange(1, len(mu) + 1)
+    outside = (col != i) & (col != j)
+    mask = outside[:, None, :, None] & outside[:, None, None, :]
+    off_err = np.where(mask, np.abs(hats - hats[:, :1]), 0.0).max(axis=(-2, -1))
+    bad = np.concatenate([block_err > BLOCK_PATTERN_TOL, off_err > OFF_BLOCK_TOL], axis=1)
+    if bad.any():
+        p, k = np.unravel_index(np.argmax(bad), bad.shape)
+        pair = f"pair ({i[p, 0]},{j[p, 0]})"
+        if k < 4:
+            raise RuntimeError(f"way-point {k + 1} of {pair} misses its block pattern by {block_err[p, k]:.3e}")
+        raise RuntimeError(f"way-point {k - 3} of {pair} disturbs off-block entries by {off_err[p, k - 4]:.3e}")
 
 
 def theorem1_waypoints(mu: np.ndarray) -> WaypointSet:
@@ -210,46 +209,38 @@ def theorem1_waypoints(mu: np.ndarray) -> WaypointSet:
     unitary is ``Q`` with columns permuted so a lam1-eigenvector sits in
     column i and a lam2-eigenvector in column j (column 0 and column N-1
     of the ascending decomposition, which keeps degenerate spectra
-    deterministic).  The quadruple is the base unitary times the identity,
-    a swap block, a rotation block and a phase block at (i, j); the four
-    conjugated dipoles then agree off the (i, j) block and realize the
-    four 2x2 block patterns that force any orthogonal traceless Hermitian
-    matrix to vanish.  Those patterns are re-verified numerically for
-    every quadruple at construction time.
+    deterministic), the other columns keeping their order.  The quadruple
+    is the base unitary itself and the base times a swap block, a rotation
+    block and a phase block at (i, j); the four conjugated dipoles then agree
+    off the (i, j) block and realize the four 2x2 block patterns that
+    force any orthogonal traceless Hermitian matrix to vanish.
+
+    All pairs are built at once: one column gather of ``Q`` gives every
+    base unitary, one batched embedding gives every factor, and one
+    batched conjugation re-verifies every block pattern.
     """
     mu = assert_hermitian_zt(mu, name="mu")
     if hs_norm(mu) < ZERO_NORM:
         raise ValueError("coupling operator must be nonzero")
     n = mu.shape[0]
     w, q = np.linalg.eigh(mu)
-    lam1, lam2 = float(w[0]), float(w[-1])
 
-    unitaries = []
-    index = []
-    for i, j in _pairs(n):
-        # perm[pos] = eigenvector column placed at position pos (0-based).
-        rest = [c for c in range(n) if c not in (0, n - 1)]
-        perm = np.empty(n, dtype=int)
-        perm[i - 1] = 0
-        perm[j - 1] = n - 1
-        free = [p for p in range(n) if p not in (i - 1, j - 1)]
-        perm[free] = rest
-        base = q[:, perm].astype(complex)
-        quad = [
-            base,
-            base @ embed_2x2(_SWAP, i, j, n),
-            base @ embed_2x2(_ROTATE, i, j, n),
-            base @ embed_2x2(_PHASE, i, j, n),
-        ]
-        _check_quadruple(mu, quad, i, j, lam1, lam2)
-        unitaries.extend(quad)
-        index.extend((i, j, k) for k in (1, 2, 3, 4))
+    # perm[p, c - 1] is the eigenvector placed in column c for pair p: the
+    # first at i, the last at j, and the others in order at the free columns.
+    i, j = (x[:, None] + 1 for x in np.triu_indices(n, 1))
+    col = np.arange(1, n + 1)
+    perm = np.where(col == i, 0, np.where(col == j, n - 1, col - (col > i) - (col > j)))
+    base = np.moveaxis(q[:, perm], 1, 0)[:, None]
+    # The identity factor is the base itself: a product with it could turn a
+    # -0.0 of the base into +0.0.
+    quads = np.concatenate([base, base @ embed_2x2(np.array([_SWAP, _ROTATE, _PHASE]), i, j, n)], axis=1)
+    _check_quadruples(mu, quads, i, j, w)
 
     return WaypointSet(
         dim=n,
-        unitaries=np.array(unitaries),
+        unitaries=quads.reshape(-1, n, n),
         provenance="theorem1",
-        pair_index=tuple(index),
+        pair_index=tuple(zip(i.repeat(4).tolist(), j.repeat(4).tolist(), [1, 2, 3, 4] * len(i))),
     )
 
 
@@ -279,13 +270,10 @@ def default_theta_grid() -> ThetaGrid:
     """The standard angle grid {0, pi/3, pi/2, pi, 3pi/2}.
 
     The fifth angle must differ from the fourth modulo 2 pi or the trig
-    system degenerates; the returned grid is verified on construction.
+    system degenerates; this grid passes :func:`lemma1_check` with
+    |det| = 4 sqrt(3).
     """
-    grid = ThetaGrid(np.array([0.0, np.pi / 3.0, np.pi / 2.0, np.pi, 1.5 * np.pi]))
-    result = lemma1_check(grid)
-    if not result.passed:
-        raise RuntimeError(f"default grid unexpectedly singular: |det| = {result.det_magnitude:.3e}")
-    return grid
+    return ThetaGrid(np.array([0.0, np.pi / 3.0, np.pi / 2.0, np.pi, 1.5 * np.pi]))
 
 
 def theorem3_waypoints(n: int, grid: ThetaGrid | None = None) -> WaypointSet:
@@ -295,8 +283,10 @@ def theorem3_waypoints(n: int, grid: ThetaGrid | None = None) -> WaypointSet:
     ``[[0, e^{i t}], [e^{-i t}, 0]]`` embedded at every 1-based pair
     i < j, then the reflection blocks ``[[cos t, sin t], [sin t, -cos t]]``
     embedded at consecutive pairs (i, i+1), for each of the five grid
-    angles.  The set depends only on the dimension and the grid, never on
-    the coupling operator, so repeated construction is bit-identical.
+    angles.  The five blocks of each kind are formed once and embedded at
+    all their pairs by one batched call.  The set depends only on the
+    dimension and the grid, never on the coupling operator, so repeated
+    construction is bit-identical.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -307,26 +297,22 @@ def theorem3_waypoints(n: int, grid: ThetaGrid | None = None) -> WaypointSet:
             f"angle grid is singular (|det| = {check.det_magnitude:.3e} <= {LEMMA1_DET_THRESHOLD})"
         )
 
-    unitaries = []
-    index = []
-    for i, j in _pairs(n):
-        for theta in grid.angles:
-            phase = np.exp(1j * theta)
-            block = np.array([[0.0, phase], [np.conj(phase), 0.0]])
-            unitaries.append(embed_2x2(block, i, j, n))
-            index.append(("U", float(theta), i, j))
-    for i in range(1, n):
-        for theta in grid.angles:
-            c, s = np.cos(theta), np.sin(theta)
-            block = np.array([[c, s], [s, -c]], dtype=complex)
-            unitaries.append(embed_2x2(block, i, i + 1, n))
-            index.append(("V", float(theta), i, i + 1))
-
+    exchange = [[[0.0, p], [np.conj(p), 0.0]] for p in (np.exp(1j * t) for t in grid.angles)]
+    reflection = [[[np.cos(t), np.sin(t)], [np.sin(t), -np.cos(t)]] for t in grid.angles]
+    # One row per pair, each with the five blocks of its kind: exchange at
+    # every pair i < j, then reflection at every (i, i+1).
+    i, j = (x + 1 for x in np.triu_indices(n, 1))
+    first = np.concatenate([i, np.arange(1, n)])
+    second = np.concatenate([j, np.arange(2, n + 1)])
+    kind = np.repeat([0, 1], [len(i), n - 1])
+    blocks = np.array([exchange, reflection], dtype=complex)[kind]
+    unitaries = embed_2x2(blocks, first[:, None], second[:, None], n).reshape(-1, n, n)
+    labels, first, second = (c.repeat(5).tolist() for c in (np.array(["U", "V"])[kind], first, second))
     return WaypointSet(
         dim=n,
-        unitaries=np.array(unitaries),
+        unitaries=unitaries,
         provenance="theorem3",
-        pair_index=tuple(index),
+        pair_index=tuple(zip(labels, grid.angles.tolist() * len(kind), first, second)),
     )
 
 
@@ -381,10 +367,7 @@ def load_waypoints(source) -> WaypointSet:
     provenance = require_key(doc, "provenance")
     count = int_field(doc, "count", 1)
     unitaries = complex_from_entries(float_array(require_key(doc, "unitaries"), "unitaries", (count, n, n, 2)))
-    pair_index = doc.get("pair_index")
-    if pair_index is not None:
-        pair_index = tuple(tuple(entry) for entry in pair_index)
     try:
-        return WaypointSet(dim=n, unitaries=unitaries, provenance=provenance, pair_index=pair_index)
+        return WaypointSet(dim=n, unitaries=unitaries, provenance=provenance, pair_index=doc.get("pair_index"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

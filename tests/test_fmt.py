@@ -204,7 +204,8 @@ def test_trajectory_csv_matches_per_entry_text(tmp_path):
     assert (tmp_path / "traj.csv").read_text() == _per_entry_table(rows, header)
 
 
-# Every document kind, each broken in four ways; each must be rejected by its
+# Every document kind, each broken in four ways, plus strings and booleans
+# read as numbers and a malformed pair_index; each must be rejected by its
 # loader with FormatError and by the CLI with exit code 2.
 NAN = float("nan")
 H0 = [[0.0, 0.0], [0.0, 1.0]]
@@ -223,10 +224,17 @@ BAD_DOCUMENTS = {
     ("field", "shape"): {"T": 1.0, "M": 2, "values": [[0.5, 0.5]]},
     ("field", "non-numeric"): {"T": 1.0, "M": 2, "values": [0.5, None]},
     ("field", "bool-int"): {"T": 1.0, "M": True, "values": [0.5]},
+    ("field", "bool-string"): {"T": True, "M": 1, "values": ["0.5"]},
+    ("field", "string-mix"): {"T": "2.5", "M": 2, "values": [True, "1e-3"]},
+    ("field", "bool-T"): {"T": True, "M": 1, "values": [0.5]},
+    ("field", "string-T"): {"T": "2.5", "M": 1, "values": [0.5]},
+    ("field", "bool-values"): {"T": 1.0, "M": 2, "values": [True, False]},
+    ("field", "string-values"): {"T": 1.0, "M": 2, "values": [True, "1e-3"]},
     ("waypoints", "nan"): {"dim": 2, "provenance": "custom", "count": 1, "unitaries": [[[[NAN, 0.0], [0.0, 0.0]], EYE_PAIRS[1]]]},
     ("waypoints", "shape"): {"dim": 2, "provenance": "custom", "count": 2, "unitaries": [EYE_PAIRS]},
     ("waypoints", "non-numeric"): {"dim": 2, "provenance": "custom", "count": 1, "unitaries": [[EYE_PAIRS[0], "I"]]},
     ("waypoints", "bool-int"): {"dim": 2, "provenance": "custom", "count": True, "unitaries": [EYE_PAIRS]},
+    ("waypoints", "pair-index"): {"dim": 2, "provenance": "custom", "count": 1, "unitaries": [EYE_PAIRS], "pair_index": [1]},
     ("rho0", "nan"): {"n": 2, "entries": [[1.0, 0.0], [0.0, NAN]]},
     ("rho0", "shape"): {"n": 2, "entries": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
     ("rho0", "non-numeric"): {"n": 2, "entries": [[1.0, 0.0], ["zero", 0.0]]},

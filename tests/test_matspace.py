@@ -95,6 +95,37 @@ def test_block_index_validation(i, j):
         matspace.embed_2x2(np.eye(2), i, j, 4)
 
 
+def test_batched_blocks_match_per_element_calls(rng):
+    n = 5
+    blocks = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+    i = np.array([[1], [2], [1]])
+    j = np.array([[2], [5], [4]])
+    stack = matspace.embed_2x2(blocks, i, j, n)
+    assert stack.shape == (3, 4, n, n)
+    m = rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n))
+    subs = matspace.submatrix_2x2(m, i, j)
+    assert subs.shape == (3, 4, 2, 2)
+    for p in range(3):
+        for k in range(4):
+            pair = int(i[p, 0]), int(j[p, 0])
+            assert np.array_equal(stack[p, k], matspace.embed_2x2(blocks[p, k], *pair, n))
+            assert np.array_equal(subs[p, k], matspace.submatrix_2x2(m[p, k], *pair))
+    # One matrix against many pairs, and one pair against many blocks.
+    assert np.array_equal(matspace.submatrix_2x2(m[0, 0], i[:, 0], j[:, 0])[1], matspace.submatrix_2x2(m[0, 0], 2, 5))
+    assert np.array_equal(matspace.embed_2x2(blocks[0], 2, 3, n)[2], matspace.embed_2x2(blocks[0, 2], 2, 3, n))
+
+
+def test_a_bad_pair_anywhere_in_a_batch_is_rejected():
+    i = np.array([1, 2, 3, 1])
+    j = np.array([2, 4, 3, 4])
+    with pytest.raises(ValueError, match=r"need 1 <= i < j <= 4, got \(i, j\) = \(3, 3\)"):
+        matspace.embed_2x2(np.eye(2), i, j, 4)
+    with pytest.raises(ValueError, match=r"got \(i, j\) = \(3, 3\)"):
+        matspace.submatrix_2x2(np.zeros((4, 4, 4)), i, j)
+    with pytest.raises(ValueError, match="integers"):
+        matspace.embed_2x2(np.eye(2), i, j.astype(float), 4)
+
+
 def test_basis_n2_is_scaled_paulis():
     basis = matspace.basis_zt(2)
     expected = [SX / np.sqrt(2), SY / np.sqrt(2), SZ / np.sqrt(2)]

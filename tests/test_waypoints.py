@@ -22,6 +22,92 @@ def conjugates(wset, mu):
     return np.array([evolve.conjugated_dipole(u, mu) for u in wset.unitaries])
 
 
+# Per-pair reference constructions: one identity and one block assignment per
+# way-point, pairs i < j in lexicographic order.
+def _embed(block, i, j, n):
+    out = np.eye(n, dtype=complex)
+    out[np.ix_([i - 1, j - 1], [i - 1, j - 1])] = block
+    return out
+
+
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def reference_theorem1(mu):
+    n = len(mu)
+    q = np.linalg.eigh(np.asarray(mu, dtype=complex))[1]
+    unitaries, index = [], []
+    for i, j in _pairs(n):
+        rest = iter(range(1, n - 1))
+        base = q[:, [0 if p == i - 1 else n - 1 if p == j - 1 else next(rest) for p in range(n)]]
+        unitaries.append(base)
+        unitaries += [base @ _embed(f, i, j, n) for f in (waypoints._SWAP, waypoints._ROTATE, waypoints._PHASE)]
+        index += [(i, j, k) for k in (1, 2, 3, 4)]
+    return np.array(unitaries), tuple(index)
+
+
+def reference_theorem3(n, grid):
+    unitaries, index = [], []
+    for i, j in _pairs(n):
+        for theta in grid.angles:
+            phase = np.exp(1j * theta)
+            unitaries.append(_embed(np.array([[0.0, phase], [np.conj(phase), 0.0]]), i, j, n))
+            index.append(("U", float(theta), i, j))
+    for i in range(1, n):
+        for theta in grid.angles:
+            c, s = np.cos(theta), np.sin(theta)
+            unitaries.append(_embed(np.array([[c, s], [s, -c]]), i, i + 1, n))
+            index.append(("V", float(theta), i, i + 1))
+    return np.array(unitaries), tuple(index)
+
+
+def degenerate_traceless_hermitian(n, rng):
+    """One eigenvalue against n - 1 equal ones, in a random complex eigenbasis."""
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    m = q @ np.diag(np.r_[n - 1.0, -np.ones(n - 1)]) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("make", [random_traceless_symmetric, random_traceless_hermitian, degenerate_traceless_hermitian])
+def test_batched_theorem1_matches_the_per_pair_loop(n, make, rng):
+    mu = make(n, rng)
+    unitaries, index = reference_theorem1(mu)
+    wset = waypoints.theorem1_waypoints(mu)
+    assert np.array_equal(wset.unitaries, unitaries)
+    assert wset.pair_index == index
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("grid", [None, ThetaGrid(np.array([0.1, 0.9, 2.0, 3.3, 4.7]))])
+def test_batched_theorem3_matches_the_per_pair_loop_bit_for_bit(n, grid):
+    unitaries, index = reference_theorem3(n, grid or waypoints.default_theta_grid())
+    wset = waypoints.theorem3_waypoints(n, grid)
+    assert np.array_equal(_bits(wset.unitaries), _bits(unitaries))
+    assert wset.pair_index == index
+    assert [tuple(map(type, e)) for e in wset.pair_index] == [tuple(map(type, e)) for e in index]
+
+
+@pytest.mark.parametrize("factor, position", [("_ROTATE", 3), ("_PHASE", 4)])
+def test_a_wrong_factor_names_its_waypoint_and_pair(factor, position, monkeypatch, rng):
+    monkeypatch.setattr(waypoints, factor, np.eye(2, dtype=complex))
+    with pytest.raises(RuntimeError, match=rf"^way-point {position} of pair \(1,2\) misses its block pattern by "):
+        waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
+
+
+def test_a_disturbed_off_block_names_its_waypoint_and_pair(monkeypatch, rng):
+    # Each factor also swaps columns 3 and 4, which leaves the (1,2) block alone.
+    embed = waypoints.embed_2x2
+    monkeypatch.setattr(waypoints, "embed_2x2", lambda *args: embed(*args)[..., [0, 1, 3, 2]])
+    with pytest.raises(RuntimeError, match=r"^way-point 2 of pair \(1,2\) disturbs off-block entries by "):
+        waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
+
+
 class TestDipoleDependentSet:
     def test_pauli_z_quadruple(self):
         wset = waypoints.theorem1_waypoints(np.real(SZ))
@@ -247,6 +333,11 @@ class TestSerialization:
         )
         with pytest.raises(FormatError):
             waypoints.load_waypoints(path)
+
+    @pytest.mark.parametrize("pair_index", [[1, 2], 5, "UV", [[1, [2]], [1]], [(1, 2, 3), {"i": 1}]])
+    def test_pair_index_entries_must_be_lists_of_scalars(self, pair_index):
+        with pytest.raises(ValueError, match="pair_index"):
+            WaypointSet(dim=2, unitaries=np.array([np.eye(2)] * 2), provenance="custom", pair_index=pair_index)
 
     def test_count_enforced_for_known_provenance(self):
         with pytest.raises(ValueError, match="must have"):
