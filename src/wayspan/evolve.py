@@ -2,9 +2,10 @@
 
 The step generator ``h0 - eps_m * mu`` is Hermitian, so each step
 propagator is computed by eigendecomposition, which is exact for a
-constant step and unconditionally unitary up to round-off.  Trajectories
-carry the interaction-frame coupling ``u† mu u`` at every grid node
-because all downstream analysis (spanning, gradients) consumes it.
+constant step and unconditionally unitary up to round-off.  Each field
+gets one pass over its steps (:class:`StepData`), which propagation,
+gradients (through its exact midpoint couplings) and synthesis share;
+trajectories add the coupling ``u† mu u`` at every node for spanning.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ __all__ = [
     "save_field",
     "trajectory_csv",
 ]
-
-StepData = tuple[np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class ControlField:
@@ -67,12 +65,26 @@ class ControlField:
 
 
 @dataclass(frozen=True)
+class StepData:
+    """One pass over a field's steps: ``eig = (w, v)`` of every h0 - eps_m mu,
+    and ``nodes`` U_0 = I exactly, U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m."""
+
+    dt: float
+    eig: tuple[np.ndarray, np.ndarray]
+    nodes: np.ndarray
+
+
+@dataclass(frozen=True)
 class PropagatorTrajectory:
-    """Grid times, propagators U(t_m, 0) and conjugated dipoles at each node."""
+    """Grid times, the step pass whose nodes are U(t_m, 0), and conjugated dipoles."""
 
     times: np.ndarray
-    unitaries: np.ndarray
+    step_data: StepData
     mu_hats: np.ndarray
+
+    @property
+    def unitaries(self) -> np.ndarray:
+        return self.step_data.nodes
 
     @property
     def dim(self) -> int:
@@ -103,54 +115,38 @@ def density_matrix(entries) -> np.ndarray:
     return out
 
 
-def _step_data(sys: QuantumSystem, field: ControlField) -> StepData:
-    """Eigenvalues ``w`` (M, N) and eigenvectors ``v`` (M, N, N) of every h0 - eps_m mu."""
-    gens = sys.h0[None, :, :] - field.values[:, None, None] * sys.mu[None, :, :]
-    return np.linalg.eigh(gens)
-
-
-def _phase_conjugate(eig: StepData, t: float) -> np.ndarray:
+def _phase_conjugate(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
     """Every step's exponential over time ``t``: batched V diag(exp(-i t w)) V†."""
     w, v = eig
     return (v * np.exp(-1j * t * w)[:, None, :]) @ dagger(v)
 
 
-def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """Propagators at every node: ``U_0 = I`` exactly and ``U_{m+1} = steps[m] U_m``."""
-    m_total, n, _ = steps.shape
-    out = np.empty((m_total + 1, n, n), dtype=complex)
-    out[0] = np.eye(n)
-    for m in range(m_total):
-        np.matmul(steps[m], out[m], out=out[m + 1])
-    return out
-
-
 def _final_propagator(sys: QuantumSystem, field: ControlField) -> tuple[np.ndarray, StepData]:
-    """Endpoint propagator and its step data; a pairwise tree product, later steps
-    on the left, with no trajectory storage or validation."""
-    eig = _step_data(sys, field)
-    u = _phase_conjugate(eig, field.dt)
-    while u.shape[0] > 1:
-        pairs = u[1::2] @ u[0:-1:2]
-        u = np.concatenate([pairs, u[-1:]]) if u.shape[0] % 2 else pairs
-    return u[0], eig
+    """Endpoint ``U_M`` and the field's step pass, whose last node it is.
 
-
-def _step_frames(sys: QuantumSystem, field: ControlField, eig: StepData) -> tuple[np.ndarray, ...]:
-    """Step propagators, half-step propagators and the corrected coupling ``mu_bar``.
-
-    ``eig`` comes from ``_step_data``; ``_midpoint_couplings`` explains ``mu_bar``.
+    Every propagator of the package comes from this pass; it is not validated.
     """
-    w, v = eig
-    dt = field.dt
+    eig = np.linalg.eigh(sys.h0[None, :, :] - field.values[:, None, None] * sys.mu[None, :, :])
+    steps = _phase_conjugate(eig, field.dt)
+    m_total, n, _ = steps.shape
+    nodes = np.empty((m_total + 1, n, n), dtype=complex)
+    nodes[0] = np.eye(n)
+    for m in range(m_total):
+        np.matmul(steps[m], nodes[m], out=nodes[m + 1])
+    return nodes[-1], StepData(dt=field.dt, eig=eig, nodes=nodes)
+
+
+def _step_frames(sys: QuantumSystem, data: StepData) -> tuple[np.ndarray, np.ndarray]:
+    """Half-step propagators and the coupling ``mu_bar`` of ``_midpoint_couplings``."""
+    w, v = data.eig
     mu_eig = dagger(v) @ sys.mu @ v
-    kernel = np.sinc(0.5 * dt * (w[:, :, None] - w[:, None, :]) / np.pi)
+    kernel = np.sinc(0.5 * data.dt * (w[:, :, None] - w[:, None, :]) / np.pi)
     mu_bar = v @ (mu_eig * kernel) @ dagger(v)
-    return _phase_conjugate(eig, dt), _phase_conjugate(eig, 0.5 * dt), mu_bar
+    return _phase_conjugate(data.eig, 0.5 * data.dt), mu_bar
 
 
-def _midpoint_couplings(sys: QuantumSystem, field: ControlField, eig: StepData) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint propagator ``U_M`` and the exact midpoint coupling of every step.
+def _midpoint_couplings(sys: QuantumSystem, data: StepData) -> np.ndarray:
+    """The exact midpoint coupling of every step of the pass ``data``.
 
     In the eigenbasis of step m the coupling entries are damped by
     sinc(dt (w_a - w_b) / 2), which makes the derivative of the step
@@ -159,21 +155,21 @@ def _midpoint_couplings(sys: QuantumSystem, field: ControlField, eig: StepData) 
     follows that dU_M / d(eps_m) = i dt U_M mid_hat_m, with no discretisation
     error; every control gradient is a trace against these couplings.
     """
-    step, half, mu_bar = _step_frames(sys, field, eig)
-    prefix = _prefix_products(step)
-    u_mid = half @ prefix[:-1]
-    return prefix[-1], dagger(u_mid) @ mu_bar @ u_mid
+    half, mu_bar = _step_frames(sys, data)
+    u_mid = half @ data.nodes[:-1]
+    return dagger(u_mid) @ mu_bar @ u_mid
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     """Integrate the propagator over the control grid.
 
-    ``U_m = exp(-i dt (h0 - eps_m mu)) U_{m-1}`` with ``U_0 = I`` exactly;
-    each node also gets the conjugated dipole ``U_m† mu U_m``.  The
+    The nodes of the field's step pass, which the trajectory keeps for
+    gradients, each with the conjugated dipole ``U_m† mu U_m``.  The
     unitarity of every node and the Hermitian traceless structure of every
     conjugated dipole are checked against ``TRAJECTORY_TOL``.
     """
-    unitaries = _prefix_products(_phase_conjugate(_step_data(sys, field), field.dt))
+    data = _final_propagator(sys, field)[1]
+    unitaries = data.nodes
     mu_hats = conjugated_dipole(unitaries, sys.mu)
     times = np.linspace(0.0, field.horizon, field.steps + 1)
 
@@ -189,7 +185,7 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
 
     for arr in (times, unitaries):
         arr.setflags(write=False)
-    return PropagatorTrajectory(times=times, unitaries=unitaries, mu_hats=mu_hats)
+    return PropagatorTrajectory(times=times, step_data=data, mu_hats=mu_hats)
 
 
 def conjugated_dipole(u: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -164,16 +164,17 @@ def waypoint_visits(
 
 def gradient(
     sys: QuantumSystem,
-    field: ControlField,
+    traj: PropagatorTrajectory,
     rho0: np.ndarray,
     obs: np.ndarray,
 ) -> np.ndarray:
     """Derivative of Tr(rho(T) obs) with respect to each control step.
 
-    Realized as ``g_m = -dt Im Tr(O_T [mid_hat_m, rho0])`` with
-    ``O_T = U_M† obs U_M`` and ``mid_hat_m`` the exact midpoint coupling
-    from ``evolve._midpoint_couplings``; the central finite-difference
-    check is the normative contract pinning sign and convention.
+    Realized on the step pass of ``traj = evolve.propagate(sys, field)``
+    as ``g_m = -dt Im Tr(O_T [mid_hat_m, rho0])`` with ``O_T = U_M† obs U_M``
+    and ``mid_hat_m`` the exact midpoint coupling from
+    ``evolve._midpoint_couplings``; the central finite-difference check is
+    the normative contract pinning sign and convention.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
@@ -182,9 +183,10 @@ def gradient(
         raise ValueError(
             f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}"
         )
-    u, mid_hats = evolve._midpoint_couplings(sys, field, evolve._step_data(sys, field))
+    u = traj.unitaries[-1]
     ro = rho0 @ dagger(u) @ obs @ u
-    return -2.0 * field.dt * np.imag(np.einsum("mab,ba->m", mid_hats, ro))
+    mid_hats = evolve._midpoint_couplings(sys, traj.step_data)
+    return -2.0 * traj.step_data.dt * np.imag(np.einsum("mab,ba->m", mid_hats, ro))
 
 
 def finite_difference_gradient(
@@ -196,6 +198,8 @@ def finite_difference_gradient(
     h: float = FD_STEP,
 ) -> np.ndarray:
     """Central finite differences of the same objective; validation oracle."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
 

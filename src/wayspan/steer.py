@@ -59,8 +59,8 @@ class SteerOptions:
         if not (0.0 < self.fid_target < 1.0):
             raise ValueError(f"fid_target must lie in (0, 1), got {self.fid_target}")
         for name in ("segment_time", "steps_per_segment", "max_iters", "step_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,33 +96,25 @@ def _require_controllable(sys: QuantumSystem) -> None:
         )
 
 
-def _fidelity_state(
-    sys: QuantumSystem, field: ControlField, target: np.ndarray, out: np.ndarray | None = None
-) -> tuple[float, StepData]:
-    """Fidelity of one line-search trial and the step eigendecomposition it used.
-
-    The trial's endpoint propagator is copied into ``out`` when one is given.
-    """
-    u, eig = evolve._final_propagator(sys, field)
-    if out is not None:
-        out[...] = u
-    return gate_fidelity(target, u), eig
+def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, StepData]:
+    """Fidelity of one line-search trial and the step pass it came from."""
+    u, data = evolve._final_propagator(sys, field)
+    return gate_fidelity(target, u), data
 
 
-def _fidelity_gradient(
-    sys: QuantumSystem, field: ControlField, target: np.ndarray, eig: StepData
-) -> tuple[float, np.ndarray]:
+def _fidelity_gradient(sys: QuantumSystem, target: np.ndarray, data: StepData) -> tuple[float, np.ndarray]:
     """Fidelity and the exact gradient of its square wrt each step amplitude.
 
     With z = Tr(target† U_M), the objective is |z|^2 / N^2 and
     dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), with mid_hat_m the exact
-    midpoint coupling from ``evolve._midpoint_couplings``.  ``eig`` is the
-    field's step eigendecomposition, as ``_fidelity_state`` returns it.
+    midpoint coupling from ``evolve._midpoint_couplings``.  ``data`` is the
+    field's step pass, as ``_fidelity_state`` returns it; U_M is its last node.
     """
     n = sys.dim
-    u, mid_hats = evolve._midpoint_couplings(sys, field, eig)
+    u = data.nodes[-1]
+    mid_hats = evolve._midpoint_couplings(sys, data)
     z = complex(np.vdot(target, u))
-    dz = 1j * field.dt * np.einsum("mab,ba->m", mid_hats, dagger(target) @ u)
+    dz = 1j * data.dt * np.einsum("mab,ba->m", mid_hats, dagger(target) @ u)
     grad = 2.0 * np.real(np.conj(z) * dz) / (n * n)
     return abs(z) / n, grad
 
@@ -151,10 +143,10 @@ def _synthesize(
         values = rng.uniform(-INIT_AMPLITUDE, INIT_AMPLITUDE, m_steps)
 
     field = ControlField(horizon=opts.segment_time, values=values)
-    fid, grad = _fidelity_gradient(sys, field, target, evolve._step_data(sys, field))
+    data = evolve._final_propagator(sys, field)[1]
+    fid, grad = _fidelity_gradient(sys, target, data)
     iterations = 0
     alpha = opts.step_size
-    endpoint = None
     while fid < opts.fid_target and iterations < opts.max_iters:
         gnorm2 = float(np.dot(grad, grad))
         if gnorm2 < GRAD_FLOOR**2:
@@ -163,25 +155,23 @@ def _synthesize(
         alpha = min(opts.step_size, 2.0 * alpha)
         while alpha >= MIN_STEP:
             trial = ControlField(horizon=opts.segment_time, values=field.values + alpha * grad)
-            trial_u = np.empty_like(target)
-            trial_fid, eig = _fidelity_state(sys, trial, target, trial_u)
+            trial_fid, trial_data = _fidelity_state(sys, trial, target)
             if trial_fid * trial_fid >= phi + ARMIJO * alpha * gnorm2:
-                field, endpoint = trial, trial_u
+                field, data = trial, trial_data
                 break
             alpha *= 0.5
         else:
             break
         iterations += 1
-        fid, grad = _fidelity_gradient(sys, field, target, eig)
+        fid, grad = _fidelity_gradient(sys, target, data)
 
-    if endpoint is None:
-        endpoint = evolve._final_propagator(sys, field)[0]
+    # A copy, so that a chain's results do not keep every segment's nodes alive.
     return SynthesisResult(
         field=field,
         achieved_fidelity=fid,
         iterations=iterations,
         converged=fid >= opts.fid_target,
-        endpoint=endpoint,
+        endpoint=data.nodes[-1].copy(),
     )
 
 

@@ -20,7 +20,7 @@ OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
                              ||mu||_HS counts as a zero coupling (model)
 INNER_IMAG_RTOL      1e-12   imaginary residual of Tr(a b) over
                              max(1, ||a|| ||b||) for Hermitian a, b
-                             (matspace, evolve)
+                             (matspace)
 UNITARY_TOL          1e-10   ||u†u - I||_F of a constructed unitary or
                              way-point (matspace, waypoints)
 TRAJECTORY_TOL       1e-10   unitarity of every propagated node, Hermiticity

@@ -178,6 +178,26 @@ class TestCheck:
         argv = ("check", "--system", files["pauli"], "--field", files["field"])
         assert run(*argv, "--rho0", files["rho0_3"], "--obs", files["obs"]) == 2
 
+    def test_gradient_reuses_the_one_step_pass(self, files, monkeypatch):
+        stacks, passes = [], []
+        real_eigh, real_final = np.linalg.eigh, evolve._final_propagator
+
+        def counted_eigh(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        def counted_final(sys_, field):
+            passes.append(field.steps)
+            return real_final(sys_, field)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(evolve, "_final_propagator", counted_final)
+        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        assert run(*argv, "--rho0", files["rho0"], "--obs", files["obs"]) == 0
+        assert stacks == [(30, 2, 2)]
+        assert passes == [30]
+
 
 class TestGradientCheck:
     def test_pass_and_fail(self, files):
@@ -185,6 +205,17 @@ class TestGradientCheck:
                 "--rho0", files["rho0"], "--obs", files["obs"])
         assert run(*argv) == 0
         assert run(*argv, "--tol", 1e-300) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--fd-step", "0", "finite-difference step"), ("--fd-step", "nan", "finite-difference step"),
+         ("--tol", "nan", "--tol"), ("--tol", "inf", "--tol"), ("--tol", "0", "--tol")],
+    )
+    def test_nonpositive_or_nonfinite_option_exits_2(self, files, flag, value, message, capsys):
+        argv = ("gradient-check", "--system", files["pauli"], "--field", files["field"],
+                "--rho0", files["rho0"], "--obs", files["obs"])
+        assert run(*argv, flag, value) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSteer:
@@ -205,6 +236,15 @@ class TestSteer:
         argv = ("steer", "--system", files["pauli"], "--provenance", "theorem3")
         assert run(*argv, "--segment-time", 0) == 2
         assert "segment_time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--step-size", "nan", "step_size"), ("--step-size", "inf", "step_size"),
+         ("--segment-time", "nan", "segment_time"), ("--segment-time", "inf", "segment_time")],
+    )
+    def test_nan_or_infinite_option_exits_2(self, files, flag, value, name, capsys):
+        assert run("steer", "--system", files["pauli"], "--provenance", "theorem3", flag, value) == 2
+        assert name in capsys.readouterr().err
 
     def test_uncontrollable_exits_1(self, files, capsys):
         assert run("steer", "--system", files["diag"], "--provenance", "theorem3") == 1

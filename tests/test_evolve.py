@@ -155,11 +155,10 @@ def test_trajectory_csv(tmp_path, pauli_system):
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 50, 51])
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_tree_endpoint_matches_sequential_propagation(steps, n, seed):
+def test_final_propagator_is_the_last_node_of_propagate(steps, n, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
     u_end, _ = evolve._final_propagator(sys_n, field)
-    expected = evolve.propagate(sys_n, field).unitaries[-1]
-    assert np.abs(u_end - expected).max() < 1e-12
+    assert np.array_equal(u_end, evolve.propagate(sys_n, field).unitaries[-1])
 
 
 @settings(max_examples=15, deadline=None)
@@ -170,10 +169,11 @@ def test_tree_endpoint_matches_sequential_propagation(steps, n, seed):
 )
 def test_midpoint_couplings_match_per_step_loop(n, steps, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
-    eig = evolve._step_data(sys_n, field)
-    u_end, mid_hats = evolve._midpoint_couplings(sys_n, field, eig)
+    u_end, data = evolve._final_propagator(sys_n, field)
+    mid_hats = evolve._midpoint_couplings(sys_n, data)
     # reference: a per-step loop over the same step frames
-    step, half, mu_bar = evolve._step_frames(sys_n, field, eig)
+    half, mu_bar = evolve._step_frames(sys_n, data)
+    step = evolve._phase_conjugate(data.eig, field.dt)
     u = np.eye(n, dtype=complex)
     for m in range(steps):
         u_mid = half[m] @ u

@@ -162,13 +162,13 @@ class TestGradient:
     def test_zero_for_maximally_mixed_state(self, pauli_system, rng):
         field = ControlField(horizon=1.0, values=rng.normal(size=20))
         obs = np.diag([1.0, -2.0])
-        g = landscape.gradient(pauli_system, field, np.eye(2) / 2, obs)
+        g = landscape.gradient(pauli_system, evolve.propagate(pauli_system, field), np.eye(2) / 2, obs)
         assert np.abs(g).max() < 1e-12
 
     def test_zero_for_identity_observable(self, pauli_system, rng):
         field = ControlField(horizon=1.0, values=rng.normal(size=20))
         rho0 = random_density(2, rng)
-        g = landscape.gradient(pauli_system, field, rho0, np.eye(2))
+        g = landscape.gradient(pauli_system, evolve.propagate(pauli_system, field), rho0, np.eye(2))
         assert np.abs(g).max() < 1e-12
 
     def test_matches_finite_differences(self, rng):
@@ -178,10 +178,16 @@ class TestGradient:
         field = ControlField(horizon=1.2, values=0.5 * rng.normal(size=20))
         rho0 = random_density(3, rng)
         obs = random_traceless_symmetric(3, rng)
-        analytic = landscape.gradient(sys3, field, rho0, obs)
+        analytic = landscape.gradient(sys3, evolve.propagate(sys3, field), rho0, obs)
         numeric = landscape.finite_difference_gradient(sys3, field, rho0, obs, h=1e-5)
         rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert rel < 1e-5
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+    def test_finite_difference_step_must_be_positive_and_finite(self, pauli_system, h):
+        field = ControlField(horizon=1.0, values=[0.1, 0.2])
+        with pytest.raises(ValueError, match="positive and finite"):
+            landscape.finite_difference_gradient(pauli_system, field, np.diag([1.0, 0.0]), SZ, h=h)
 
     def test_zero_at_kinematic_critical_point(self, pauli_system, rng):
         field = ControlField(horizon=1.5, values=rng.normal(size=25))
@@ -191,7 +197,7 @@ class TestGradient:
         obs = u_end @ np.diag([0.3, -1.1]) @ u_end.conj().T
         rho0 = np.diag([0.75, 0.25]).astype(complex)
         assert landscape.kinematic_residual(u_end, rho0, obs) < 1e-12
-        g = landscape.gradient(pauli_system, field, rho0, obs)
+        g = landscape.gradient(pauli_system, traj, rho0, obs)
         assert np.abs(g).max() < 1e-10
 
 
@@ -248,7 +254,7 @@ def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     rng = np.random.default_rng(seed)
     rho0 = random_density(n, rng)
     obs = random_traceless_symmetric(n, rng)
-    analytic = landscape.gradient(sys_n, field, rho0, obs)
+    analytic = landscape.gradient(sys_n, evolve.propagate(sys_n, field), rho0, obs)
     numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
     assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 

@@ -37,6 +37,9 @@ def test_options_validation():
         SteerOptions(segment_time=1.0, fid_target=1.5)
     with pytest.raises(ValueError):
         SteerOptions(segment_time=-1.0)
+    for bad in ({"segment_time": np.nan}, {"segment_time": np.inf}, {"segment_time": 1.0, "step_size": np.nan}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SteerOptions(**bad)
     assert steer.default_segment_time(QuantumSystem(2, np.real(SZ), np.real(SX))) > 0
 
 
@@ -164,7 +167,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
     sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
     target = random_unitary(3, rng)
-    _, grad = steer._fidelity_gradient(sys3, field, target, evolve._step_data(sys3, field))
+    _, grad = steer._fidelity_gradient(sys3, target, evolve._final_propagator(sys3, field)[1])
     fd = _fidelity_central_differences(sys3, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
@@ -178,7 +181,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
 def test_fidelity_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
     target = random_unitary(n, np.random.default_rng(seed))
-    _, grad = steer._fidelity_gradient(sys_n, field, target, evolve._step_data(sys_n, field))
+    _, grad = steer._fidelity_gradient(sys_n, target, evolve._final_propagator(sys_n, field)[1])
     fd = _fidelity_central_differences(sys_n, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
@@ -187,12 +190,12 @@ def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
     sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=20))
     target = random_unitary(3, rng)
-    trial_fid, eig = steer._fidelity_state(sys3, field, target)
-    fid, grad = steer._fidelity_gradient(sys3, field, target, eig)
-    fresh_fid, fresh = steer._fidelity_gradient(sys3, field, target, evolve._step_data(sys3, field))
+    trial_fid, data = steer._fidelity_state(sys3, field, target)
+    fid, grad = steer._fidelity_gradient(sys3, target, data)
+    fresh_fid, fresh = steer._fidelity_gradient(sys3, target, evolve._final_propagator(sys3, field)[1])
     assert np.array_equal(grad, fresh)
     assert fid == fresh_fid
-    assert fid == pytest.approx(trial_fid, abs=1e-14)
+    assert fid == trial_fid
 
 
 def test_result_endpoint_is_the_final_propagator_of_its_field(pauli_system, opts):
@@ -219,10 +222,34 @@ def test_chain_computes_no_endpoint_twice(pauli_system, opts, monkeypatch):
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     wset = waypoints.WaypointSet(dim=2, unitaries=np.array([swap, np.eye(2)]), provenance="custom")
     synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
-    # One call per line-search trial, plus one per segment that accepted no trial.
+    # One call per line-search trial, plus one per segment for its initial field.
     fields = [np.asarray(f.values).tobytes() for f in calls]
     assert len(fields) == len(set(fields))
     reached = np.eye(2)
     for seg in synthesis.segments:
         reached = seg.endpoint @ reached
     assert np.allclose(reached, synthesis.trajectory.unitaries[-1], atol=1e-12)
+
+
+def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
+    stacks, trials = [], []
+    real_eigh, real_state = np.linalg.eigh, steer._fidelity_state
+
+    def counted_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    def counted_state(sys_, field, target):
+        trials.append(field)
+        return real_state(sys_, field, target)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(steer, "_fidelity_state", counted_state)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    result = steer.synthesize_to_target(pauli_system, swap, opts)
+    assert result.iterations > 0
+    # The initial field's pass, then one per line-search trial; none on acceptance.
+    assert len(stacks) == 1 + len(trials)
+    assert result.field is trials[-1]
+    assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field)[0])

@@ -5,6 +5,7 @@ no module may carry a literal in exponent notation, and the documented
 table of ``tolerances`` must list exactly its constants with their values.
 """
 
+import ast
 import re
 import tokenize
 from pathlib import Path
@@ -15,6 +16,8 @@ from wayspan import tolerances
 SRC = Path(wayspan.__file__).parent
 # A table row starts with the constant's name, then its value.
 ROW = re.compile(r"^([A-Z][A-Z0-9_]*)\s+(\S+)\s")
+# A row's text ends with the modules that test against it, in parentheses.
+MODULES = re.compile(r"\(([a-z_]+(?:, [a-z_]+)*)\)$")
 
 
 def _exponent_literals(path):
@@ -48,3 +51,47 @@ def test_table_lists_every_constant_with_its_value():
     constants = {name: value for name, value in vars(tolerances).items() if name.isupper()}
     assert rows == constants
     assert all(isinstance(v, float) and v > 0.0 for v in constants.values())
+
+
+def _row_texts():
+    """Constant name -> the whole text of its table row, continuation lines joined."""
+    rows = {}
+    name = None
+    for line in tolerances.__doc__.splitlines():
+        match = ROW.match(line)
+        if match:
+            name = match.group(1)
+            rows[name] = line
+        elif name is not None and line.startswith(" ") and line.strip():
+            rows[name] += " " + line.strip()
+        else:
+            name = None
+    return rows
+
+
+def _importers():
+    """Constant name -> the set of modules that import it from ``tolerances``."""
+    users = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tolerances":
+                for alias in node.names:
+                    users.setdefault(alias.name, set()).add(path.stem)
+    return users
+
+
+def test_each_row_names_exactly_the_modules_that_use_its_constant():
+    rows = _row_texts()
+    assert set(rows) == {name for name in vars(tolerances) if name.isupper()}
+    listed = {}
+    for name, text in rows.items():
+        match = MODULES.search(text)
+        assert match, f"row {name} names no modules"
+        listed[name] = set(match.group(1).split(", "))
+    assert listed == _importers()
+
+
+def test_row_parser_reads_continuation_lines():
+    rows = _row_texts()
+    assert MODULES.search(rows["TRACE_RTOL"]).group(1) == "matspace, model"
+    assert MODULES.search(rows["DIV_FLOOR"]).group(1) == "cli"
