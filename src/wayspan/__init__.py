@@ -36,12 +36,9 @@ from .matspace import (
     dagger,
     embed_2x2,
     from_coords,
-    hermitian_zt,
-    hs_inner,
     hs_norm,
     submatrix_2x2,
     to_coords,
-    unitary,
 )
 from .model import (
     HypothesisReport,

@@ -163,6 +163,9 @@ def _cmd_propagate(args) -> int:
 def _cmd_check(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be a positive integer, got {args.stride}")
+    if (args.rho0 is None) != (args.obs is None):
+        given, missing = ("--rho0", "--obs") if args.obs is None else ("--obs", "--rho0")
+        raise ValueError(f"{given} needs {missing}: the gradient report takes both")
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     traj = evolve.propagate(sys_obj, field)
@@ -172,7 +175,7 @@ def _cmd_check(args) -> int:
     report = landscape.trajectory_independence(traj, indices)
     print(f"independence verdict: {report.verdict} ({report.count} samples, dim {report.dim})")
 
-    if args.rho0 is not None and args.obs is not None:
+    if args.rho0 is not None:
         rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", sys_obj.dim))
         obs = _load_matrix(args.obs, "obs", sys_obj.dim)
         grad = landscape.gradient(sys_obj, traj, rho0, obs)
@@ -314,3 +317,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

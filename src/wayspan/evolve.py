@@ -4,8 +4,11 @@ The step generator ``h0 - eps_m * mu`` is Hermitian, so each step
 propagator is computed by eigendecomposition, which is exact for a
 constant step and unconditionally unitary up to round-off.  Each field
 gets one pass over its steps (:class:`StepData`), which propagation,
-gradients (through its exact midpoint couplings) and synthesis share;
-trajectories add the coupling ``u† mu u`` at every node for spanning.
+gradients and synthesis share.  The same eigenbasis gives every step's
+exact midpoint coupling ``mid_hat_m``, with
+dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for the step S_m = U_{m+1} U_m†,
+so no other exponential is needed; trajectories add the coupling
+``u† mu u`` at every node for spanning.
 """
 
 from __future__ import annotations
@@ -137,27 +140,31 @@ def _final_propagator(sys: QuantumSystem, field: ControlField) -> tuple[np.ndarr
 
 
 def _step_frames(sys: QuantumSystem, data: StepData) -> tuple[np.ndarray, np.ndarray]:
-    """Half-step propagators and the coupling ``mu_bar`` of ``_midpoint_couplings``."""
+    """Every step's frame ``v_m† U_m`` and coupling ``(v_m† mu v_m) ∘ Phi_m``.
+
+    ``v_m`` holds the eigenvectors of step m, ``w`` its eigenvalues, and
+    Phi_ab = sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix) with x = dt (w_a - w_b) / 2,
+    1 on the diagonal and at degenerate levels: the mean of e^{i s dt (w_a - w_b)}
+    over s in [0, 1].
+    """
     w, v = data.eig
-    mu_eig = dagger(v) @ sys.mu @ v
-    kernel = np.sinc(0.5 * data.dt * (w[:, :, None] - w[:, None, :]) / np.pi)
-    mu_bar = v @ (mu_eig * kernel) @ dagger(v)
-    return _phase_conjugate(data.eig, 0.5 * data.dt), mu_bar
+    vh = dagger(v)
+    x = 0.5 * data.dt * (w[:, :, None] - w[:, None, :])
+    return vh @ data.nodes[:-1], (vh @ sys.mu @ v) * (np.sinc(x / np.pi) * np.exp(1j * x))
 
 
 def _midpoint_couplings(sys: QuantumSystem, data: StepData) -> np.ndarray:
-    """The exact midpoint coupling of every step of the pass ``data``.
+    """The exact midpoint coupling ``mid_hat_m = frame_m† coupling_m frame_m``
+    of every step of the pass ``data``, from :func:`_step_frames`.
 
-    In the eigenbasis of step m the coupling entries are damped by
-    sinc(dt (w_a - w_b) / 2), which makes the derivative of the step
-    exponential exact: d(step)/d(eps) = i dt * half_step @ mu_bar @ half_step.
-    With ``u_mid = half_m U_m`` and ``mid_hat_m = u_mid† mu_bar u_mid`` it
-    follows that dU_M / d(eps_m) = i dt U_M mid_hat_m, with no discretisation
-    error; every control gradient is a trace against these couplings.
+    It is the mean of U(s)† mu U(s) over step m, and makes the derivative of
+    the step exponential S_m = U_{m+1} U_m† exact:
+    dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m†, so dU_M/d(eps_m) = i dt U_M
+    mid_hat_m with no discretisation error.  Every control gradient is a
+    trace against these couplings.
     """
-    half, mu_bar = _step_frames(sys, data)
-    u_mid = half @ data.nodes[:-1]
-    return dagger(u_mid) @ mu_bar @ u_mid
+    frames, coupling = _step_frames(sys, data)
+    return dagger(frames) @ coupling @ frames
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:

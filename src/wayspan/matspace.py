@@ -2,8 +2,7 @@
 
 Traceless Hermitian N x N matrices form a real vector space of dimension
 N^2 - 1 under the Hilbert-Schmidt inner product Tr(AB).  This module holds
-the validated constructors for the matrix value types used across the
-package, extraction and embedding of 2x2 blocks at a row/column pair, and
+the validators of the matrix value types used across the package, extraction and embedding of 2x2 blocks at a row/column pair, and
 an orthonormal basis of the traceless-Hermitian space for coordinate and
 rank computations.
 
@@ -17,17 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import HERMITIAN_ENTRY_TOL, INNER_IMAG_RTOL, TRACE_RTOL, UNITARY_TOL
+from .tolerances import HERMITIAN_ENTRY_TOL, TRACE_RTOL, UNITARY_TOL
 
 __all__ = [
     "dagger",
     "hs_norm",
-    "hs_inner",
     "assert_hermitian_zt",
-    "hermitian_zt",
     "unitarity_defect",
     "assert_unitary",
-    "unitary",
     "submatrix_2x2",
     "embed_2x2",
     "basis_zt",
@@ -58,26 +54,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt inner product Tr(a b) of two Hermitian matrices.
-
-    The value is real for Hermitian arguments; a non-negligible imaginary
-    residual means an input was not Hermitian and raises.  Symmetric in
-    its arguments.
-    """
-    a = _square(a, "a")
-    b = _square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    val = complex(np.einsum("ij,ji->", a, b))
-    scale = max(1.0, hs_norm(a) * hs_norm(b))
-    if abs(val.imag) > INNER_IMAG_RTOL * scale:
-        raise ValueError(
-            f"inner product has imaginary residual {val.imag:.3e}; inputs are not Hermitian"
-        )
-    return float(val.real)
-
-
 def assert_hermitian_zt(m, *, name: str = "matrix") -> np.ndarray:
     """Validate that ``m`` is Hermitian and traceless within tolerance.
 
@@ -94,11 +70,6 @@ def assert_hermitian_zt(m, *, name: str = "matrix") -> np.ndarray:
     if tr != 0.0 and not tr <= TRACE_RTOL * hs_norm(m):
         raise ValueError(f"{name} is not traceless: |trace| = {tr:.3e}")
     return m
-
-
-def hermitian_zt(entries) -> np.ndarray:
-    """Validated, read-only traceless Hermitian matrix."""
-    return _readonly(assert_hermitian_zt(entries).copy())
 
 
 def unitarity_defect(u) -> np.ndarray:
@@ -121,11 +92,6 @@ def assert_unitary(u, *, name: str = "matrix") -> np.ndarray:
     if not defect <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: ||u†u - I||_F = {defect:.3e}")
     return u
-
-
-def unitary(entries) -> np.ndarray:
-    """Validated, read-only unitary matrix."""
-    return _readonly(assert_unitary(entries).copy())
 
 
 def _block_index(lead: tuple, i, j, n: int) -> tuple[tuple, tuple]:
@@ -224,7 +190,7 @@ def to_coords(z, basis: np.ndarray) -> np.ndarray:
 
     Batched: ``z`` is one matrix or a stack (..., n, n), and the result
     has shape (..., n^2 - 1), computed as one matmul against the flattened
-    basis.  ``c_k = hs_inner(basis_k, z)``; the reconstruction
+    basis.  ``c_k = Tr(basis_k z)``; the reconstruction
     ``sum c_k basis_k`` recovers ``z`` and the map is a linear isometry
     onto R^(n^2 - 1).
     """

@@ -18,9 +18,6 @@ TRACE_RTOL           1e-12   |Tr m| over the HS norm of a traceless matrix
                              (matspace, model)
 OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
                              ||mu||_HS counts as a zero coupling (model)
-INNER_IMAG_RTOL      1e-12   imaginary residual of Tr(a b) over
-                             max(1, ||a|| ||b||) for Hermitian a, b
-                             (matspace)
 UNITARY_TOL          1e-10   ||u†u - I||_F of a constructed unitary or
                              way-point (matspace, waypoints)
 TRAJECTORY_TOL       1e-10   unitarity of every propagated node, Hermiticity
@@ -80,7 +77,6 @@ HERMITIAN_ENTRY_TOL = 1e-12
 SYMMETRY_ENTRY_TOL = 1e-12
 TRACE_RTOL = 1e-12
 OFFDIAG_RTOL = 1e-12
-INNER_IMAG_RTOL = 1e-12
 UNITARY_TOL = 1e-10
 TRAJECTORY_TOL = 1e-10
 GRID_RTOL = 1e-12

@@ -168,7 +168,6 @@ class Lemma1Result(NamedTuple):
 class SeparatingWitness(NamedTuple):
     unitary: np.ndarray
     value: float
-    permutation: tuple
 
 
 def _check_quadruples(mu: np.ndarray, quads: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
@@ -347,7 +346,7 @@ def separating_unitary(z: np.ndarray, mu: np.ndarray) -> SeparatingWitness:
             f"conjugation gives {achieved:.6g}"
         )
     u.setflags(write=False)
-    return SeparatingWitness(unitary=u, value=value, permutation=tuple(range(z.shape[0])))
+    return SeparatingWitness(unitary=u, value=value)
 
 
 def save_waypoints(ws: WaypointSet, target) -> None:

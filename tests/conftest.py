@@ -17,6 +17,11 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product Re Tr(a b), real for Hermitian a and b."""
+    return float(np.real(np.trace(a @ b)))
+
+
 def random_real_symmetric(n, rng):
     a = rng.normal(size=(n, n))
     return a + a.T

@@ -5,6 +5,10 @@ verdict, 1 for a failed verdict, 2 for usage, parse or shape errors.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,21 @@ class TestCheck:
         assert stacks == [(30, 2, 2)]
         assert passes == [30]
 
+    @pytest.mark.parametrize("given, missing", [("rho0", "--obs"), ("obs", "--rho0")])
+    def test_one_of_rho0_and_obs_exits_2(self, files, given, missing, capsys):
+        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        assert run(*argv, f"--{given}", files[given]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{given} needs {missing}" in captured.err
+
+    def test_module_entry_point_exits_with_the_verdict(self, files):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = ("check", "--system", files["pauli"], "--field", files["field"], "--stride", "20")
+        proc = subprocess.run([sys.executable, "-m", "wayspan.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "independence verdict: DEFICIENT rank=2" in proc.stdout
+
 
 class TestGradientCheck:
     def test_pass_and_fail(self, files):
@@ -205,6 +224,21 @@ class TestGradientCheck:
                 "--rho0", files["rho0"], "--obs", files["obs"])
         assert run(*argv) == 0
         assert run(*argv, "--tol", 1e-300) == 1
+
+    @pytest.mark.parametrize("steps", [1, 30, 600])
+    def test_oracle_takes_one_base_pass(self, files, tmp_path, monkeypatch, steps, rng):
+        field = tmp_path / "long.json"
+        evolve.save_field(ControlField(horizon=0.1 * steps, values=rng.normal(size=steps)), field)
+        passes, real_final = [], evolve._final_propagator
+
+        def counted_final(sys_, probe):
+            passes.append(probe.steps)
+            return real_final(sys_, probe)
+
+        monkeypatch.setattr(evolve, "_final_propagator", counted_final)
+        assert run("gradient-check", "--system", files["pauli"], "--field", field,
+                   "--rho0", files["rho0"], "--obs", files["obs"]) == 0
+        assert passes == [steps, steps]
 
     @pytest.mark.parametrize(
         "flag, value, message",

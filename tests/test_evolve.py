@@ -161,6 +161,22 @@ def test_final_propagator_is_the_last_node_of_propagate(steps, n, seed):
     assert np.array_equal(u_end, evolve.propagate(sys_n, field).unitaries[-1])
 
 
+def _assert_couplings_are_step_derivatives(sys_n, field):
+    """dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for every step S_m, against
+    scipy's Frechet derivative of the step exponential, and the endpoint
+    against a per-step loop of scipy's exponentials."""
+    u_end, data = evolve._final_propagator(sys_n, field)
+    mid_hats = evolve._midpoint_couplings(sys_n, data)
+    dt, nodes = field.dt, data.nodes
+    u = np.eye(sys_n.dim, dtype=complex)
+    for m, eps in enumerate(field.values):
+        h_m = sys_n.h0 - eps * sys_n.mu
+        step, d_step = scipy.linalg.expm_frechet(-1j * dt * h_m, 1j * dt * sys_n.mu)
+        assert np.abs(d_step - 1j * dt * nodes[m + 1] @ mid_hats[m] @ nodes[m].conj().T).max() < 1e-12
+        u = step @ u
+    assert np.abs(u_end - u).max() < 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=5),
@@ -168,18 +184,17 @@ def test_final_propagator_is_the_last_node_of_propagate(steps, n, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_midpoint_couplings_match_per_step_loop(n, steps, seed):
-    sys_n, field = random_system_and_field(n, steps, seed)
-    u_end, data = evolve._final_propagator(sys_n, field)
-    mid_hats = evolve._midpoint_couplings(sys_n, data)
-    # reference: a per-step loop over the same step frames
-    half, mu_bar = evolve._step_frames(sys_n, data)
-    step = evolve._phase_conjugate(data.eig, field.dt)
-    u = np.eye(n, dtype=complex)
-    for m in range(steps):
-        u_mid = half[m] @ u
-        assert np.abs(mid_hats[m] - u_mid.conj().T @ mu_bar[m] @ u_mid).max() < 1e-12
-        u = step[m] @ u
-    assert np.abs(u_end - u).max() < 1e-12
+    _assert_couplings_are_step_derivatives(*random_system_and_field(n, steps, seed))
+
+
+def test_midpoint_couplings_at_a_degenerate_spectrum(rng):
+    # With no drift, a zero step has the generator 0: every level is equal,
+    # so the coupling kernel is evaluated at x = 0 throughout.
+    sys3 = QuantumSystem(3, np.zeros((3, 3)), random_traceless_symmetric(3, rng))
+    field = ControlField(horizon=2.0, values=[0.0, 0.8, 0.0, -1.3, 0.0])
+    _assert_couplings_are_step_derivatives(sys3, field)
+    data = evolve._final_propagator(sys3, field)[1]
+    assert np.array_equal(data.eig[0][0], np.zeros(3))
 
 
 @settings(max_examples=30)

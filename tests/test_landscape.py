@@ -7,6 +7,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    hs_inner,
     random_density,
     random_system_and_field,
     random_traceless_hermitian,
@@ -31,7 +32,7 @@ class TestSpanningRank:
         comp = report.complement_basis
         assert comp.shape[0] == 2
         for probe in (SX, SY):
-            proj = sum(abs(matspace.hs_inner(c, probe)) ** 2 for c in comp)
+            proj = sum(abs(hs_inner(c, probe)) ** 2 for c in comp)
             assert proj == pytest.approx(matspace.hs_norm(probe) ** 2, rel=1e-10)
 
     def test_duplicates_do_not_add(self):
@@ -43,7 +44,7 @@ class TestSpanningRank:
         report = landscape.spanning_rank(np.array([SZ, SX] * 20))
         assert report.rank == 2
         (comp,) = report.complement_basis
-        overlap = abs(matspace.hs_inner(comp, SY)) / (matspace.hs_norm(comp) * matspace.hs_norm(SY))
+        overlap = abs(hs_inner(comp, SY)) / (matspace.hs_norm(comp) * matspace.hs_norm(SY))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_quadruple_conjugates_are_full(self):
@@ -259,6 +260,48 @@ def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
+def _full_pass_differences(sys_n, field, rho0, obs, h):
+    """Reference oracle: central differences with one full step pass per probe."""
+
+    def objective(values):
+        u, _ = evolve._final_propagator(sys_n, ControlField(horizon=field.horizon, values=values))
+        return float(np.real(np.einsum("ij,ji->", u @ rho0 @ u.conj().T, obs)))
+
+    out = np.empty(field.steps)
+    for m in range(field.steps):
+        plus, minus = field.values.copy(), field.values.copy()
+        plus[m] += h
+        minus[m] -= h
+        out[m] = (objective(plus) - objective(minus)) / (2.0 * h)
+    return out
+
+
+def _oracle_gap(n, steps, seed):
+    """Largest gap between the oracle and the full-pass reference, over max |g|."""
+    sys_n, field = random_system_and_field(n, steps, seed)
+    rng = np.random.default_rng(seed)
+    rho0 = random_density(n, rng)
+    obs = random_traceless_symmetric(n, rng)
+    analytic = landscape.gradient(sys_n, evolve.propagate(sys_n, field), rho0, obs)
+    numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
+    return np.abs(numeric - _full_pass_differences(sys_n, field, rho0, obs, 1e-5)).max() / np.abs(analytic).max()
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    steps=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_oracle_matches_one_full_pass_per_probe(n, steps, seed):
+    assert _oracle_gap(n, steps, seed) < 1e-8
+
+
+def test_oracle_probe_blocks_join_up(monkeypatch):
+    monkeypatch.setattr(landscape, "_FD_BLOCK", 4)
+    assert _oracle_gap(3, 11, 5) < 1e-8
+
+
 def _reference_svd(mats):
     """Singular values and rank from the thin SVD with singular vectors."""
     coords = matspace.to_coords(mats, matspace.basis_zt(mats.shape[1]))
@@ -286,7 +329,7 @@ def _assert_complement_of(report, mats):
     for c in comp:
         assert np.abs(c - c.conj().T).max() < 1e-12
         for m in mats:
-            assert abs(matspace.hs_inner(c, m)) <= 1e-10 * max(1.0, matspace.hs_norm(m))
+            assert abs(hs_inner(c, m)) <= 1e-10 * max(1.0, matspace.hs_norm(m))
 
 
 def test_tall_deficient_stack_rank_and_complement_match_the_full_svd():

@@ -3,39 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, SY, SZ, random_traceless_hermitian
+from conftest import SX, SY, SZ, hs_inner, random_traceless_hermitian
 from wayspan import matspace
-
-
-def test_hs_inner_pauli_values():
-    assert matspace.hs_inner(SZ, SZ) == pytest.approx(2.0)
-    assert matspace.hs_inner(SX, SZ) == pytest.approx(0.0, abs=1e-14)
-    assert matspace.hs_inner(SX, SY) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_hs_inner_is_squared_norm(rng):
-    for n in (2, 3, 5):
-        a = random_traceless_hermitian(n, rng)
-        val = matspace.hs_inner(a, a)
-        assert val >= 0.0
-        assert val == pytest.approx(matspace.hs_norm(a) ** 2, rel=1e-12)
-
-
-def test_hs_inner_symmetric(rng):
-    a = random_traceless_hermitian(4, rng)
-    b = random_traceless_hermitian(4, rng)
-    assert matspace.hs_inner(a, b) == pytest.approx(matspace.hs_inner(b, a), rel=1e-12)
-
-
-def test_hs_inner_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        matspace.hs_inner(SZ, np.eye(3))
-
-
-def test_hs_inner_rejects_non_hermitian():
-    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError, match="imaginary"):
-        matspace.hs_inner(skew, SY)
 
 
 def test_submatrix_diagonal_case():
@@ -137,7 +106,7 @@ def test_basis_n2_is_scaled_paulis():
 def test_basis_orthonormal_n3():
     basis = matspace.basis_zt(3)
     assert len(basis) == 8
-    gram = np.array([[matspace.hs_inner(a, b) for b in basis] for a in basis])
+    gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(8), atol=1e-12)
     for b in basis:
         assert abs(np.trace(b)) < 1e-14
@@ -174,20 +143,18 @@ def test_coords_roundtrip_and_isometry(rng):
             assert np.linalg.norm(coords) == pytest.approx(matspace.hs_norm(z), rel=1e-10)
 
 
-def test_hermitian_zt_constructor_validates():
+def test_assert_hermitian_zt_rejects_non_hermitian_and_traced():
     with pytest.raises(ValueError, match="Hermitian"):
-        matspace.hermitian_zt(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        matspace.assert_hermitian_zt(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError, match="traceless"):
-        matspace.hermitian_zt(np.eye(2))
-    out = matspace.hermitian_zt(SZ)
-    assert not out.flags.writeable
+        matspace.assert_hermitian_zt(np.eye(2))
+    assert np.array_equal(matspace.assert_hermitian_zt(SZ), SZ)
 
 
-def test_unitary_constructor_validates():
+def test_assert_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
-        matspace.unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    out = matspace.unitary(np.eye(3))
-    assert not out.flags.writeable
+        matspace.assert_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    assert np.array_equal(matspace.assert_unitary(np.eye(3)), np.eye(3))
 
 
 def _hermitian_stack(n, count, seed):
@@ -203,7 +170,7 @@ def test_batched_coords_match_per_matrix(n, count, seed):
     coords = matspace.to_coords(z, basis)
     assert coords.shape == (count, n * n - 1)
     for m in range(count):
-        ref = [matspace.hs_inner(b, z[m]) for b in basis]
+        ref = [hs_inner(b, z[m]) for b in basis]
         assert np.abs(coords[m] - ref).max() < 1e-13
         assert np.abs(coords[m] - matspace.to_coords(z[m], basis)).max() < 1e-13
     back = matspace.from_coords(coords, basis)

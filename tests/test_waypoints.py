@@ -10,6 +10,7 @@ from conftest import (
     SY,
     SZ,
     coupled_traceless_symmetric,
+    hs_inner,
     random_traceless_hermitian,
     random_traceless_symmetric,
 )
@@ -227,7 +228,7 @@ class TestDipoleIndependentSet:
         assert not report.full
         # the missing direction is sy: every conjugate is orthogonal to it
         for hat in hats:
-            assert abs(matspace.hs_inner(hat, SY)) < 1e-12
+            assert abs(hs_inner(hat, SY)) < 1e-12
 
     def test_full_rank_for_coupled_dipole(self, rng):
         for n in (2, 3, 4):
@@ -258,12 +259,9 @@ class TestSeparatingWitness:
     def test_pauli_cross_pair(self):
         wit = waypoints.separating_unitary(SX, SZ)
         assert wit.value == pytest.approx(2.0)
-        assert wit.permutation == (0, 1)
 
     def test_witness_inequality_on_random_pairs(self, rng):
-        hits_first_two = 0
-        trials = 200
-        for _ in range(trials):
+        for _ in range(200):
             n = int(rng.integers(2, 7))
             z = random_traceless_hermitian(n, rng)
             mu = random_traceless_hermitian(n, rng)
@@ -273,10 +271,6 @@ class TestSeparatingWitness:
             assert matspace.unitarity_defect(wit.unitary) < 1e-10
             trace = np.einsum("ij,ji->", z, wit.unitary.conj().T @ mu @ wit.unitary)
             assert abs(trace.real - wit.value) < 1e-8
-            if wit.permutation in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
-                hits_first_two += 1
-        # measured expectation, recorded rather than asserted tightly
-        assert hits_first_two / trials > 0.9
 
     @settings(max_examples=40)
     @given(
@@ -295,7 +289,6 @@ class TestSeparatingWitness:
             q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
             z = q @ np.diag(np.r_[n - 1.0, -np.ones(n - 1)]) @ q.conj().T
         wit = waypoints.separating_unitary(z, mu)
-        assert wit.permutation == tuple(range(n))
         assert abs(wit.value) >= matspace.hs_norm(z) * matspace.hs_norm(mu) / n**2
         assert matspace.unitarity_defect(wit.unitary) < 1e-10
         trace = np.einsum("ij,ji->", z, wit.unitary.conj().T @ mu @ wit.unitary)
