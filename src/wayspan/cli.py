@@ -289,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provenance", choices=("theorem1", "theorem3"), default=None)
     p.add_argument("--segment-time", type=float, default=None)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=int, default=500,
+                   help="accepted quasi-Newton steps per segment before it is reported unconverged")
     p.add_argument("--fid-target", type=float, default=0.999)
-    p.add_argument("--step-size", type=float, default=0.1)
+    p.add_argument("--step-size", type=float, default=0.1,
+                   help="largest gradient step, taken on a segment's first iteration and after "
+                        "each quasi-Newton reset; quasi-Newton steps start at 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_steer)

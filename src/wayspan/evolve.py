@@ -145,12 +145,16 @@ def _step_frames(sys: QuantumSystem, data: StepData) -> tuple[np.ndarray, np.nda
     ``v_m`` holds the eigenvectors of step m, ``w`` its eigenvalues, and
     Phi_ab = sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix) with x = dt (w_a - w_b) / 2,
     1 on the diagonal and at degenerate levels: the mean of e^{i s dt (w_a - w_b)}
-    over s in [0, 1].
+    over s in [0, 1].  e^{ix} is the outer product p_a conj(p_b) of the
+    per-level phases p = e^{i dt w / 2}, so only M N exponentials are taken.
     """
     w, v = data.eig
     vh = dagger(v)
     x = 0.5 * data.dt * (w[:, :, None] - w[:, None, :])
-    return vh @ data.nodes[:-1], (vh @ sys.mu @ v) * (np.sinc(x / np.pi) * np.exp(1j * x))
+    p = np.exp(0.5j * data.dt * w)
+    # Phi before the frames, so that its temporaries are gone at the peak.
+    phi = np.sinc(x / np.pi) * (p[:, :, None] * p.conj()[:, None, :])
+    return vh @ data.nodes[:-1], (vh @ sys.mu @ v) * phi
 
 
 def _midpoint_couplings(sys: QuantumSystem, data: StepData) -> np.ndarray:

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, SZ, random_system_and_field, random_traceless_symmetric, random_unitary
-from wayspan import evolve, landscape, steer, waypoints
+from conftest import (
+    SX,
+    SZ,
+    coupled_traceless_symmetric,
+    random_system_and_field,
+    random_traceless_symmetric,
+    random_unitary,
+)
+from wayspan import evolve, landscape, reachability, steer, waypoints
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
 from wayspan.steer import NotControllableError, SteerOptions
+from wayspan.tolerances import ARMIJO
 
 
 @pytest.fixture
@@ -41,6 +49,20 @@ def test_options_validation():
         with pytest.raises(ValueError, match="positive and finite"):
             SteerOptions(**bad)
     assert steer.default_segment_time(QuantumSystem(2, np.real(SZ), np.real(SX))) > 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"steps_per_segment": 2.5}, {"steps_per_segment": True}, {"max_iters": 2.5}, {"max_iters": np.float64(10.0)}],
+)
+def test_options_reject_non_integer_counts(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SteerOptions(segment_time=5.0, **bad)
+
+
+def test_options_accept_numpy_integer_counts():
+    opts = SteerOptions(segment_time=5.0, steps_per_segment=np.int64(20), max_iters=np.int32(30))
+    assert (opts.steps_per_segment, opts.max_iters) == (20, 30)
 
 
 def test_free_evolution_target_converges_immediately(pauli_system, opts):
@@ -253,3 +275,175 @@ def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
     assert len(stacks) == 1 + len(trials)
     assert result.field is trials[-1]
     assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field)[0])
+
+
+def _dense_bfgs_inverse(pairs, m):
+    """H from H0 = gamma I, gamma = s.y / y.y of the newest pair, by the dense
+    inverse update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T."""
+    s_new, y_new = pairs[-1]
+    h = np.dot(s_new, y_new) / np.dot(y_new, y_new) * np.eye(m)
+    for s, y in pairs:
+        rho = 1.0 / np.dot(s, y)
+        left = np.eye(m) - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+    return h
+
+
+def _curvature_pairs(m, count, rng):
+    pairs = []
+    while len(pairs) < count:
+        s = rng.normal(size=m)
+        y = s * rng.uniform(0.2, 5.0, m) + 0.3 * np.linalg.norm(s) / np.sqrt(m) * rng.normal(size=m)
+        if np.dot(s, y) > 0.0:
+            pairs.append((s, y))
+    return pairs
+
+
+def test_two_loop_recursion_matches_dense_bfgs(rng):
+    for m in (1, 2, 3, 7, 20, 60):
+        for count in range(9):
+            pairs = _curvature_pairs(m, count, rng)
+            grad = rng.normal(size=m)
+            kept = grad.copy()
+            direction = steer._lbfgs_direction(grad, pairs)
+            assert np.array_equal(grad, kept)
+            if not pairs:
+                assert np.array_equal(direction, grad)
+                continue
+            expected = _dense_bfgs_inverse(pairs, m) @ grad
+            assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _record_iterates(monkeypatch):
+    """Wrap the trial and gradient passes; return the list that receives
+    (values, fid, grad) of every iterate, the initial field's first."""
+    real_state, real_gradient = steer._fidelity_state, steer._fidelity_gradient
+    trials, iterates = {}, []
+
+    def state(sys_, field, target):
+        fid, data = real_state(sys_, field, target)
+        # The pass is kept, so that its id names it until the test ends.
+        trials[id(data)] = (data, field.values)
+        return fid, data
+
+    def gradient(sys_, target, data):
+        fid, grad = real_gradient(sys_, target, data)
+        values = trials[id(data)][1] if id(data) in trials else None
+        iterates.append((values, fid, grad))
+        return fid, grad
+
+    monkeypatch.setattr(steer, "_fidelity_state", state)
+    monkeypatch.setattr(steer, "_fidelity_gradient", gradient)
+    return iterates
+
+
+@settings(max_examples=20)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    steps=st.integers(min_value=4, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_every_accepted_step_meets_armijo_with_its_own_slope(n, steps, seed):
+    sys_n, field = random_system_and_field(n, steps, seed)
+    assume(reachability.is_controllable(sys_n) != reachability.VERDICT_NO)
+    target = random_unitary(n, np.random.default_rng(seed))
+    opts = SteerOptions(segment_time=field.horizon, steps_per_segment=steps, max_iters=40, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        iterates = _record_iterates(mp)
+        result = steer.synthesize_to_target(sys_n, target, opts, initial=field)
+    assert len(iterates) == result.iterations + 1
+    values = field.values
+    for (_, fid, grad), (new_values, new_fid, _) in zip(iterates, iterates[1:]):
+        # alpha * (grad . d) is grad . s for the step s the trial took.
+        slope = float(np.dot(grad, new_values - values))
+        assert new_fid * new_fid >= fid * fid + ARMIJO * slope - 1e-15
+        assert new_fid >= fid
+        values = new_values
+    assert iterates[-1][1] == result.achieved_fidelity
+
+
+@pytest.fixture
+def qutrit():
+    """A seeded N=3 system with every coupling, a random target and options."""
+    rng = np.random.default_rng(4)
+    sys3 = QuantumSystem(3, np.diag([-1.2, 0.1, 1.1]), coupled_traceless_symmetric(3, rng))
+    opts = SteerOptions(segment_time=steer.default_segment_time(sys3), steps_per_segment=30, seed=4)
+    return sys3, random_unitary(3, rng), opts
+
+
+def test_ascent_failure_falls_back_to_the_gradient(qutrit, monkeypatch):
+    sys3, target, opts = qutrit
+    real_direction, real_state = steer._lbfgs_direction, steer._fidelity_state
+    history, trials, sabotaged = [], [], []
+
+    def direction(grad, pairs):
+        history.append(len(pairs))
+        if not sabotaged and len(pairs) >= 2:
+            sabotaged.append((trials[-1], grad, len(trials)))
+            return -grad
+        return real_direction(grad, pairs)
+
+    def state(sys_, field, target_):
+        trials.append(field.values)
+        return real_state(sys_, field, target_)
+
+    monkeypatch.setattr(steer, "_lbfgs_direction", direction)
+    monkeypatch.setattr(steer, "_fidelity_state", state)
+    result = steer.synthesize_to_target(sys3, target, opts)
+    assert result.converged
+    (current, grad, at), = sabotaged
+    # The next trial is a gradient step from the current iterate ...
+    step = trials[at] - current
+    scale = float(np.dot(step, grad)) / float(np.dot(grad, grad))
+    assert scale > 0.0
+    assert np.allclose(step, scale * grad, rtol=0.0, atol=1e-12 * np.abs(current).max())
+    # ... and the direction after it sees at most the one pair that step made.
+    sabotaged_call = next(i for i, k in enumerate(history) if k >= 2)
+    assert history[sabotaged_call + 1] <= 1
+
+
+def _gradient_ascent_reference(sys_, target, opts):
+    """The synthesis loop with steepest-ascent directions only: Armijo
+    backtracking on fid^2 from alpha = min(step_size, 2 alpha).  Neither the
+    gradient floor nor the smallest step is reached on the swap target, whose
+    canonical phase representative is itself."""
+    amplitude = steer.INIT_AMPLITUDE
+    values = np.random.default_rng(opts.seed).uniform(-amplitude, amplitude, opts.steps_per_segment)
+    field = ControlField(horizon=opts.segment_time, values=values)
+    fid, grad = steer._fidelity_gradient(sys_, target, evolve._final_propagator(sys_, field)[1])
+    iterations, alpha = 0, opts.step_size
+    while fid < opts.fid_target and iterations < opts.max_iters:
+        gnorm2 = float(np.dot(grad, grad))
+        phi = fid * fid
+        alpha = min(opts.step_size, 2.0 * alpha)
+        while True:
+            trial = ControlField(horizon=opts.segment_time, values=field.values + alpha * grad)
+            trial_fid, data = steer._fidelity_state(sys_, trial, target)
+            if trial_fid * trial_fid >= phi + ARMIJO * alpha * gnorm2:
+                break
+            alpha *= 0.5
+        field = trial
+        iterations += 1
+        fid, grad = steer._fidelity_gradient(sys_, target, data)
+    return field.values, iterations
+
+
+def test_zero_memory_is_gradient_ascent(pauli_system, opts, monkeypatch):
+    monkeypatch.setattr(steer, "LBFGS_MEMORY", 0)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    result = steer.synthesize_to_target(pauli_system, swap, opts)
+    values, iterations = _gradient_ascent_reference(pauli_system, swap, opts)
+    # 112 iterations, as the synthesis took before it had a quasi-Newton direction.
+    assert result.iterations == iterations == 112
+    assert np.array_equal(result.field.values, values)
+
+
+def test_quasi_newton_chain_needs_far_fewer_iterations(qutrit, monkeypatch):
+    sys3, _, opts = qutrit
+    wset = waypoints.theorem3_waypoints(3)
+    quasi_newton = steer.synthesize_through_waypoints(sys3, wset, opts)
+    monkeypatch.setattr(steer, "LBFGS_MEMORY", 0)
+    gradient = steer.synthesize_through_waypoints(sys3, wset, opts)
+    assert quasi_newton.all_visited and gradient.all_visited
+    summed = [sum(s.iterations for s in run.segments) for run in (quasi_newton, gradient)]
+    assert summed[0] <= 0.6 * summed[1]
