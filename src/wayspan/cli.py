@@ -178,7 +178,7 @@ def _cmd_check(args) -> int:
     if args.rho0 is not None:
         rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", sys_obj.dim))
         obs = _load_matrix(args.obs, "obs", sys_obj.dim)
-        grad = landscape.gradient(sys_obj, traj, rho0, obs)
+        grad = landscape.gradient(traj, rho0, obs)
         resid = landscape.kinematic_residual(traj.unitaries[-1], rho0, obs)
         print(f"gradient max |g_m|: {float(np.abs(grad).max()):.6g}")
         print(f"kinematic residual: {resid:.6g}")
@@ -196,7 +196,7 @@ def _cmd_gradient_check(args) -> int:
     field = evolve.load_field(args.field)
     rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", sys_obj.dim))
     obs = _load_matrix(args.obs, "obs", sys_obj.dim)
-    analytic = landscape.gradient(sys_obj, evolve.propagate(sys_obj, field), rho0, obs)
+    analytic = landscape.gradient(evolve.propagate(sys_obj, field), rho0, obs)
     numeric = landscape.finite_difference_gradient(sys_obj, field, rho0, obs, h=args.fd_step)
     scale = float(np.abs(analytic).max())
     err = float(np.abs(analytic - numeric).max()) / max(scale, DIV_FLOOR)

@@ -3,12 +3,12 @@
 The step generator ``h0 - eps_m * mu`` is Hermitian, so each step
 propagator is computed by eigendecomposition, which is exact for a
 constant step and unconditionally unitary up to round-off.  Each field
-gets one pass over its steps (:class:`StepData`), which propagation,
-gradients and synthesis share.  The same eigenbasis gives every step's
-exact midpoint coupling ``mid_hat_m``, with
+gets one pass over its steps under its system (:class:`PropagatorTrajectory`),
+which propagation, gradients and synthesis share.  The same eigenbasis
+gives every step's exact midpoint coupling ``mid_hat_m``, with
 dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for the step S_m = U_{m+1} U_m†,
-so no other exponential is needed; trajectories add the coupling
-``u† mu u`` at every node for spanning.
+so no other exponential is needed.  Conjugated dipoles ``u† mu u`` are
+formed only by :func:`conjugated_dipole`, for the nodes a span samples.
 """
 
 from __future__ import annotations
@@ -68,34 +68,32 @@ class ControlField:
 
 
 @dataclass(frozen=True)
-class StepData:
-    """One pass over a field's steps: ``eig = (w, v)`` of every h0 - eps_m mu,
-    and ``nodes`` U_0 = I exactly, U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m."""
-
-    dt: float
-    eig: tuple[np.ndarray, np.ndarray]
-    nodes: np.ndarray
-
-
-@dataclass(frozen=True)
 class PropagatorTrajectory:
-    """Grid times, the step pass whose nodes are U(t_m, 0), and conjugated dipoles."""
+    """One pass over a field's steps under a system, not validated: ``eig = (w, v)``
+    of every h0 - eps_m mu and the nodes ``unitaries`` U(t_m, 0), with U_0 = I
+    exactly and U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m."""
 
-    times: np.ndarray
-    step_data: StepData
-    mu_hats: np.ndarray
+    sys: QuantumSystem
+    field: ControlField
+    eig: tuple[np.ndarray, np.ndarray]
+    unitaries: np.ndarray
 
     @property
-    def unitaries(self) -> np.ndarray:
-        return self.step_data.nodes
-
-    @property
-    def dim(self) -> int:
-        return int(self.unitaries.shape[-1])
+    def dt(self) -> float:
+        return self.field.dt
 
     @property
     def steps(self) -> int:
-        return int(self.unitaries.shape[0]) - 1
+        return self.field.steps
+
+    @property
+    def dim(self) -> int:
+        return self.sys.dim
+
+    @property
+    def times(self) -> np.ndarray:
+        """Grid times t_m = m dt of the nodes, m = 0..M."""
+        return np.linspace(0.0, self.field.horizon, self.field.steps + 1)
 
 
 def density_matrix(entries) -> np.ndarray:
@@ -118,28 +116,28 @@ def density_matrix(entries) -> np.ndarray:
     return out
 
 
-def _phase_conjugate(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """Every step's exponential over time ``t``: batched V diag(exp(-i t w)) V†."""
+def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float) -> tuple[tuple, np.ndarray]:
+    """``eig = (w, v)`` of h0 - eps mu for every amplitude of ``values``, and each
+    step's exponential exp(-i dt (h0 - eps mu)) = V diag(exp(-i dt w)) V†.  Every
+    step exponential of the package is taken here."""
+    eig = np.linalg.eigh(sys.h0[None, :, :] - values[:, None, None] * sys.mu[None, :, :])
     w, v = eig
-    return (v * np.exp(-1j * t * w)[:, None, :]) @ dagger(v)
+    return eig, (v * np.exp(-1j * dt * w)[:, None, :]) @ dagger(v)
 
 
-def _final_propagator(sys: QuantumSystem, field: ControlField) -> tuple[np.ndarray, StepData]:
-    """Endpoint ``U_M`` and the field's step pass, whose last node it is.
-
-    Every propagator of the package comes from this pass; it is not validated.
-    """
-    eig = np.linalg.eigh(sys.h0[None, :, :] - field.values[:, None, None] * sys.mu[None, :, :])
-    steps = _phase_conjugate(eig, field.dt)
+def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
+    """The field's step pass under ``sys``, whose last node is the endpoint U_M.
+    Every propagator of the package comes from this pass; it is not validated."""
+    eig, steps = _step_exponentials(sys, field.values, field.dt)
     m_total, n, _ = steps.shape
     nodes = np.empty((m_total + 1, n, n), dtype=complex)
     nodes[0] = np.eye(n)
     for m in range(m_total):
         np.matmul(steps[m], nodes[m], out=nodes[m + 1])
-    return nodes[-1], StepData(dt=field.dt, eig=eig, nodes=nodes)
+    return PropagatorTrajectory(sys=sys, field=field, eig=eig, unitaries=nodes)
 
 
-def _step_frames(sys: QuantumSystem, data: StepData) -> tuple[np.ndarray, np.ndarray]:
+def _step_frames(traj: PropagatorTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """Every step's frame ``v_m† U_m`` and coupling ``(v_m† mu v_m) ∘ Phi_m``.
 
     ``v_m`` holds the eigenvectors of step m, ``w`` its eigenvalues, and
@@ -148,55 +146,46 @@ def _step_frames(sys: QuantumSystem, data: StepData) -> tuple[np.ndarray, np.nda
     over s in [0, 1].  e^{ix} is the outer product p_a conj(p_b) of the
     per-level phases p = e^{i dt w / 2}, so only M N exponentials are taken.
     """
-    w, v = data.eig
+    w, v = traj.eig
     vh = dagger(v)
-    x = 0.5 * data.dt * (w[:, :, None] - w[:, None, :])
-    p = np.exp(0.5j * data.dt * w)
+    x = 0.5 * traj.dt * (w[:, :, None] - w[:, None, :])
+    p = np.exp(0.5j * traj.dt * w)
     # Phi before the frames, so that its temporaries are gone at the peak.
     phi = np.sinc(x / np.pi) * (p[:, :, None] * p.conj()[:, None, :])
-    return vh @ data.nodes[:-1], (vh @ sys.mu @ v) * phi
+    return vh @ traj.unitaries[:-1], (vh @ traj.sys.mu @ v) * phi
 
 
-def _midpoint_couplings(sys: QuantumSystem, data: StepData) -> np.ndarray:
+def _midpoint_couplings(traj: PropagatorTrajectory) -> np.ndarray:
     """The exact midpoint coupling ``mid_hat_m = frame_m† coupling_m frame_m``
-    of every step of the pass ``data``, from :func:`_step_frames`.
+    of every step of the pass ``traj``, from :func:`_step_frames`.
 
     It is the mean of U(s)† mu U(s) over step m, and makes the derivative of
     the step exponential S_m = U_{m+1} U_m† exact:
     dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m†, so dU_M/d(eps_m) = i dt U_M
-    mid_hat_m with no discretisation error.  Every control gradient is a
-    trace against these couplings.
+    mid_hat_m with no discretisation error.
     """
-    frames, coupling = _step_frames(sys, data)
+    frames, coupling = _step_frames(traj)
     return dagger(frames) @ coupling @ frames
+
+
+def _coupling_traces(traj: PropagatorTrajectory, x: np.ndarray) -> np.ndarray:
+    """``dt Tr(mid_hat_m x)`` of every step m; every control gradient is one
+    of these traces, with ``x`` formed from the endpoint U_M."""
+    return traj.dt * np.einsum("mab,ba->m", _midpoint_couplings(traj), x)
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     """Integrate the propagator over the control grid.
 
-    The nodes of the field's step pass, which the trajectory keeps for
-    gradients, each with the conjugated dipole ``U_m† mu U_m``.  The
-    unitarity of every node and the Hermitian traceless structure of every
-    conjugated dipole are checked against ``TRAJECTORY_TOL``.
+    The field's step pass, with the unitarity of every node checked against
+    ``TRAJECTORY_TOL``; its nodes are read-only.
     """
-    data = _final_propagator(sys, field)[1]
-    unitaries = data.nodes
-    mu_hats = conjugated_dipole(unitaries, sys.mu)
-    times = np.linspace(0.0, field.horizon, field.steps + 1)
-
-    defect = float(unitarity_defect(unitaries).max())
+    traj = _final_propagator(sys, field)
+    defect = float(unitarity_defect(traj.unitaries).max())
     if not defect <= TRAJECTORY_TOL:
         raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
-    herm = float(np.abs(mu_hats - dagger(mu_hats)).max())
-    traces = float(np.abs(np.trace(mu_hats, axis1=1, axis2=2)).max())
-    if not (herm <= TRAJECTORY_TOL and traces <= TRAJECTORY_TOL):
-        raise RuntimeError(
-            f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}"
-        )
-
-    for arr in (times, unitaries):
-        arr.setflags(write=False)
-    return PropagatorTrajectory(times=times, step_data=data, mu_hats=mu_hats)
+    traj.unitaries.setflags(write=False)
+    return traj
 
 
 def conjugated_dipole(u: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ import numpy as np
 from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import ControlField, PropagatorTrajectory
-from .matspace import basis_zt, dagger, from_coords, to_coords
+from .matspace import basis_zt, dagger, from_coords, hs_norm, to_coords
 from .model import QuantumSystem
-from .tolerances import FD_STEP, RANK_TOL, VISIT_FID_TOL
+from .tolerances import FD_STEP, RANK_TOL, TRAJECTORY_TOL, VISIT_FID_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -115,16 +115,25 @@ def trajectory_independence(traj: PropagatorTrajectory, sample_indices=None) -> 
     """Spanning report of the conjugated dipoles at the sampled grid nodes.
 
     A FULL verdict certifies linear independence of the conjugated-dipole
-    entries at the sample resolution; by default all nodes are used.
+    entries at the sample resolution; by default all nodes are used.  Only the
+    sampled nodes are conjugated; their dipoles must be Hermitian and traceless
+    to ``TRAJECTORY_TOL`` times ||mu||_HS, the norm every conjugate shares.
     """
-    mats = traj.mu_hats
+    nodes = traj.unitaries
     if sample_indices is not None:
         idx = np.asarray(sample_indices, dtype=int)
         if idx.size == 0:
             raise ValueError("sample_indices must be nonempty")
-        if idx.min() < 0 or idx.max() >= mats.shape[0]:
-            raise ValueError(f"sample indices out of range 0..{mats.shape[0] - 1}")
-        mats = mats[idx]
+        if idx.min() < 0 or idx.max() >= nodes.shape[0]:
+            raise ValueError(f"sample indices out of range 0..{nodes.shape[0] - 1}")
+        nodes = nodes[idx]
+    mu = traj.sys.mu
+    mats = evolve.conjugated_dipole(nodes, mu)
+    tol = TRAJECTORY_TOL * hs_norm(mu)
+    herm = float(np.abs(mats - dagger(mats)).max())
+    traces = float(np.abs(np.trace(mats, axis1=1, axis2=2)).max())
+    if not (herm <= tol and traces <= tol):
+        raise RuntimeError(f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}")
     return spanning_rank(mats)
 
 
@@ -149,7 +158,9 @@ def waypoint_visits(
     """
     if wset.dim != traj.dim:
         raise ValueError(f"dimension mismatch: set {wset.dim} vs trajectory {traj.dim}")
-    overlaps = np.abs(np.einsum("kij,mij->km", wset.unitaries.conj(), traj.unitaries)) / traj.dim
+    flat = traj.unitaries.reshape(traj.steps + 1, -1)
+    overlaps = np.abs(wset.unitaries.conj().reshape(-1, flat.shape[1]) @ flat.T) / traj.dim
+    times = traj.times
     records = []
     for k in range(len(wset)):
         m = int(np.argmax(overlaps[k]))
@@ -158,7 +169,7 @@ def waypoint_visits(
             VisitRecord(
                 index=k + 1,
                 fidelity=fid,
-                time=float(traj.times[m]),
+                time=float(times[m]),
                 step=m,
                 visited=fid >= 1.0 - fid_tol,
             )
@@ -166,31 +177,25 @@ def waypoint_visits(
     return records
 
 
-def gradient(
-    sys: QuantumSystem,
-    traj: PropagatorTrajectory,
-    rho0: np.ndarray,
-    obs: np.ndarray,
-) -> np.ndarray:
+def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Derivative of Tr(rho(T) obs) with respect to each control step.
 
-    Realized on the step pass of ``traj = evolve.propagate(sys, field)``
-    as ``g_m = -dt Im Tr(O_T [mid_hat_m, rho0])`` with ``O_T = U_M† obs U_M``
+    Realized on the step pass ``traj`` as
+    ``g_m = -dt Im Tr(O_T [mid_hat_m, rho0])`` with ``O_T = U_M† obs U_M``
     and ``mid_hat_m`` the exact midpoint coupling from
     ``evolve._midpoint_couplings``; the central finite-difference check is
     the normative contract pinning sign and convention.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
-    n = sys.dim
+    n = traj.dim
     if rho0.shape != (n, n) or obs.shape != (n, n):
         raise ValueError(
             f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}"
         )
     u = traj.unitaries[-1]
     ro = rho0 @ dagger(u) @ obs @ u
-    mid_hats = evolve._midpoint_couplings(sys, traj.step_data)
-    return -2.0 * traj.step_data.dt * np.imag(np.einsum("mab,ba->m", mid_hats, ro))
+    return -2.0 * np.imag(evolve._coupling_traces(traj, ro))
 
 
 def finite_difference_gradient(
@@ -206,8 +211,8 @@ def finite_difference_gradient(
     ``g_m = (f(eps + h e_m) - f(eps - h e_m)) / 2h`` with
     ``f = Tr(U_M rho0 U_M† obs)``.  A probe changes step m only, so its
     endpoint is ``(U_M U_{m+1}†) step_m(eps_m ± h) U_m``, with the nodes of
-    one base pass of the field and the probe step exponentiated exactly as
-    the pass exponentiates its own steps: one batched ``eigh`` of both signs
+    one base pass of the field and the probe steps from the pass's own step
+    helper, ``evolve._step_exponentials``: one batched ``eigh`` of both signs
     per block of ``_FD_BLOCK`` steps, so the work is O(M) and the extra
     memory is bounded by the block.
     """
@@ -215,15 +220,14 @@ def finite_difference_gradient(
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
-    u_end, data = evolve._final_propagator(sys, field)
+    nodes = evolve._final_propagator(sys, field).unitaries
     out = np.empty(field.steps)
     for start in range(0, field.steps, _FD_BLOCK):
         eps = field.values[start : start + _FD_BLOCK]
         stop = start + eps.size
         probes = np.concatenate([eps + h, eps - h])
-        eig = np.linalg.eigh(sys.h0[None, :, :] - probes[:, None, None] * sys.mu[None, :, :])
-        steps = evolve._phase_conjugate(eig, field.dt).reshape(2, eps.size, sys.dim, sys.dim)
-        ends = u_end @ dagger(data.nodes[start + 1 : stop + 1]) @ steps @ data.nodes[start:stop]
+        steps = evolve._step_exponentials(sys, probes, field.dt)[1].reshape(2, eps.size, sys.dim, sys.dim)
+        ends = nodes[-1] @ dagger(nodes[start + 1 : stop + 1]) @ steps @ nodes[start:stop]
         f = np.real(np.einsum("sbij,ji->sb", ends @ rho0 @ dagger(ends), obs))
         out[start:stop] = (f[0] - f[1]) / (2.0 * h)
     return out

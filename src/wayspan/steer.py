@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve, reachability
-from .evolve import ControlField, PropagatorTrajectory, StepData, concat_fields
+from .evolve import ControlField, PropagatorTrajectory, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
 from .matspace import assert_unitary, dagger
 from .model import QuantumSystem
@@ -109,25 +109,24 @@ def _require_controllable(sys: QuantumSystem) -> None:
         )
 
 
-def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, StepData]:
+def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray) -> tuple[float, PropagatorTrajectory]:
     """Fidelity of one line-search trial and the step pass it came from."""
-    u, data = evolve._final_propagator(sys, field)
-    return gate_fidelity(target, u), data
+    traj = evolve._final_propagator(sys, field)
+    return gate_fidelity(target, traj.unitaries[-1]), traj
 
 
-def _fidelity_gradient(sys: QuantumSystem, target: np.ndarray, data: StepData) -> tuple[float, np.ndarray]:
+def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[float, np.ndarray]:
     """Fidelity and the exact gradient of its square wrt each step amplitude.
 
     With z = Tr(target† U_M), the objective is |z|^2 / N^2 and
     dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), with mid_hat_m the exact
-    midpoint coupling from ``evolve._midpoint_couplings``.  ``data`` is the
+    midpoint coupling from ``evolve._midpoint_couplings``.  ``traj`` is the
     field's step pass, as ``_fidelity_state`` returns it; U_M is its last node.
     """
-    n = sys.dim
-    u = data.nodes[-1]
-    mid_hats = evolve._midpoint_couplings(sys, data)
+    n = traj.dim
+    u = traj.unitaries[-1]
     z = complex(np.vdot(target, u))
-    dz = 1j * data.dt * np.einsum("mab,ba->m", mid_hats, dagger(target) @ u)
+    dz = 1j * evolve._coupling_traces(traj, dagger(target) @ u)
     grad = 2.0 * np.real(np.conj(z) * dz) / (n * n)
     return abs(z) / n, grad
 
@@ -178,9 +177,8 @@ def _synthesize(
     else:
         values = rng.uniform(-INIT_AMPLITUDE, INIT_AMPLITUDE, m_steps)
 
-    field = ControlField(horizon=opts.segment_time, values=values)
-    data = evolve._final_propagator(sys, field)[1]
-    fid, grad = _fidelity_gradient(sys, target, data)
+    traj = evolve._final_propagator(sys, ControlField(horizon=opts.segment_time, values=values))
+    fid, grad = _fidelity_gradient(target, traj)
     iterations = 0
     alpha = opts.step_size
     pairs = deque(maxlen=LBFGS_MEMORY)
@@ -200,32 +198,34 @@ def _synthesize(
             alpha = min(opts.step_size, 2.0 * alpha)
         phi = fid * fid
         while alpha >= MIN_STEP:
-            trial = ControlField(horizon=opts.segment_time, values=field.values + alpha * direction)
-            trial_fid, trial_data = _fidelity_state(sys, trial, target)
-            if trial_fid * trial_fid >= phi + ARMIJO * alpha * slope:
+            trial = ControlField(horizon=opts.segment_time, values=traj.field.values + alpha * direction)
+            trial_fid, trial_traj = _fidelity_state(sys, trial, target)
+            # The increase itself is tested, so that a step leaving fid^2
+            # unchanged fails even once ARMIJO alpha slope is below its ulp.
+            if trial_fid * trial_fid - phi >= ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
         else:
             break
         iterations += 1
-        fid, new_grad = _fidelity_gradient(sys, target, trial_data)
+        fid, new_grad = _fidelity_gradient(target, trial_traj)
         # Ascent on fid^2 is descent on -fid^2, whose gradient change is
         # g_old - g_new.  The pair is kept only when s.y > 0 and the step meets
         # the Wolfe curvature condition, so that a nearly flat pair cannot
         # blow H up along s.
-        s, y = trial.values - field.values, grad - new_grad
+        s, y = trial.values - traj.field.values, grad - new_grad
         sy = float(np.dot(s, y))
         if sy > 0.0 and sy >= (1.0 - WOLFE_C2) * float(np.dot(grad, s)):
             pairs.append((s, y))
-        field, data, grad = trial, trial_data, new_grad
+        traj, grad = trial_traj, new_grad
 
     # A copy, so that a chain's results do not keep every segment's nodes alive.
     return SynthesisResult(
-        field=field,
+        field=traj.field,
         achieved_fidelity=fid,
         iterations=iterations,
         converged=fid >= opts.fid_target,
-        endpoint=data.nodes[-1].copy(),
+        endpoint=traj.unitaries[-1].copy(),
     )
 
 
@@ -244,10 +244,10 @@ def synthesize_to_target(
     direction of the last ``LBFGS_MEMORY`` curvature pairs, starting the
     line search at 1; the first iteration, and any whose direction does
     not ascend, takes a gradient step of at most ``opts.step_size`` and
-    clears the pairs.  Accepted iterations never decrease the fidelity
-    (Armijo backtracking), and a field already meeting ``fid_target``
-    returns converged at iteration 0.  Non-convergence is reported in the
-    result rather than raised.
+    clears the pairs.  Accepted iterations strictly raise the fidelity
+    (Armijo backtracking on its increase), and a field already meeting
+    ``fid_target`` returns converged at iteration 0.  Non-convergence is
+    reported in the result rather than raised.
     """
     _require_controllable(sys)
     target = assert_unitary(target, name="target")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, coupled_traceless_symmetric
+from conftest import SX, SZ, coupled_traceless_symmetric, random_system_and_field
 from wayspan import cli, evolve, reachability, waypoints
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem, load_system, save_system
@@ -201,6 +201,17 @@ class TestCheck:
         assert run(*argv, "--rho0", files["rho0"], "--obs", files["obs"]) == 0
         assert stacks == [(30, 2, 2)]
         assert passes == [30]
+
+    def test_verdict_does_not_depend_on_the_system_scale(self, tmp_path, capsys):
+        # (c h0, c mu, T / c) gives the same propagators for every c.
+        sys_n, field = random_system_and_field(6, 600, 2)
+        lines = []
+        for c in (1e-3, 1.0, 1e3):
+            system = _system(tmp_path / f"sys_{c}.json", c * sys_n.h0, c * sys_n.mu)
+            evolve.save_field(ControlField(horizon=field.horizon / c, values=field.values), tmp_path / f"f_{c}.json")
+            assert run("check", "--system", system, "--field", tmp_path / f"f_{c}.json") == 0
+            lines.append(capsys.readouterr().out)
+        assert lines == ["independence verdict: FULL (601 samples, dim 6)\n"] * 3
 
     @pytest.mark.parametrize("given, missing", [("rho0", "--obs"), ("obs", "--rho0")])
     def test_one_of_rho0_and_obs_exits_2(self, files, given, missing, capsys):

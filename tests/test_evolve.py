@@ -103,7 +103,7 @@ def test_trajectory_dipole_spectra_match(rng, pauli_system):
     field = ControlField(horizon=2.0, values=rng.normal(size=50))
     traj = evolve.propagate(pauli_system, field)
     ref = np.sort(np.linalg.eigvalsh(pauli_system.mu))
-    for hat in traj.mu_hats[::10]:
+    for hat in evolve.conjugated_dipole(traj.unitaries[::10], pauli_system.mu):
         assert np.allclose(np.sort(np.linalg.eigvalsh(hat)), ref, atol=1e-9)
 
 
@@ -157,7 +157,7 @@ def test_trajectory_csv(tmp_path, pauli_system):
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_final_propagator_is_the_last_node_of_propagate(steps, n, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
-    u_end, _ = evolve._final_propagator(sys_n, field)
+    u_end = evolve._final_propagator(sys_n, field).unitaries[-1]
     assert np.array_equal(u_end, evolve.propagate(sys_n, field).unitaries[-1])
 
 
@@ -165,9 +165,10 @@ def _assert_couplings_are_step_derivatives(sys_n, field):
     """dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for every step S_m, against
     scipy's Frechet derivative of the step exponential, and the endpoint
     against a per-step loop of scipy's exponentials."""
-    u_end, data = evolve._final_propagator(sys_n, field)
-    mid_hats = evolve._midpoint_couplings(sys_n, data)
-    dt, nodes = field.dt, data.nodes
+    traj = evolve._final_propagator(sys_n, field)
+    mid_hats = evolve._midpoint_couplings(traj)
+    dt, nodes = field.dt, traj.unitaries
+    u_end = nodes[-1]
     u = np.eye(sys_n.dim, dtype=complex)
     for m, eps in enumerate(field.values):
         h_m = sys_n.h0 - eps * sys_n.mu
@@ -193,8 +194,8 @@ def test_midpoint_couplings_at_a_degenerate_spectrum(rng):
     sys3 = QuantumSystem(3, np.zeros((3, 3)), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=[0.0, 0.8, 0.0, -1.3, 0.0])
     _assert_couplings_are_step_derivatives(sys3, field)
-    data = evolve._final_propagator(sys3, field)[1]
-    assert np.array_equal(data.eig[0][0], np.zeros(3))
+    traj = evolve._final_propagator(sys3, field)
+    assert np.array_equal(traj.eig[0][0], np.zeros(3))
 
 
 @settings(max_examples=30)
@@ -223,26 +224,24 @@ def test_density_matrix_rejects_a_nan_entry():
         evolve.density_matrix(rho)
 
 
-def test_propagate_rejects_nan_propagators_and_dipoles(monkeypatch, pauli_system):
+def test_propagate_rejects_nan_propagators(monkeypatch, pauli_system):
     field = ControlField(horizon=1.0, values=[0.3, -0.2, 0.1])
-    phase_conjugate = evolve._phase_conjugate
+    step_exponentials = evolve._step_exponentials
 
-    def nan_step(eig, t):
-        steps = phase_conjugate(eig, t)
+    def nan_step(sys_, values, dt):
+        eig, steps = step_exponentials(sys_, values, dt)
         steps[1, 0, 1] = np.nan
-        return steps
+        return eig, steps
 
-    with monkeypatch.context() as patch:
-        patch.setattr(evolve, "_phase_conjugate", nan_step)
-        with pytest.raises(RuntimeError, match="lost unitarity: defect nan"):
-            evolve.propagate(pauli_system, field)
-    conjugated_dipole = evolve.conjugated_dipole
-
-    def nan_dipole(u, mu):
-        hats = conjugated_dipole(u, mu).copy()
-        hats[2, 1, 1] = np.nan
-        return hats
-
-    monkeypatch.setattr(evolve, "conjugated_dipole", nan_dipole)
-    with pytest.raises(RuntimeError, match="off structure: hermiticity nan"):
+    monkeypatch.setattr(evolve, "_step_exponentials", nan_step)
+    with pytest.raises(RuntimeError, match="lost unitarity: defect nan"):
         evolve.propagate(pauli_system, field)
+
+
+def test_trajectory_derives_its_grid_from_the_field(pauli_system):
+    field = ControlField(horizon=2.5, values=[0.3, -0.2, 0.1, 0.4, 0.0])
+    traj = evolve.propagate(pauli_system, field)
+    assert traj.sys is pauli_system and traj.field is field
+    assert (traj.dt, traj.steps, traj.dim) == (field.dt, 5, 2)
+    assert np.array_equal(traj.times, np.linspace(0.0, 2.5, 6))
+    assert traj.unitaries.shape == (6, 2, 2) and not traj.unitaries.flags.writeable

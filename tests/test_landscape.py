@@ -131,6 +131,49 @@ class TestTrajectoryIndependence:
         with pytest.raises(ValueError):
             landscape.trajectory_independence(traj, [])
 
+    def test_strided_samples_conjugate_only_their_nodes(self):
+        sys_n, field = random_system_and_field(3, 200, 11)
+        traj = evolve.propagate(sys_n, field)
+        idx = np.arange(0, 201, 40)
+        report = landscape.trajectory_independence(traj, idx)
+        ref = landscape.spanning_rank(evolve.conjugated_dipole(traj.unitaries[idx], traj.sys.mu))
+        assert not report.full
+        assert np.array_equal(report.singular_values, ref.singular_values)
+        assert np.array_equal(report.complement_basis, ref.complement_basis)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_dipole_guard_is_relative_to_the_dipole_norm(self, scale):
+        # The same propagators under (c h0, c mu, T / c); at c = 1e3 the
+        # conjugates' trace round-off alone exceeds TRAJECTORY_TOL.
+        sys_n, field = random_system_and_field(6, 600, 2)
+        scaled = QuantumSystem(6, scale * sys_n.h0, scale * sys_n.mu)
+        traj = evolve.propagate(scaled, ControlField(horizon=field.horizon / scale, values=field.values))
+        assert landscape.trajectory_independence(traj).full
+
+    def test_a_perturbed_node_is_off_structure(self, pauli_system, rng):
+        traj = evolve.propagate(pauli_system, ControlField(horizon=2.0, values=rng.normal(size=20)))
+        nodes = traj.unitaries.copy()
+        nodes[7] += 1e-6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        bad = evolve.PropagatorTrajectory(sys=traj.sys, field=traj.field, eig=traj.eig, unitaries=nodes)
+        assert landscape.trajectory_independence(bad, [0, 3]).rank == 2
+        with pytest.raises(RuntimeError, match="off structure"):
+            landscape.trajectory_independence(bad)
+        with pytest.raises(RuntimeError, match="off structure"):
+            landscape.trajectory_independence(bad, [7])
+
+    def test_nan_dipoles_are_off_structure(self, pauli_system, monkeypatch):
+        traj = evolve.propagate(pauli_system, ControlField(horizon=1.0, values=[0.3, -0.2, 0.1]))
+        conjugated_dipole = evolve.conjugated_dipole
+
+        def nan_dipole(u, mu):
+            hats = conjugated_dipole(u, mu).copy()
+            hats[2, 1, 1] = np.nan
+            return hats
+
+        monkeypatch.setattr(evolve, "conjugated_dipole", nan_dipole)
+        with pytest.raises(RuntimeError, match="off structure: hermiticity nan"):
+            landscape.trajectory_independence(traj)
+
 
 class TestWaypointVisits:
     def test_exact_containment(self, pauli_system, rng):
@@ -154,6 +197,17 @@ class TestWaypointVisits:
         assert records[0].fidelity == pytest.approx(0.0, abs=1e-12)
         assert not records[0].visited
 
+    def test_overlaps_match_each_gate_fidelity(self, rng):
+        sys_n, field = random_system_and_field(3, 60, 8)
+        traj = evolve.propagate(sys_n, field)
+        picks = traj.unitaries[[5, 31, 60]] * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))[:, None, None]
+        wset = waypoints.WaypointSet(dim=3, unitaries=picks, provenance="custom")
+        for record, w, step in zip(landscape.waypoint_visits(traj, wset), wset.unitaries, (5, 31, 60)):
+            fids = [landscape.gate_fidelity(w, u) for u in traj.unitaries]
+            assert record.step == step == int(np.argmax(fids))
+            assert abs(record.fidelity - fids[step]) <= 1e-15
+            assert record.time == traj.times[step]
+
     def test_gate_fidelity_phase_invariance(self, rng):
         u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
         assert landscape.gate_fidelity(u, np.exp(0.7j) * u) == pytest.approx(1.0)
@@ -163,13 +217,13 @@ class TestGradient:
     def test_zero_for_maximally_mixed_state(self, pauli_system, rng):
         field = ControlField(horizon=1.0, values=rng.normal(size=20))
         obs = np.diag([1.0, -2.0])
-        g = landscape.gradient(pauli_system, evolve.propagate(pauli_system, field), np.eye(2) / 2, obs)
+        g = landscape.gradient(evolve.propagate(pauli_system, field), np.eye(2) / 2, obs)
         assert np.abs(g).max() < 1e-12
 
     def test_zero_for_identity_observable(self, pauli_system, rng):
         field = ControlField(horizon=1.0, values=rng.normal(size=20))
         rho0 = random_density(2, rng)
-        g = landscape.gradient(pauli_system, evolve.propagate(pauli_system, field), rho0, np.eye(2))
+        g = landscape.gradient(evolve.propagate(pauli_system, field), rho0, np.eye(2))
         assert np.abs(g).max() < 1e-12
 
     def test_matches_finite_differences(self, rng):
@@ -179,7 +233,7 @@ class TestGradient:
         field = ControlField(horizon=1.2, values=0.5 * rng.normal(size=20))
         rho0 = random_density(3, rng)
         obs = random_traceless_symmetric(3, rng)
-        analytic = landscape.gradient(sys3, evolve.propagate(sys3, field), rho0, obs)
+        analytic = landscape.gradient(evolve.propagate(sys3, field), rho0, obs)
         numeric = landscape.finite_difference_gradient(sys3, field, rho0, obs, h=1e-5)
         rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert rel < 1e-5
@@ -198,7 +252,7 @@ class TestGradient:
         obs = u_end @ np.diag([0.3, -1.1]) @ u_end.conj().T
         rho0 = np.diag([0.75, 0.25]).astype(complex)
         assert landscape.kinematic_residual(u_end, rho0, obs) < 1e-12
-        g = landscape.gradient(pauli_system, traj, rho0, obs)
+        g = landscape.gradient(traj, rho0, obs)
         assert np.abs(g).max() < 1e-10
 
 
@@ -255,7 +309,7 @@ def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     rng = np.random.default_rng(seed)
     rho0 = random_density(n, rng)
     obs = random_traceless_symmetric(n, rng)
-    analytic = landscape.gradient(sys_n, evolve.propagate(sys_n, field), rho0, obs)
+    analytic = landscape.gradient(evolve.propagate(sys_n, field), rho0, obs)
     numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
     assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
@@ -264,7 +318,7 @@ def _full_pass_differences(sys_n, field, rho0, obs, h):
     """Reference oracle: central differences with one full step pass per probe."""
 
     def objective(values):
-        u, _ = evolve._final_propagator(sys_n, ControlField(horizon=field.horizon, values=values))
+        u = evolve._final_propagator(sys_n, ControlField(horizon=field.horizon, values=values)).unitaries[-1]
         return float(np.real(np.einsum("ij,ji->", u @ rho0 @ u.conj().T, obs)))
 
     out = np.empty(field.steps)
@@ -282,7 +336,7 @@ def _oracle_gap(n, steps, seed):
     rng = np.random.default_rng(seed)
     rho0 = random_density(n, rng)
     obs = random_traceless_symmetric(n, rng)
-    analytic = landscape.gradient(sys_n, evolve.propagate(sys_n, field), rho0, obs)
+    analytic = landscape.gradient(evolve.propagate(sys_n, field), rho0, obs)
     numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
     return np.abs(numeric - _full_pass_differences(sys_n, field, rho0, obs, 1e-5)).max() / np.abs(analytic).max()
 

@@ -141,7 +141,7 @@ def test_synthesis_carries_the_propagated_trajectory(pauli_system, opts):
     synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
     traj = evolve.propagate(pauli_system, synthesis.field)
     assert np.array_equal(synthesis.trajectory.unitaries, traj.unitaries)
-    assert np.array_equal(synthesis.trajectory.mu_hats, traj.mu_hats)
+    assert synthesis.trajectory.sys is pauli_system and synthesis.trajectory.field is synthesis.field
     assert synthesis.visits == tuple(landscape.waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target))
 
 
@@ -172,7 +172,7 @@ def test_initial_field_must_match_grid(pauli_system, opts):
 
 def _fidelity_central_differences(sys_n, field, target, h):
     def objective(values):
-        u, _ = evolve._final_propagator(sys_n, ControlField(horizon=field.horizon, values=values))
+        u = evolve._final_propagator(sys_n, ControlField(horizon=field.horizon, values=values)).unitaries[-1]
         return abs(np.vdot(target, u)) ** 2 / sys_n.dim**2
 
     fd = np.empty(field.steps)
@@ -189,7 +189,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
     sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
     target = random_unitary(3, rng)
-    _, grad = steer._fidelity_gradient(sys3, target, evolve._final_propagator(sys3, field)[1])
+    _, grad = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
     fd = _fidelity_central_differences(sys3, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
@@ -203,7 +203,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
 def test_fidelity_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
     target = random_unitary(n, np.random.default_rng(seed))
-    _, grad = steer._fidelity_gradient(sys_n, target, evolve._final_propagator(sys_n, field)[1])
+    _, grad = steer._fidelity_gradient(target, evolve._final_propagator(sys_n, field))
     fd = _fidelity_central_differences(sys_n, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
@@ -213,8 +213,8 @@ def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=20))
     target = random_unitary(3, rng)
     trial_fid, data = steer._fidelity_state(sys3, field, target)
-    fid, grad = steer._fidelity_gradient(sys3, target, data)
-    fresh_fid, fresh = steer._fidelity_gradient(sys3, target, evolve._final_propagator(sys3, field)[1])
+    fid, grad = steer._fidelity_gradient(target, data)
+    fresh_fid, fresh = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
     assert np.array_equal(grad, fresh)
     assert fid == fresh_fid
     assert fid == trial_fid
@@ -229,7 +229,7 @@ def test_result_endpoint_is_the_final_propagator_of_its_field(pauli_system, opts
     iterated = steer.synthesize_to_target(pauli_system, swap, opts)
     assert iterated.iterations > 0
     for result in (converged_at_start, iterated):
-        assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field)[0])
+        assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field).unitaries[-1])
 
 
 def test_chain_computes_no_endpoint_twice(pauli_system, opts, monkeypatch):
@@ -274,7 +274,7 @@ def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
     # The initial field's pass, then one per line-search trial; none on acceptance.
     assert len(stacks) == 1 + len(trials)
     assert result.field is trials[-1]
-    assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field)[0])
+    assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field).unitaries[-1])
 
 
 def _dense_bfgs_inverse(pairs, m):
@@ -326,8 +326,8 @@ def _record_iterates(monkeypatch):
         trials[id(data)] = (data, field.values)
         return fid, data
 
-    def gradient(sys_, target, data):
-        fid, grad = real_gradient(sys_, target, data)
+    def gradient(target, data):
+        fid, grad = real_gradient(target, data)
         values = trials[id(data)][1] if id(data) in trials else None
         iterates.append((values, fid, grad))
         return fid, grad
@@ -360,6 +360,29 @@ def test_every_accepted_step_meets_armijo_with_its_own_slope(n, steps, seed):
         assert new_fid >= fid
         values = new_values
     assert iterates[-1][1] == result.achieved_fidelity
+
+
+@pytest.mark.parametrize("target_seed", [0, 3])
+def test_null_steps_are_rejected_near_a_stationary_point(target_seed, monkeypatch):
+    # Near this stationary point ARMIJO alpha slope falls below one ulp of
+    # fid^2, so a step that leaves fid^2 unchanged must still fail the test.
+    sys2, field = random_system_and_field(2, 5, 3)
+    draw = np.random.default_rng(target_seed)
+    target = np.linalg.qr(draw.normal(size=(2, 2)) + 1j * draw.normal(size=(2, 2)))[0]
+    opts = SteerOptions(segment_time=field.horizon, steps_per_segment=5, max_iters=40)
+    iterates = _record_iterates(monkeypatch)
+    trials, real_state = [], steer._fidelity_state
+
+    def counted_state(sys_, trial, target_):
+        trials.append(trial)
+        return real_state(sys_, trial, target_)
+
+    monkeypatch.setattr(steer, "_fidelity_state", counted_state)
+    result = steer.synthesize_to_target(sys2, target, opts, initial=field)
+    assert len(trials) < 100
+    assert len(iterates) == result.iterations + 1
+    for (_, fid, _), (_, new_fid, _) in zip(iterates, iterates[1:]):
+        assert new_fid * new_fid > fid * fid
 
 
 @pytest.fixture
@@ -410,7 +433,7 @@ def _gradient_ascent_reference(sys_, target, opts):
     amplitude = steer.INIT_AMPLITUDE
     values = np.random.default_rng(opts.seed).uniform(-amplitude, amplitude, opts.steps_per_segment)
     field = ControlField(horizon=opts.segment_time, values=values)
-    fid, grad = steer._fidelity_gradient(sys_, target, evolve._final_propagator(sys_, field)[1])
+    fid, grad = steer._fidelity_gradient(target, evolve._final_propagator(sys_, field))
     iterations, alpha = 0, opts.step_size
     while fid < opts.fid_target and iterations < opts.max_iters:
         gnorm2 = float(np.dot(grad, grad))
@@ -424,7 +447,7 @@ def _gradient_ascent_reference(sys_, target, opts):
             alpha *= 0.5
         field = trial
         iterations += 1
-        fid, grad = steer._fidelity_gradient(sys_, target, data)
+        fid, grad = steer._fidelity_gradient(target, data)
     return field.values, iterations
 
 
