@@ -2,7 +2,8 @@
 
 Exit codes are a stable scripting contract: 0 for success or a passing
 verdict, 1 for a failed verdict or non-convergence, 2 for usage, parse or
-shape errors.
+shape errors and for a numerical failure: a guard (unitarity, dipole
+structure, way-point pattern) raised ``RuntimeError``, so no verdict exists.
 """
 
 from __future__ import annotations
@@ -290,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-time", type=float, default=None)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--max-iters", type=int, default=500,
-                   help="accepted quasi-Newton steps per segment before it is reported unconverged")
+                   help="accepted Newton or gradient steps per segment before it is reported unconverged")
     p.add_argument("--fid-target", type=float, default=0.999)
     p.add_argument("--step-size", type=float, default=0.1,
-                   help="largest gradient step, taken on a segment's first iteration and after "
-                        "each quasi-Newton reset; quasi-Newton steps start at 1")
+                   help="largest gradient step, taken where the Newton step on the propagator "
+                        "does not ascend; Newton steps start at 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_steer)
@@ -315,6 +316,9 @@ def main(argv=None) -> int:
         return EXIT_VERDICT
     except (FormatError, FileNotFoundError, ValueError) as exc:
         print(f"ERROR: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"ERROR: numerical failure: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 
 

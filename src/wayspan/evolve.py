@@ -168,10 +168,10 @@ def _midpoint_couplings(traj: PropagatorTrajectory) -> np.ndarray:
     return dagger(frames) @ coupling @ frames
 
 
-def _coupling_traces(traj: PropagatorTrajectory, x: np.ndarray) -> np.ndarray:
-    """``dt Tr(mid_hat_m x)`` of every step m; every control gradient is one
-    of these traces, with ``x`` formed from the endpoint U_M."""
-    return traj.dt * np.einsum("mab,ba->m", _midpoint_couplings(traj), x)
+def _coupling_traces(mid_hats: np.ndarray, dt: float, x: np.ndarray) -> np.ndarray:
+    """``dt Tr(mid_hat_m x)`` of every step m from :func:`_midpoint_couplings`;
+    every control gradient is one of these, with ``x`` formed from U_M."""
+    return dt * np.einsum("mab,ba->m", mid_hats, x)
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:

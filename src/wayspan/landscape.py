@@ -195,7 +195,7 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
         )
     u = traj.unitaries[-1]
     ro = rho0 @ dagger(u) @ obs @ u
-    return -2.0 * np.imag(evolve._coupling_traces(traj, ro))
+    return -2.0 * np.imag(evolve._coupling_traces(evolve._midpoint_couplings(traj), traj.dt, ro))
 
 
 def finite_difference_gradient(

@@ -1,19 +1,16 @@
 """Control synthesis toward target unitaries and through way-point lists.
 
-Quasi-Newton ascent on the squared phase-invariant gate fidelity: a
-limited-memory BFGS direction from the exact gradient and the curvature
-pairs of recent steps that met the Wolfe curvature condition, with an
-Armijo backtracking line search (Nocedal and Wright, *Numerical
-Optimization*, 2006, Alg. 7.4; de Fouquières et al., J. Magn. Reson. 212,
-412, 2011).  Whenever the quasi-Newton direction fails to ascend, the
-step falls back to the plain gradient and the curvature history starts
-afresh.  The iterates are deterministic given the seed.
+Newton steps on the propagator (de Fouquières et al., J. Magn. Reson. 212,
+412, 2011), with an Armijo backtracking line search on the squared
+phase-invariant gate fidelity.  The Jacobian of the M-step map eps -> U_M
+has the columns i dt U_M mid_hat_m; where they span isu(N), the control is
+regular and the Newton step converges quadratically.  Whenever the Newton
+step fails to ascend, the iteration takes a plain gradient step instead.
+The iterates are deterministic given the seed.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +20,7 @@ from .evolve import ControlField, PropagatorTrajectory, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
 from .matspace import assert_unitary, dagger
 from .model import QuantumSystem
-from .tolerances import ARMIJO, GRAD_FLOOR, GRID_RTOL, MIN_STEP, PIVOT_RTOL, WOLFE_C2
+from .tolerances import ARMIJO, GRAD_FLOOR, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -37,8 +34,6 @@ __all__ = [
 ]
 
 INIT_AMPLITUDE = 0.1
-# Curvature pairs (s, y) the quasi-Newton direction remembers.
-LBFGS_MEMORY = 8
 
 
 class NotControllableError(ValueError):
@@ -115,43 +110,43 @@ def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray)
     return gate_fidelity(target, traj.unitaries[-1]), traj
 
 
-def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[float, np.ndarray]:
-    """Fidelity and the exact gradient of its square wrt each step amplitude.
+def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[float, np.ndarray, np.ndarray]:
+    """Fidelity, the exact gradient of its square and the Newton step, each wrt
+    every step amplitude.
 
     With z = Tr(target† U_M), the objective is |z|^2 / N^2 and
     dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), with mid_hat_m the exact
-    midpoint coupling from ``evolve._midpoint_couplings``.  ``traj`` is the
+    midpoint coupling from ``evolve._midpoint_couplings``, whose one call
+    also gives the Newton step (:func:`_newton_direction`).  ``traj`` is the
     field's step pass, as ``_fidelity_state`` returns it; U_M is its last node.
     """
     n = traj.dim
     u = traj.unitaries[-1]
     z = complex(np.vdot(target, u))
-    dz = 1j * evolve._coupling_traces(traj, dagger(target) @ u)
+    gap = dagger(target) @ u
+    mid_hats = evolve._midpoint_couplings(traj)
+    dz = 1j * evolve._coupling_traces(mid_hats, traj.dt, gap)
     grad = 2.0 * np.real(np.conj(z) * dz) / (n * n)
-    return abs(z) / n, grad
+    return abs(z) / n, grad, _newton_direction(np.exp(-1j * np.angle(z)) * gap, traj.dt * mid_hats)
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The L-BFGS ascent direction H grad, by the two-loop recursion.
+def _newton_direction(gap: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The Newton step on the propagator toward the phase-normalised ``gap``.
 
-    H is the inverse-Hessian estimate of -fid^2 from the curvature pairs
-    (s, y), oldest first, each with s.y > 0, updated from H0 = (s.y / y.y) I
-    of the newest pair (Nocedal and Wright, Alg. 7.4).  With no pairs it
-    is ``grad`` itself.
+    U_M(eps + delta) = U_M exp(i sum_m delta_m columns_m) to first order, with
+    ``columns`` = dt mid_hat_m, and ``gap`` = e^{-i arg z} target† U_M =
+    exp(iK), K the Hermitian log of ``gap`` with eigenphases in (-pi, pi].
+    The step is the minimum-norm least-squares delta with
+    sum_m delta_m columns_m = -K, cutting singular values below ``RANK_TOL``
+    of the largest so that a singular control still gets a step.  The trace
+    of K and the anti-Hermitian round-off of the log are orthogonal to the
+    traceless Hermitian columns, so they do not move the step.
     """
-    if not pairs:
-        return grad
-    q = grad.copy()
-    coeffs = []
-    for s, y in reversed(pairs):
-        a = float(np.dot(s, q)) / float(np.dot(s, y))
-        q -= a * y
-        coeffs.append(a)
-    s, y = pairs[-1]
-    q *= float(np.dot(s, y)) / float(np.dot(y, y))
-    for (s, y), a in zip(pairs, reversed(coeffs)):
-        q += (a - float(np.dot(y, q)) / float(np.dot(s, y))) * s
-    return q
+    n = gap.shape[0]
+    w, v = np.linalg.eig(gap)
+    k = (v * np.angle(w)) @ np.linalg.inv(v)
+    jac = columns.reshape(columns.shape[0], n * n).view(float).T
+    return np.linalg.lstsq(jac, -k.reshape(n * n).view(float), rcond=RANK_TOL)[0]
 
 
 def _synthesize(
@@ -178,46 +173,45 @@ def _synthesize(
         values = rng.uniform(-INIT_AMPLITUDE, INIT_AMPLITUDE, m_steps)
 
     traj = evolve._final_propagator(sys, ControlField(horizon=opts.segment_time, values=values))
-    fid, grad = _fidelity_gradient(target, traj)
+    fid = gate_fidelity(target, traj.unitaries[-1])
     iterations = 0
-    alpha = opts.step_size
-    pairs = deque(maxlen=LBFGS_MEMORY)
+    # Gradient steps start at min(step_size, 2 alpha) of the last one; Newton
+    # steps at 1, or at twice the last accepted Newton step when that was
+    # shorter, so that a run of damped steps does not pay the same backtracks
+    # again on every iteration.
+    alpha, newton_alpha = opts.step_size, 1.0
     while fid < opts.fid_target and iterations < opts.max_iters:
+        # Derivatives only where a step follows: a pass that meets fid_target
+        # or uses up max_iters ends the segment without them.
+        _, grad, direction = _fidelity_gradient(target, traj)
         gnorm2 = float(np.dot(grad, grad))
         if gnorm2 < GRAD_FLOOR**2:
             break
-        direction = _lbfgs_direction(grad, pairs)
         slope = float(np.dot(grad, direction))
-        if pairs and slope > 0.0 and np.all(np.isfinite(direction)):
-            alpha = 1.0
+        newton = slope > 0.0 and bool(np.all(np.isfinite(direction)))
+        if newton:
+            step = newton_alpha
         else:
-            # No history, or a direction that does not ascend: a gradient step,
-            # and the history starts afresh.
-            pairs.clear()
+            # A Newton step that does not ascend: a gradient step instead.
             direction, slope = grad, gnorm2
-            alpha = min(opts.step_size, 2.0 * alpha)
+            step = alpha = min(opts.step_size, 2.0 * alpha)
         phi = fid * fid
-        while alpha >= MIN_STEP:
-            trial = ControlField(horizon=opts.segment_time, values=traj.field.values + alpha * direction)
+        while step >= MIN_STEP:
+            trial = ControlField(horizon=opts.segment_time, values=traj.field.values + step * direction)
             trial_fid, trial_traj = _fidelity_state(sys, trial, target)
             # The increase itself is tested, so that a step leaving fid^2
-            # unchanged fails even once ARMIJO alpha slope is below its ulp.
-            if trial_fid * trial_fid - phi >= ARMIJO * alpha * slope:
+            # unchanged fails even once ARMIJO step slope is below its ulp.
+            if trial_fid * trial_fid - phi >= ARMIJO * step * slope:
                 break
-            alpha *= 0.5
+            step *= 0.5
         else:
             break
+        if newton:
+            newton_alpha = min(1.0, 2.0 * step)
+        else:
+            alpha = step
         iterations += 1
-        fid, new_grad = _fidelity_gradient(target, trial_traj)
-        # Ascent on fid^2 is descent on -fid^2, whose gradient change is
-        # g_old - g_new.  The pair is kept only when s.y > 0 and the step meets
-        # the Wolfe curvature condition, so that a nearly flat pair cannot
-        # blow H up along s.
-        s, y = trial.values - traj.field.values, grad - new_grad
-        sy = float(np.dot(s, y))
-        if sy > 0.0 and sy >= (1.0 - WOLFE_C2) * float(np.dot(grad, s)):
-            pairs.append((s, y))
-        traj, grad = trial_traj, new_grad
+        traj, fid = trial_traj, trial_fid
 
     # A copy, so that a chain's results do not keep every segment's nodes alive.
     return SynthesisResult(
@@ -236,18 +230,18 @@ def synthesize_to_target(
     *,
     initial: ControlField | None = None,
 ) -> SynthesisResult:
-    """Quasi-Newton synthesis of a control hitting ``target`` up to phase.
+    """Newton synthesis of a control hitting ``target`` up to phase.
 
     Requires a controllable system.  The initial guess is small seeded
     uniform noise (the zero field is often a saddle); an explicit
-    ``initial`` field overrides it.  Each iteration steps along the L-BFGS
-    direction of the last ``LBFGS_MEMORY`` curvature pairs, starting the
-    line search at 1; the first iteration, and any whose direction does
-    not ascend, takes a gradient step of at most ``opts.step_size`` and
-    clears the pairs.  Accepted iterations strictly raise the fidelity
-    (Armijo backtracking on its increase), and a field already meeting
-    ``fid_target`` returns converged at iteration 0.  Non-convergence is
-    reported in the result rather than raised.
+    ``initial`` field overrides it.  Each iteration takes the Newton step on
+    the propagator, the least control change whose linearised effect undoes
+    the Hermitian log of the phase-normalised gap target† U_M, from 1 or
+    twice the last accepted Newton step; where it does not ascend, a
+    gradient step of at most ``opts.step_size``.  Accepted iterations
+    strictly raise the fidelity (Armijo backtracking on its increase), and a
+    field already meeting ``fid_target`` returns converged at iteration 0.
+    Non-convergence is reported in the result rather than raised.
     """
     _require_controllable(sys)
     target = assert_unitary(target, name="target")

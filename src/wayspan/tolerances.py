@@ -27,8 +27,9 @@ TRAJECTORY_TOL       1e-10   unitarity of every propagated node, density
 GRID_RTOL            1e-12   relative step or horizon mismatch below which
                              two fields share one grid (evolve, steer)
 RANK_TOL             1e-8    singular values below this fraction of the
-                             largest do not count towards the spanning rank
-                             (landscape)
+                             largest do not count towards the spanning rank,
+                             nor towards the Newton step of steering
+                             (landscape, steer)
 RANK_RTOL            1e-10   a Lie-closure candidate joins the basis when
                              its residual after projection exceeds this;
                              basis elements have unit HS norm, so it is
@@ -59,9 +60,6 @@ PIVOT_RTOL           1e-9    entries within this fraction of the largest
 GRAD_FLOOR           1e-14   gradient norm at which steering stops (steer)
 ARMIJO               1e-4    sufficient-increase fraction of the Armijo
                              test on the squared fidelity (steer)
-WOLFE_C2             0.9     a quasi-Newton curvature pair is kept only
-                             when s.y >= (1 - WOLFE_C2) g.s, the Wolfe
-                             curvature condition of its step (steer)
 MIN_STEP             1e-12   step size below which the line search gives
                              up (steer)
 VISIT_FID_TOL        1e-3    (*) shortfall from 1 of the best fidelity
@@ -97,7 +95,6 @@ WITNESS_CHECK_RTOL = 1e-8
 PIVOT_RTOL = 1e-9
 GRAD_FLOOR = 1e-14
 ARMIJO = 1e-4
-WOLFE_C2 = 0.9
 MIN_STEP = 1e-12
 VISIT_FID_TOL = 1e-3
 FD_STEP = 1e-5

@@ -1,7 +1,8 @@
 """Exit codes and output files of every ``wayspan`` subcommand.
 
 The exit codes are the scripting contract: 0 for success or a passing
-verdict, 1 for a failed verdict, 2 for usage, parse or shape errors.
+verdict, 1 for a failed verdict, 2 for usage, parse or shape errors and
+for a numerical failure.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 from conftest import SX, SZ, coupled_traceless_symmetric, random_system_and_field
 from wayspan import cli, evolve, reachability, waypoints
 from wayspan.evolve import ControlField
+from wayspan.matspace import dagger
 from wayspan.model import QuantumSystem, load_system, save_system
 
 
@@ -297,3 +299,32 @@ class TestSteer:
 
     def test_needs_a_waypoint_source(self, files):
         assert run("steer", "--system", files["pauli"]) == 2
+
+
+class TestNumericalFailure:
+    """A numerical guard that raises is reported on stderr and exits 2, not 1."""
+
+    @staticmethod
+    def _lose_unitarity(monkeypatch):
+        monkeypatch.setattr(evolve, "unitarity_defect", lambda u: np.ones(len(u)))
+        return "propagation lost unitarity: defect 1.000e+00"
+
+    @staticmethod
+    def _break_dipoles(monkeypatch):
+        monkeypatch.setattr(evolve, "conjugated_dipole", lambda u, mu: 1j * (dagger(u) @ mu @ u))
+        return "conjugated dipoles off structure: hermiticity"
+
+    @pytest.mark.parametrize("guard", ["_lose_unitarity", "_break_dipoles"])
+    def test_check(self, files, monkeypatch, capsys, guard):
+        message = getattr(self, guard)(monkeypatch)
+        assert run("check", "--system", files["pauli"], "--field", files["field"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ERROR: numerical failure: {message}")
+        assert "verdict" not in captured.out
+
+    def test_steer(self, files, tmp_path, monkeypatch, capsys):
+        message = self._lose_unitarity(monkeypatch)
+        argv = ("steer", "--system", files["pauli"], "--provenance", "theorem3", "--out", tmp_path / "st")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"ERROR: numerical failure: {message}\n"
+        assert not (tmp_path / "st" / "field.json").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from wayspan import evolve, landscape, reachability, steer, waypoints
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
 from wayspan.steer import NotControllableError, SteerOptions
-from wayspan.tolerances import ARMIJO
+from wayspan.tolerances import ARMIJO, RANK_TOL
 
 
 @pytest.fixture
@@ -189,7 +190,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
     sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
     target = random_unitary(3, rng)
-    _, grad = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
+    _, grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
     fd = _fidelity_central_differences(sys3, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
@@ -203,7 +204,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
 def test_fidelity_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
     target = random_unitary(n, np.random.default_rng(seed))
-    _, grad = steer._fidelity_gradient(target, evolve._final_propagator(sys_n, field))
+    _, grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys_n, field))
     fd = _fidelity_central_differences(sys_n, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
@@ -213,9 +214,10 @@ def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=20))
     target = random_unitary(3, rng)
     trial_fid, data = steer._fidelity_state(sys3, field, target)
-    fid, grad = steer._fidelity_gradient(target, data)
-    fresh_fid, fresh = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
+    fid, grad, direction = steer._fidelity_gradient(target, data)
+    fresh_fid, fresh, fresh_direction = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
     assert np.array_equal(grad, fresh)
+    assert np.array_equal(direction, fresh_direction)
     assert fid == fresh_fid
     assert fid == trial_fid
 
@@ -277,46 +279,78 @@ def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
     assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field).unitaries[-1])
 
 
-def _dense_bfgs_inverse(pairs, m):
-    """H from H0 = gamma I, gamma = s.y / y.y of the newest pair, by the dense
-    inverse update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T."""
-    s_new, y_new = pairs[-1]
-    h = np.dot(s_new, y_new) / np.dot(y_new, y_new) * np.eye(m)
-    for s, y in pairs:
-        rho = 1.0 / np.dot(s, y)
-        left = np.eye(m) - rho * np.outer(s, y)
-        h = left @ h @ left.T + rho * np.outer(s, s)
-    return h
+def _dense_newton_reference(sys_n, field, target):
+    """The Newton step from dense references: the Jacobian column of each step
+    from ``scipy.linalg.expm_frechet`` along a per-step product, and K from
+    ``scipy.linalg.logm``."""
+    n, dt = sys_n.dim, field.dt
+    nodes = [np.eye(n, dtype=complex)]
+    columns = []
+    for eps in field.values:
+        step, d_step = scipy.linalg.expm_frechet(-1j * dt * (sys_n.h0 - eps * sys_n.mu), 1j * dt * sys_n.mu)
+        nodes.append(step @ nodes[-1])
+        # dU_M/d(eps_m) = U_M U_{m+1}† dS_m U_m = i U_M columns_m.
+        columns.append(-1j * nodes[-1].conj().T @ d_step @ nodes[-2])
+    gap = target.conj().T @ nodes[-1]
+    gap = gap * np.exp(-1j * np.angle(np.trace(gap)))
+    k = -1j * scipy.linalg.logm(gap)
+    k = 0.5 * (k + k.conj().T)
+    k -= np.trace(k).real / n * np.eye(n)
+    jac = np.stack([np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in columns], axis=1)
+    rhs = -np.concatenate([k.real.ravel(), k.imag.ravel()])
+    return np.linalg.pinv(jac, rcond=RANK_TOL) @ rhs
 
 
-def _curvature_pairs(m, count, rng):
-    pairs = []
-    while len(pairs) < count:
-        s = rng.normal(size=m)
-        y = s * rng.uniform(0.2, 5.0, m) + 0.3 * np.linalg.norm(s) / np.sqrt(m) * rng.normal(size=m)
-        if np.dot(s, y) > 0.0:
-            pairs.append((s, y))
-    return pairs
+@settings(max_examples=20)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    extra=st.integers(min_value=0, max_value=6),
+    near=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_newton_direction_matches_dense_reference(n, extra, near, seed):
+    sys_n, field = random_system_and_field(n, n * n + extra, seed)
+    traj = evolve._final_propagator(sys_n, field)
+    assume(landscape.spanning_rank(evolve._midpoint_couplings(traj)).full)
+    draw = np.random.default_rng(seed)
+    if near:
+        moved = ControlField(horizon=field.horizon, values=field.values + 0.05 * draw.normal(size=field.steps))
+        target = evolve._final_propagator(sys_n, moved).unitaries[-1]
+    else:
+        target = random_unitary(n, draw)
+    _, _, direction = steer._fidelity_gradient(target, traj)
+    expected = _dense_newton_reference(sys_n, field, target)
+    assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_two_loop_recursion_matches_dense_bfgs(rng):
-    for m in (1, 2, 3, 7, 20, 60):
-        for count in range(9):
-            pairs = _curvature_pairs(m, count, rng)
-            grad = rng.normal(size=m)
-            kept = grad.copy()
-            direction = steer._lbfgs_direction(grad, pairs)
-            assert np.array_equal(grad, kept)
-            if not pairs:
-                assert np.array_equal(direction, grad)
-                continue
-            expected = _dense_bfgs_inverse(pairs, m) @ grad
-            assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
+@settings(max_examples=40)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    extra=st.integers(min_value=0, max_value=6),
+    log_scale=st.floats(min_value=-4.0, max_value=-1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_newton_step_converges_quadratically_at_a_regular_control(n, extra, log_scale, seed):
+    # The target is reached at eps*, and the step starts from eps* + delta.
+    # Where the Jacobian of the M-step map is onto isu(N), the control is
+    # regular and one full Newton step squares the infidelity, up to a constant.
+    sys_n, field = random_system_and_field(n, n * n + extra, seed)
+    assume(reachability.is_controllable(sys_n) != reachability.VERDICT_NO)
+    target = evolve._final_propagator(sys_n, field).unitaries[-1]
+    delta = 10.0**log_scale * np.random.default_rng(seed).normal(size=field.steps)
+    start = ControlField(horizon=field.horizon, values=field.values + delta)
+    traj = evolve._final_propagator(sys_n, start)
+    assume(landscape.spanning_rank(evolve._midpoint_couplings(traj)).full)
+    fid0, _, direction = steer._fidelity_gradient(target, traj)
+    stepped = ControlField(horizon=field.horizon, values=start.values + direction)
+    fid1 = landscape.gate_fidelity(target, evolve._final_propagator(sys_n, stepped).unitaries[-1])
+    assert 1.0 - fid1 <= 1e3 * (1.0 - fid0) ** 2 + 1e-13
 
 
 def _record_iterates(monkeypatch):
     """Wrap the trial and gradient passes; return the list that receives
-    (values, fid, grad) of every iterate, the initial field's first."""
+    (values, fid, grad) of every iterate a gradient is taken at, the initial
+    field's first, with values None."""
     real_state, real_gradient = steer._fidelity_state, steer._fidelity_gradient
     trials, iterates = {}, []
 
@@ -327,13 +361,22 @@ def _record_iterates(monkeypatch):
         return fid, data
 
     def gradient(target, data):
-        fid, grad = real_gradient(target, data)
+        fid, grad, direction = real_gradient(target, data)
         values = trials[id(data)][1] if id(data) in trials else None
         iterates.append((values, fid, grad))
-        return fid, grad
+        return fid, grad, direction
 
     monkeypatch.setattr(steer, "_fidelity_state", state)
     monkeypatch.setattr(steer, "_fidelity_gradient", gradient)
+    return iterates
+
+
+def _accepted_iterates(iterates, result):
+    """(values, fid, grad) of every accepted iterate, the initial field's first.
+    A segment that meets fid_target or uses up max_iters takes no gradient at
+    its last iterate, which then comes from the result, with grad None."""
+    if len(iterates) == result.iterations:
+        return iterates + [(result.field.values, result.achieved_fidelity, None)]
     return iterates
 
 
@@ -351,15 +394,17 @@ def test_every_accepted_step_meets_armijo_with_its_own_slope(n, steps, seed):
     with pytest.MonkeyPatch.context() as mp:
         iterates = _record_iterates(mp)
         result = steer.synthesize_to_target(sys_n, target, opts, initial=field)
-    assert len(iterates) == result.iterations + 1
+    accepted = _accepted_iterates(iterates, result)
+    assert len(accepted) == result.iterations + 1
     values = field.values
-    for (_, fid, grad), (new_values, new_fid, _) in zip(iterates, iterates[1:]):
+    for (_, fid, grad), (new_values, new_fid, _) in zip(accepted, accepted[1:]):
         # alpha * (grad . d) is grad . s for the step s the trial took.
         slope = float(np.dot(grad, new_values - values))
         assert new_fid * new_fid >= fid * fid + ARMIJO * slope - 1e-15
         assert new_fid >= fid
         values = new_values
-    assert iterates[-1][1] == result.achieved_fidelity
+    assert accepted[-1][1] == result.achieved_fidelity
+    assert np.array_equal(accepted[-1][0] if result.iterations else field.values, result.field.values)
 
 
 @pytest.mark.parametrize("target_seed", [0, 3])
@@ -380,8 +425,9 @@ def test_null_steps_are_rejected_near_a_stationary_point(target_seed, monkeypatc
     monkeypatch.setattr(steer, "_fidelity_state", counted_state)
     result = steer.synthesize_to_target(sys2, target, opts, initial=field)
     assert len(trials) < 100
-    assert len(iterates) == result.iterations + 1
-    for (_, fid, _), (_, new_fid, _) in zip(iterates, iterates[1:]):
+    accepted = _accepted_iterates(iterates, result)
+    assert len(accepted) == result.iterations + 1
+    for (_, fid, _), (_, new_fid, _) in zip(accepted, accepted[1:]):
         assert new_fid * new_fid > fid * fid
 
 
@@ -396,33 +442,34 @@ def qutrit():
 
 def test_ascent_failure_falls_back_to_the_gradient(qutrit, monkeypatch):
     sys3, target, opts = qutrit
-    real_direction, real_state = steer._lbfgs_direction, steer._fidelity_state
-    history, trials, sabotaged = [], [], []
+    clean = steer.synthesize_to_target(sys3, target, opts)
+    real_direction, real_state = steer._newton_direction, steer._fidelity_state
+    calls, trials, sabotaged = [], [], []
 
-    def direction(grad, pairs):
-        history.append(len(pairs))
-        if not sabotaged and len(pairs) >= 2:
-            sabotaged.append((trials[-1], grad, len(trials)))
-            return -grad
-        return real_direction(grad, pairs)
+    def direction(gap, columns):
+        calls.append(len(trials))
+        newton = real_direction(gap, columns)
+        if not sabotaged and len(calls) >= 3:
+            sabotaged.append((trials[-1], len(trials)))
+            return -newton
+        return newton
 
     def state(sys_, field, target_):
         trials.append(field.values)
         return real_state(sys_, field, target_)
 
-    monkeypatch.setattr(steer, "_lbfgs_direction", direction)
+    monkeypatch.setattr(steer, "_newton_direction", direction)
     monkeypatch.setattr(steer, "_fidelity_state", state)
     result = steer.synthesize_to_target(sys3, target, opts)
     assert result.converged
-    (current, grad, at), = sabotaged
-    # The next trial is a gradient step from the current iterate ...
+    (current, at), = sabotaged
+    grad = steer._fidelity_gradient(target, evolve._final_propagator(sys3, ControlField(opts.segment_time, current)))[1]
+    # The next trial is the first gradient step of the segment, from the
+    # current iterate at step_size ...
     step = trials[at] - current
-    scale = float(np.dot(step, grad)) / float(np.dot(grad, grad))
-    assert scale > 0.0
-    assert np.allclose(step, scale * grad, rtol=0.0, atol=1e-12 * np.abs(current).max())
-    # ... and the direction after it sees at most the one pair that step made.
-    sabotaged_call = next(i for i, k in enumerate(history) if k >= 2)
-    assert history[sabotaged_call + 1] <= 1
+    assert np.allclose(step, opts.step_size * grad, rtol=0.0, atol=1e-12 * np.abs(current).max())
+    # ... after which Newton steps converge as fast as before.
+    assert result.iterations <= clean.iterations + 2
 
 
 def _gradient_ascent_reference(sys_, target, opts):
@@ -433,7 +480,7 @@ def _gradient_ascent_reference(sys_, target, opts):
     amplitude = steer.INIT_AMPLITUDE
     values = np.random.default_rng(opts.seed).uniform(-amplitude, amplitude, opts.steps_per_segment)
     field = ControlField(horizon=opts.segment_time, values=values)
-    fid, grad = steer._fidelity_gradient(target, evolve._final_propagator(sys_, field))
+    fid, grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys_, field))
     iterations, alpha = 0, opts.step_size
     while fid < opts.fid_target and iterations < opts.max_iters:
         gnorm2 = float(np.dot(grad, grad))
@@ -447,26 +494,57 @@ def _gradient_ascent_reference(sys_, target, opts):
             alpha *= 0.5
         field = trial
         iterations += 1
-        fid, grad = steer._fidelity_gradient(target, data)
+        fid, grad, _ = steer._fidelity_gradient(target, data)
     return field.values, iterations
 
 
-def test_zero_memory_is_gradient_ascent(pauli_system, opts, monkeypatch):
-    monkeypatch.setattr(steer, "LBFGS_MEMORY", 0)
+def _never_ascends(gap, columns):
+    """A Newton direction of slope 0, so that every step is a gradient step."""
+    return np.zeros(columns.shape[0])
+
+
+def test_direction_that_never_ascends_is_gradient_ascent(pauli_system, opts, monkeypatch):
+    monkeypatch.setattr(steer, "_newton_direction", _never_ascends)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     result = steer.synthesize_to_target(pauli_system, swap, opts)
     values, iterations = _gradient_ascent_reference(pauli_system, swap, opts)
-    # 112 iterations, as the synthesis took before it had a quasi-Newton direction.
+    # 112 iterations, as the synthesis took before it had a Newton direction.
     assert result.iterations == iterations == 112
     assert np.array_equal(result.field.values, values)
 
 
-def test_quasi_newton_chain_needs_far_fewer_iterations(qutrit, monkeypatch):
+def test_newton_chain_needs_far_fewer_iterations(qutrit, monkeypatch):
     sys3, _, opts = qutrit
     wset = waypoints.theorem3_waypoints(3)
-    quasi_newton = steer.synthesize_through_waypoints(sys3, wset, opts)
-    monkeypatch.setattr(steer, "LBFGS_MEMORY", 0)
+    newton = steer.synthesize_through_waypoints(sys3, wset, opts)
+    monkeypatch.setattr(steer, "_newton_direction", _never_ascends)
     gradient = steer.synthesize_through_waypoints(sys3, wset, opts)
-    assert quasi_newton.all_visited and gradient.all_visited
-    summed = [sum(s.iterations for s in run.segments) for run in (quasi_newton, gradient)]
-    assert summed[0] <= 0.6 * summed[1]
+    assert newton.all_visited and gradient.all_visited
+    summed = [sum(s.iterations for s in run.segments) for run in (newton, gradient)]
+    assert summed[0] <= 0.4 * summed[1]
+
+
+def _diagonal_drift_system(n, rng):
+    """A diagonal drift of increasing levels and a symmetric traceless dipole
+    with every |mu_ij| >= 0.1 off the diagonal, drawn in this order."""
+    levels = np.cumsum(rng.uniform(0.5, 1.5, n))
+    mags = rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    mu = np.triu(mags, 1)
+    mu = mu + mu.T
+    diag = rng.uniform(-1.0, 1.0, n)
+    mu[np.diag_indices(n)] = diag - diag.mean()
+    return QuantumSystem(n, np.diag(levels), mu)
+
+
+@pytest.mark.parametrize("seed", [303, 304, 305])
+def test_theorem3_chain_converges_in_few_newton_steps(seed):
+    # The steering contract at N = 4 with the options `steer` defaults to:
+    # every segment converges, every way-point is visited and the trajectory
+    # spans isu(4), in a handful of Newton steps per segment.
+    sys4 = _diagonal_drift_system(4, np.random.default_rng(7))
+    opts = SteerOptions(segment_time=steer.default_segment_time(sys4), seed=seed)
+    synthesis = steer.synthesize_through_waypoints(sys4, waypoints.theorem3_waypoints(4), opts)
+    assert [s.converged for s in synthesis.segments] == [True] * 45
+    assert synthesis.all_visited
+    assert landscape.trajectory_independence(synthesis.trajectory).full
+    assert max(s.iterations for s in synthesis.segments) <= 6
