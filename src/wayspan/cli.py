@@ -109,8 +109,7 @@ def _cmd_controllability(args) -> int:
     print(f"dimension: {result.dimension}")
     print(f"verdict: {result.verdict}")
     if args.basis_csv:
-        n = sys_obj.dim
-        write_float_table(args.basis_csv, result.basis.view(float).reshape(result.dimension, 2 * n * n))
+        write_float_table(args.basis_csv, matspace._real_rows(result.basis))
     return EXIT_OK if result.verdict in (reachability.VERDICT_SU, reachability.VERDICT_U) else EXIT_VERDICT
 
 
@@ -197,8 +196,9 @@ def _cmd_gradient_check(args) -> int:
     field = evolve.load_field(args.field)
     rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", sys_obj.dim))
     obs = _load_matrix(args.obs, "obs", sys_obj.dim)
-    analytic = landscape.gradient(evolve.propagate(sys_obj, field), rho0, obs)
-    numeric = landscape.finite_difference_gradient(sys_obj, field, rho0, obs, h=args.fd_step)
+    traj = evolve.propagate(sys_obj, field)
+    analytic = landscape.gradient(traj, rho0, obs)
+    numeric = landscape.finite_difference_gradient(traj, rho0, obs, h=args.fd_step)
     scale = float(np.abs(analytic).max())
     err = float(np.abs(analytic - numeric).max()) / max(scale, DIV_FLOOR)
     print(f"max |analytic|: {scale:.6g}")

@@ -7,7 +7,10 @@ gets one pass over its steps under its system (:class:`PropagatorTrajectory`),
 which propagation, gradients and synthesis share.  The same eigenbasis
 gives every step's exact midpoint coupling ``mid_hat_m``, with
 dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for the step S_m = U_{m+1} U_m†,
-so no other exponential is needed.  Conjugated dipoles ``u† mu u`` are
+so no other exponential is needed.  Row m of the real (M, 2 N^2) Jacobian
+J of :func:`_jacobian` is ``_real_rows(dt mid_hat_m)``; as Re Tr(A X) =
+``_real_rows(A) . _real_rows(X)`` for Hermitian A, every control derivative
+is one product ``J @ _real_rows(X)``.  Conjugated dipoles ``u† mu u`` are
 formed only by :func:`conjugated_dipole`, for the nodes a span samples.
 """
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import FormatError, float_array, int_field, parse_json, require_key, write_document, write_float_table
-from .matspace import dagger, unitarity_defect
+from .matspace import _real_rows, dagger, unitarity_defect
 from .model import QuantumSystem
 from .tolerances import GRID_RTOL, TRAJECTORY_TOL
 
@@ -155,23 +158,20 @@ def _step_frames(traj: PropagatorTrajectory) -> tuple[np.ndarray, np.ndarray]:
     return vh @ traj.unitaries[:-1], (vh @ traj.sys.mu @ v) * phi
 
 
-def _midpoint_couplings(traj: PropagatorTrajectory) -> np.ndarray:
-    """The exact midpoint coupling ``mid_hat_m = frame_m† coupling_m frame_m``
-    of every step of the pass ``traj``, from :func:`_step_frames`.
+def _jacobian(traj: PropagatorTrajectory) -> np.ndarray:
+    """The real (M, 2 N^2) Jacobian J of the pass ``traj``: row m is
+    ``_real_rows(dt mid_hat_m)``, Re and Im of each entry in row-major order.
 
-    It is the mean of U(s)† mu U(s) over step m, and makes the derivative of
-    the step exponential S_m = U_{m+1} U_m† exact:
-    dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m†, so dU_M/d(eps_m) = i dt U_M
-    mid_hat_m with no discretisation error.
+    ``mid_hat_m = frame_m† coupling_m frame_m`` (:func:`_step_frames`) is the
+    mean of U(s)† mu U(s) over step m, and dU_M/d(eps_m) = i dt U_M mid_hat_m
+    with no discretisation error.  It is Hermitian, so Re Tr(A X) =
+    ``_real_rows(A) . _real_rows(X)`` for A = dt mid_hat_m, and
+    ``J @ _real_rows(X)`` is dt Re Tr(mid_hat_m X) for every step m.
     """
     frames, coupling = _step_frames(traj)
-    return dagger(frames) @ coupling @ frames
-
-
-def _coupling_traces(mid_hats: np.ndarray, dt: float, x: np.ndarray) -> np.ndarray:
-    """``dt Tr(mid_hat_m x)`` of every step m from :func:`_midpoint_couplings`;
-    every control gradient is one of these, with ``x`` formed from U_M."""
-    return dt * np.einsum("mab,ba->m", mid_hats, x)
+    mid = dagger(frames) @ coupling @ frames
+    mid *= traj.dt
+    return _real_rows(mid)
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
@@ -240,5 +240,4 @@ def trajectory_csv(traj: PropagatorTrajectory, target) -> None:
     n = traj.dim
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     header = ["t"] + [f"{part}_u_{i}_{j}" for i, j in pairs for part in ("re", "im")]
-    u = np.ascontiguousarray(traj.unitaries).view(float).reshape(traj.steps + 1, 2 * n * n)
-    write_float_table(target, np.column_stack([traj.times, u]), header)
+    write_float_table(target, np.column_stack([traj.times, _real_rows(traj.unitaries)]), header)

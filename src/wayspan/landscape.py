@@ -14,9 +14,8 @@ import numpy as np
 
 from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
-from .evolve import ControlField, PropagatorTrajectory
-from .matspace import basis_zt, dagger, from_coords, hs_norm, to_coords
-from .model import QuantumSystem
+from .evolve import PropagatorTrajectory
+from .matspace import _real_rows, basis_zt, dagger, from_coords, hs_norm, to_coords
 from .tolerances import FD_STEP, RANK_TOL, TRAJECTORY_TOL, VISIT_FID_TOL
 from .waypoints import WaypointSet
 
@@ -180,11 +179,12 @@ def waypoint_visits(
 def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Derivative of Tr(rho(T) obs) with respect to each control step.
 
-    Realized on the step pass ``traj`` as
-    ``g_m = -dt Im Tr(O_T [mid_hat_m, rho0])`` with ``O_T = U_M† obs U_M``
-    and ``mid_hat_m`` the exact midpoint coupling from
-    ``evolve._midpoint_couplings``; the central finite-difference check is
-    the normative contract pinning sign and convention.
+    On the step pass ``traj`` it is ``g = J @ _real_rows(i [rho0, O_T])``, with
+    ``O_T = U_M† obs U_M`` and J = ``evolve._jacobian(traj)``, row m the real
+    view of dt mid_hat_m: g_m = dt Tr(mid_hat_m i [rho0, O_T]).  It is formed
+    as ``J @ _real_rows(2i rho0 O_T)``, equal because mid_hat_m is Hermitian.
+    The central finite-difference check is the normative contract pinning
+    sign and convention.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
@@ -194,33 +194,32 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
             f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}"
         )
     u = traj.unitaries[-1]
-    ro = rho0 @ dagger(u) @ obs @ u
-    return -2.0 * np.imag(evolve._coupling_traces(evolve._midpoint_couplings(traj), traj.dt, ro))
+    return evolve._jacobian(traj) @ _real_rows(2j * rho0 @ dagger(u) @ obs @ u)
 
 
 def finite_difference_gradient(
-    sys: QuantumSystem,
-    field: ControlField,
+    traj: PropagatorTrajectory,
     rho0: np.ndarray,
     obs: np.ndarray,
     *,
     h: float = FD_STEP,
 ) -> np.ndarray:
-    """Central differences of the same objective; validation oracle.
+    """Central differences of the same objective on the field of the step pass
+    ``traj``; validation oracle.
 
     ``g_m = (f(eps + h e_m) - f(eps - h e_m)) / 2h`` with
     ``f = Tr(U_M rho0 U_M† obs)``.  A probe changes step m only, so its
     endpoint is ``(U_M U_{m+1}†) step_m(eps_m ± h) U_m``, with the nodes of
-    one base pass of the field and the probe steps from the pass's own step
-    helper, ``evolve._step_exponentials``: one batched ``eigh`` of both signs
-    per block of ``_FD_BLOCK`` steps, so the work is O(M) and the extra
-    memory is bounded by the block.
+    ``traj`` and the probe steps from the pass's own step helper,
+    ``evolve._step_exponentials``: one batched ``eigh`` of both signs per
+    block of ``_FD_BLOCK`` steps, so the work is O(M) and the extra memory is
+    bounded by the block.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
-    nodes = evolve._final_propagator(sys, field).unitaries
+    sys, field, nodes = traj.sys, traj.field, traj.unitaries
     out = np.empty(field.steps)
     for start in range(0, field.steps, _FD_BLOCK):
         eps = field.values[start : start + _FD_BLOCK]

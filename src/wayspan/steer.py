@@ -3,7 +3,8 @@
 Newton steps on the propagator (de Fouquières et al., J. Magn. Reson. 212,
 412, 2011), with an Armijo backtracking line search on the squared
 phase-invariant gate fidelity.  The Jacobian of the M-step map eps -> U_M
-has the columns i dt U_M mid_hat_m; where they span isu(N), the control is
+has the columns i dt U_M mid_hat_m; ``jac`` = ``evolve._jacobian`` holds
+the real rows of dt mid_hat_m, and where they span isu(N), the control is
 regular and the Newton step converges quadratically.  Whenever the Newton
 step fails to ascend, the iteration takes a plain gradient step instead.
 The iterates are deterministic given the seed.
@@ -18,7 +19,7 @@ import numpy as np
 from . import evolve, reachability
 from .evolve import ControlField, PropagatorTrajectory, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
-from .matspace import assert_unitary, dagger
+from .matspace import _real_rows, assert_unitary, dagger
 from .model import QuantumSystem
 from .tolerances import ARMIJO, GRAD_FLOOR, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
 from .waypoints import WaypointSet
@@ -110,43 +111,40 @@ def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray)
     return gate_fidelity(target, traj.unitaries[-1]), traj
 
 
-def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[float, np.ndarray, np.ndarray]:
-    """Fidelity, the exact gradient of its square and the Newton step, each wrt
-    every step amplitude.
+def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The exact gradient of the squared fidelity and the Newton step, each wrt
+    every step amplitude, from one Jacobian ``jac`` = ``evolve._jacobian(traj)``.
 
     With z = Tr(target† U_M), the objective is |z|^2 / N^2 and
-    dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), with mid_hat_m the exact
-    midpoint coupling from ``evolve._midpoint_couplings``, whose one call
-    also gives the Newton step (:func:`_newton_direction`).  ``traj`` is the
+    dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), so the gradient is
+    ``jac @ _real_rows(2i conj(z) target† U_M) / N^2``; the same ``jac``
+    gives the Newton step (:func:`_newton_direction`).  ``traj`` is the
     field's step pass, as ``_fidelity_state`` returns it; U_M is its last node.
     """
     n = traj.dim
     u = traj.unitaries[-1]
     z = complex(np.vdot(target, u))
     gap = dagger(target) @ u
-    mid_hats = evolve._midpoint_couplings(traj)
-    dz = 1j * evolve._coupling_traces(mid_hats, traj.dt, gap)
-    grad = 2.0 * np.real(np.conj(z) * dz) / (n * n)
-    return abs(z) / n, grad, _newton_direction(np.exp(-1j * np.angle(z)) * gap, traj.dt * mid_hats)
+    jac = evolve._jacobian(traj)
+    grad = jac @ _real_rows(2j * np.conj(z) * gap) / (n * n)
+    return grad, _newton_direction(np.exp(-1j * np.angle(z)) * gap, jac)
 
 
-def _newton_direction(gap: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def _newton_direction(gap: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """The Newton step on the propagator toward the phase-normalised ``gap``.
 
-    U_M(eps + delta) = U_M exp(i sum_m delta_m columns_m) to first order, with
-    ``columns`` = dt mid_hat_m, and ``gap`` = e^{-i arg z} target† U_M =
-    exp(iK), K the Hermitian log of ``gap`` with eigenphases in (-pi, pi].
-    The step is the minimum-norm least-squares delta with
-    sum_m delta_m columns_m = -K, cutting singular values below ``RANK_TOL``
-    of the largest so that a singular control still gets a step.  The trace
-    of K and the anti-Hermitian round-off of the log are orthogonal to the
-    traceless Hermitian columns, so they do not move the step.
+    U_M(eps + delta) = U_M exp(i sum_m delta_m A_m) to first order, with
+    A_m = dt mid_hat_m the rows of ``jac`` (``evolve._jacobian``), and
+    ``gap`` = e^{-i arg z} target† U_M = exp(iK), K the Hermitian log of
+    ``gap`` with eigenphases in (-pi, pi].  The step is the minimum-norm
+    least-squares delta with ``jac.T @ delta = -_real_rows(K)``, cutting
+    singular values below ``RANK_TOL`` of the largest so that a singular
+    control still gets a step.  The trace of K and the anti-Hermitian
+    round-off of the log are orthogonal to the traceless Hermitian rows.
     """
-    n = gap.shape[0]
     w, v = np.linalg.eig(gap)
     k = (v * np.angle(w)) @ np.linalg.inv(v)
-    jac = columns.reshape(columns.shape[0], n * n).view(float).T
-    return np.linalg.lstsq(jac, -k.reshape(n * n).view(float), rcond=RANK_TOL)[0]
+    return np.linalg.lstsq(jac.T, -_real_rows(k), rcond=RANK_TOL)[0]
 
 
 def _synthesize(
@@ -183,7 +181,7 @@ def _synthesize(
     while fid < opts.fid_target and iterations < opts.max_iters:
         # Derivatives only where a step follows: a pass that meets fid_target
         # or uses up max_iters ends the segment without them.
-        _, grad, direction = _fidelity_gradient(target, traj)
+        grad, direction = _fidelity_gradient(target, traj)
         gnorm2 = float(np.dot(grad, grad))
         if gnorm2 < GRAD_FLOOR**2:
             break

@@ -166,14 +166,15 @@ def _assert_couplings_are_step_derivatives(sys_n, field):
     scipy's Frechet derivative of the step exponential, and the endpoint
     against a per-step loop of scipy's exponentials."""
     traj = evolve._final_propagator(sys_n, field)
-    mid_hats = evolve._midpoint_couplings(traj)
+    # Row m of the Jacobian is the real view of dt mid_hat_m.
+    dt_mid_hats = evolve._jacobian(traj).view(complex).reshape(field.steps, sys_n.dim, sys_n.dim)
     dt, nodes = field.dt, traj.unitaries
     u_end = nodes[-1]
     u = np.eye(sys_n.dim, dtype=complex)
     for m, eps in enumerate(field.values):
         h_m = sys_n.h0 - eps * sys_n.mu
         step, d_step = scipy.linalg.expm_frechet(-1j * dt * h_m, 1j * dt * sys_n.mu)
-        assert np.abs(d_step - 1j * dt * nodes[m + 1] @ mid_hats[m] @ nodes[m].conj().T).max() < 1e-12
+        assert np.abs(d_step - 1j * nodes[m + 1] @ dt_mid_hats[m] @ nodes[m].conj().T).max() < 1e-12
         u = step @ u
     assert np.abs(u_end - u).max() < 1e-12
 

@@ -234,7 +234,7 @@ class TestGradient:
         rho0 = random_density(3, rng)
         obs = random_traceless_symmetric(3, rng)
         analytic = landscape.gradient(evolve.propagate(sys3, field), rho0, obs)
-        numeric = landscape.finite_difference_gradient(sys3, field, rho0, obs, h=1e-5)
+        numeric = landscape.finite_difference_gradient(evolve.propagate(sys3, field), rho0, obs, h=1e-5)
         rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert rel < 1e-5
 
@@ -242,7 +242,7 @@ class TestGradient:
     def test_finite_difference_step_must_be_positive_and_finite(self, pauli_system, h):
         field = ControlField(horizon=1.0, values=[0.1, 0.2])
         with pytest.raises(ValueError, match="positive and finite"):
-            landscape.finite_difference_gradient(pauli_system, field, np.diag([1.0, 0.0]), SZ, h=h)
+            landscape.finite_difference_gradient(evolve.propagate(pauli_system, field), np.diag([1.0, 0.0]), SZ, h=h)
 
     def test_zero_at_kinematic_critical_point(self, pauli_system, rng):
         field = ControlField(horizon=1.5, values=rng.normal(size=25))
@@ -310,8 +310,44 @@ def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     rho0 = random_density(n, rng)
     obs = random_traceless_symmetric(n, rng)
     analytic = landscape.gradient(evolve.propagate(sys_n, field), rho0, obs)
-    numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
+    numeric = landscape.finite_difference_gradient(evolve.propagate(sys_n, field), rho0, obs, h=1e-5)
     assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+
+@settings(max_examples=50)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    extra=st.integers(min_value=0, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gradient_is_the_jacobian_applied_to_the_kinematic_commutator(n, extra, seed):
+    # The paper's landscape claim for the M-step map.  Row m of J is the real
+    # view of dt mid_hat_m, and g = J @ _real_rows(K) with K = i [rho0, O_T],
+    # whose Frobenius norm is the kinematic residual.  Where J has rank
+    # N^2 - 1, ||g|| >= sigma_{N^2-1}(J) ||K||, so a critical point is kinematic.
+    sys_n, field = random_system_and_field(n, n * n + extra, seed)
+    rng = np.random.default_rng(seed)
+    rho0 = random_density(n, rng)
+    obs = random_traceless_hermitian(n, rng) + rng.normal() * np.eye(n)
+    traj = evolve.propagate(sys_n, field)
+    jac = evolve._jacobian(traj)
+    assert jac.shape == (field.steps, 2 * n * n)
+    rows = jac.view(complex).reshape(field.steps, n, n)
+    norms = np.linalg.norm(jac, axis=1)
+    assert np.all(np.abs(rows - rows.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-12 * norms)
+    assert np.all(np.abs(np.trace(rows, axis1=1, axis2=2)) <= 1e-12 * norms)
+
+    u = traj.unitaries[-1]
+    o_t = u.conj().T @ obs @ u
+    k = 1j * (rho0 @ o_t - o_t @ rho0)
+    g = landscape.gradient(traj, rho0, obs)
+    expected = jac @ matspace._real_rows(k)
+    assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    s = np.linalg.svd(jac, compute_uv=False)
+    if s[n * n - 2] > landscape.RANK_TOL * s[0]:
+        resid = landscape.kinematic_residual(u, rho0, obs)
+        assert resid <= np.linalg.norm(g) / s[n * n - 2] * (1.0 + 1e-9)
 
 
 def _full_pass_differences(sys_n, field, rho0, obs, h):
@@ -337,7 +373,7 @@ def _oracle_gap(n, steps, seed):
     rho0 = random_density(n, rng)
     obs = random_traceless_symmetric(n, rng)
     analytic = landscape.gradient(evolve.propagate(sys_n, field), rho0, obs)
-    numeric = landscape.finite_difference_gradient(sys_n, field, rho0, obs, h=1e-5)
+    numeric = landscape.finite_difference_gradient(evolve.propagate(sys_n, field), rho0, obs, h=1e-5)
     return np.abs(numeric - _full_pass_differences(sys_n, field, rho0, obs, 1e-5)).max() / np.abs(analytic).max()
 
 

@@ -190,7 +190,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
     sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=12))
     target = random_unitary(3, rng)
-    _, grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
+    grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
     fd = _fidelity_central_differences(sys3, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
@@ -204,7 +204,7 @@ def test_fidelity_gradient_matches_central_differences(rng):
 def test_fidelity_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     sys_n, field = random_system_and_field(n, steps, seed)
     target = random_unitary(n, np.random.default_rng(seed))
-    _, grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys_n, field))
+    grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys_n, field))
     fd = _fidelity_central_differences(sys_n, field, target, 1e-6)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
@@ -213,13 +213,11 @@ def test_gradient_from_reused_eigendecomposition_is_bit_identical(rng):
     sys3 = QuantumSystem(3, random_traceless_symmetric(3, rng), random_traceless_symmetric(3, rng))
     field = ControlField(horizon=2.0, values=0.3 * rng.normal(size=20))
     target = random_unitary(3, rng)
-    trial_fid, data = steer._fidelity_state(sys3, field, target)
-    fid, grad, direction = steer._fidelity_gradient(target, data)
-    fresh_fid, fresh, fresh_direction = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
+    _, data = steer._fidelity_state(sys3, field, target)
+    grad, direction = steer._fidelity_gradient(target, data)
+    fresh, fresh_direction = steer._fidelity_gradient(target, evolve._final_propagator(sys3, field))
     assert np.array_equal(grad, fresh)
     assert np.array_equal(direction, fresh_direction)
-    assert fid == fresh_fid
-    assert fid == trial_fid
 
 
 def test_result_endpoint_is_the_final_propagator_of_its_field(pauli_system, opts):
@@ -279,6 +277,11 @@ def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
     assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field).unitaries[-1])
 
 
+def _jacobian_matrices(traj):
+    """The rows of ``evolve._jacobian`` as the complex matrices dt mid_hat_m."""
+    return evolve._jacobian(traj).view(complex).reshape(traj.steps, traj.dim, traj.dim)
+
+
 def _dense_newton_reference(sys_n, field, target):
     """The Newton step from dense references: the Jacobian column of each step
     from ``scipy.linalg.expm_frechet`` along a per-step product, and K from
@@ -311,14 +314,14 @@ def _dense_newton_reference(sys_n, field, target):
 def test_newton_direction_matches_dense_reference(n, extra, near, seed):
     sys_n, field = random_system_and_field(n, n * n + extra, seed)
     traj = evolve._final_propagator(sys_n, field)
-    assume(landscape.spanning_rank(evolve._midpoint_couplings(traj)).full)
+    assume(landscape.spanning_rank(_jacobian_matrices(traj)).full)
     draw = np.random.default_rng(seed)
     if near:
         moved = ControlField(horizon=field.horizon, values=field.values + 0.05 * draw.normal(size=field.steps))
         target = evolve._final_propagator(sys_n, moved).unitaries[-1]
     else:
         target = random_unitary(n, draw)
-    _, _, direction = steer._fidelity_gradient(target, traj)
+    _, direction = steer._fidelity_gradient(target, traj)
     expected = _dense_newton_reference(sys_n, field, target)
     assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -333,15 +336,21 @@ def test_newton_direction_matches_dense_reference(n, extra, near, seed):
 def test_newton_step_converges_quadratically_at_a_regular_control(n, extra, log_scale, seed):
     # The target is reached at eps*, and the step starts from eps* + delta.
     # Where the Jacobian of the M-step map is onto isu(N), the control is
-    # regular and one full Newton step squares the infidelity, up to a constant.
+    # regular and one full Newton step squares the infidelity, up to a constant,
+    # from a start inside Newton's region: there the minimum-norm step is no
+    # longer than the way to the known root eps*.  Near a singular control the
+    # region shrinks with sigma_min, and a start outside it gets a step many
+    # times longer than delta, which need not converge at all.
     sys_n, field = random_system_and_field(n, n * n + extra, seed)
     assume(reachability.is_controllable(sys_n) != reachability.VERDICT_NO)
     target = evolve._final_propagator(sys_n, field).unitaries[-1]
     delta = 10.0**log_scale * np.random.default_rng(seed).normal(size=field.steps)
     start = ControlField(horizon=field.horizon, values=field.values + delta)
     traj = evolve._final_propagator(sys_n, start)
-    assume(landscape.spanning_rank(evolve._midpoint_couplings(traj)).full)
-    fid0, _, direction = steer._fidelity_gradient(target, traj)
+    assume(landscape.spanning_rank(_jacobian_matrices(traj)).full)
+    fid0 = landscape.gate_fidelity(target, traj.unitaries[-1])
+    _, direction = steer._fidelity_gradient(target, traj)
+    assume(np.linalg.norm(direction) <= 2.0 * np.linalg.norm(delta))
     stepped = ControlField(horizon=field.horizon, values=start.values + direction)
     fid1 = landscape.gate_fidelity(target, evolve._final_propagator(sys_n, stepped).unitaries[-1])
     assert 1.0 - fid1 <= 1e3 * (1.0 - fid0) ** 2 + 1e-13
@@ -361,10 +370,10 @@ def _record_iterates(monkeypatch):
         return fid, data
 
     def gradient(target, data):
-        fid, grad, direction = real_gradient(target, data)
+        grad, direction = real_gradient(target, data)
         values = trials[id(data)][1] if id(data) in trials else None
-        iterates.append((values, fid, grad))
-        return fid, grad, direction
+        iterates.append((values, landscape.gate_fidelity(target, data.unitaries[-1]), grad))
+        return grad, direction
 
     monkeypatch.setattr(steer, "_fidelity_state", state)
     monkeypatch.setattr(steer, "_fidelity_gradient", gradient)
@@ -446,9 +455,9 @@ def test_ascent_failure_falls_back_to_the_gradient(qutrit, monkeypatch):
     real_direction, real_state = steer._newton_direction, steer._fidelity_state
     calls, trials, sabotaged = [], [], []
 
-    def direction(gap, columns):
+    def direction(gap, jac):
         calls.append(len(trials))
-        newton = real_direction(gap, columns)
+        newton = real_direction(gap, jac)
         if not sabotaged and len(calls) >= 3:
             sabotaged.append((trials[-1], len(trials)))
             return -newton
@@ -463,7 +472,7 @@ def test_ascent_failure_falls_back_to_the_gradient(qutrit, monkeypatch):
     result = steer.synthesize_to_target(sys3, target, opts)
     assert result.converged
     (current, at), = sabotaged
-    grad = steer._fidelity_gradient(target, evolve._final_propagator(sys3, ControlField(opts.segment_time, current)))[1]
+    grad = steer._fidelity_gradient(target, evolve._final_propagator(sys3, ControlField(opts.segment_time, current)))[0]
     # The next trial is the first gradient step of the segment, from the
     # current iterate at step_size ...
     step = trials[at] - current
@@ -480,7 +489,8 @@ def _gradient_ascent_reference(sys_, target, opts):
     amplitude = steer.INIT_AMPLITUDE
     values = np.random.default_rng(opts.seed).uniform(-amplitude, amplitude, opts.steps_per_segment)
     field = ControlField(horizon=opts.segment_time, values=values)
-    fid, grad, _ = steer._fidelity_gradient(target, evolve._final_propagator(sys_, field))
+    fid, traj = steer._fidelity_state(sys_, field, target)
+    grad, _ = steer._fidelity_gradient(target, traj)
     iterations, alpha = 0, opts.step_size
     while fid < opts.fid_target and iterations < opts.max_iters:
         gnorm2 = float(np.dot(grad, grad))
@@ -494,13 +504,14 @@ def _gradient_ascent_reference(sys_, target, opts):
             alpha *= 0.5
         field = trial
         iterations += 1
-        fid, grad, _ = steer._fidelity_gradient(target, data)
+        fid = trial_fid
+        grad, _ = steer._fidelity_gradient(target, data)
     return field.values, iterations
 
 
-def _never_ascends(gap, columns):
+def _never_ascends(gap, jac):
     """A Newton direction of slope 0, so that every step is a gradient step."""
-    return np.zeros(columns.shape[0])
+    return np.zeros(jac.shape[0])
 
 
 def test_direction_that_never_ascends_is_gradient_ascent(pauli_system, opts, monkeypatch):
