@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from wayspan import evolve
 from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
 
@@ -61,6 +62,11 @@ def coupled_traceless_symmetric(n, rng, min_offdiag=0.1):
     diag = rng.normal(size=n)
     np.fill_diagonal(m, diag - diag.mean())
     return m
+
+
+def jacobian_matrices(traj):
+    """The rows of ``evolve._jacobian`` as the complex matrices dt mid_hat_m."""
+    return evolve._jacobian(traj).view(complex).reshape(traj.steps, traj.dim, traj.dim)
 
 
 def random_system_and_field(n, steps, seed):

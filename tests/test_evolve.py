@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     SX,
     SZ,
+    jacobian_matrices,
     random_system_and_field,
     random_traceless_symmetric,
     random_unitary,
@@ -166,8 +167,7 @@ def _assert_couplings_are_step_derivatives(sys_n, field):
     scipy's Frechet derivative of the step exponential, and the endpoint
     against a per-step loop of scipy's exponentials."""
     traj = evolve._final_propagator(sys_n, field)
-    # Row m of the Jacobian is the real view of dt mid_hat_m.
-    dt_mid_hats = evolve._jacobian(traj).view(complex).reshape(field.steps, sys_n.dim, sys_n.dim)
+    dt_mid_hats = jacobian_matrices(traj)
     dt, nodes = field.dt, traj.unitaries
     u_end = nodes[-1]
     u = np.eye(sys_n.dim, dtype=complex)

@@ -8,6 +8,7 @@ from conftest import (
     SY,
     SZ,
     hs_inner,
+    jacobian_matrices,
     random_density,
     random_system_and_field,
     random_traceless_hermitian,
@@ -332,7 +333,7 @@ def test_gradient_is_the_jacobian_applied_to_the_kinematic_commutator(n, extra, 
     traj = evolve.propagate(sys_n, field)
     jac = evolve._jacobian(traj)
     assert jac.shape == (field.steps, 2 * n * n)
-    rows = jac.view(complex).reshape(field.steps, n, n)
+    rows = jacobian_matrices(traj)
     norms = np.linalg.norm(jac, axis=1)
     assert np.all(np.abs(rows - rows.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-12 * norms)
     assert np.all(np.abs(np.trace(rows, axis1=1, axis2=2)) <= 1e-12 * norms)

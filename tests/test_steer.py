@@ -8,6 +8,7 @@ from conftest import (
     SX,
     SZ,
     coupled_traceless_symmetric,
+    jacobian_matrices,
     random_system_and_field,
     random_traceless_symmetric,
     random_unitary,
@@ -277,15 +278,10 @@ def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
     assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field).unitaries[-1])
 
 
-def _jacobian_matrices(traj):
-    """The rows of ``evolve._jacobian`` as the complex matrices dt mid_hat_m."""
-    return evolve._jacobian(traj).view(complex).reshape(traj.steps, traj.dim, traj.dim)
-
-
-def _dense_newton_reference(sys_n, field, target):
-    """The Newton step from dense references: the Jacobian column of each step
-    from ``scipy.linalg.expm_frechet`` along a per-step product, and K from
-    ``scipy.linalg.logm``."""
+def _dense_newton_system(sys_n, field, target):
+    """The Newton equations ``jac @ delta = rhs`` from dense references: the
+    Jacobian column of each step from ``scipy.linalg.expm_frechet`` along a
+    per-step product, and rhs = -K from ``scipy.linalg.logm``."""
     n, dt = sys_n.dim, field.dt
     nodes = [np.eye(n, dtype=complex)]
     columns = []
@@ -301,6 +297,12 @@ def _dense_newton_reference(sys_n, field, target):
     k -= np.trace(k).real / n * np.eye(n)
     jac = np.stack([np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in columns], axis=1)
     rhs = -np.concatenate([k.real.ravel(), k.imag.ravel()])
+    return jac, rhs
+
+
+def _dense_newton_reference(sys_n, field, target):
+    """The minimum-norm Newton step of ``_dense_newton_system``."""
+    jac, rhs = _dense_newton_system(sys_n, field, target)
     return np.linalg.pinv(jac, rcond=RANK_TOL) @ rhs
 
 
@@ -314,7 +316,7 @@ def _dense_newton_reference(sys_n, field, target):
 def test_newton_direction_matches_dense_reference(n, extra, near, seed):
     sys_n, field = random_system_and_field(n, n * n + extra, seed)
     traj = evolve._final_propagator(sys_n, field)
-    assume(landscape.spanning_rank(_jacobian_matrices(traj)).full)
+    assume(landscape.spanning_rank(jacobian_matrices(traj)).full)
     draw = np.random.default_rng(seed)
     if near:
         moved = ControlField(horizon=field.horizon, values=field.values + 0.05 * draw.normal(size=field.steps))
@@ -335,22 +337,25 @@ def test_newton_direction_matches_dense_reference(n, extra, near, seed):
 )
 def test_newton_step_converges_quadratically_at_a_regular_control(n, extra, log_scale, seed):
     # The target is reached at eps*, and the step starts from eps* + delta.
-    # Where the Jacobian of the M-step map is onto isu(N), the control is
+    # Where the Jacobian J of the M-step map is onto isu(N), the control is
     # regular and one full Newton step squares the infidelity, up to a constant,
-    # from a start inside Newton's region: there the minimum-norm step is no
-    # longer than the way to the known root eps*.  Near a singular control the
-    # region shrinks with sigma_min, and a start outside it gets a step many
-    # times longer than delta, which need not converge at all.
+    # from a start inside Newton's region.  A step d leaves a remainder of
+    # order ||d||^2 ||J||_F^2 in K, so the start is taken inside the region
+    # where the exact step, from the dense reference, has ||d|| ||J||_F <= 5 ||K||:
+    # there the remainder is of order ||K||^2.  Near a singular control the
+    # region shrinks, and a start outside it need not converge at all.
     sys_n, field = random_system_and_field(n, n * n + extra, seed)
     assume(reachability.is_controllable(sys_n) != reachability.VERDICT_NO)
     target = evolve._final_propagator(sys_n, field).unitaries[-1]
     delta = 10.0**log_scale * np.random.default_rng(seed).normal(size=field.steps)
     start = ControlField(horizon=field.horizon, values=field.values + delta)
     traj = evolve._final_propagator(sys_n, start)
-    assume(landscape.spanning_rank(_jacobian_matrices(traj)).full)
+    assume(landscape.spanning_rank(jacobian_matrices(traj)).full)
+    jac, rhs = _dense_newton_system(sys_n, start, target)
+    exact = np.linalg.pinv(jac, rcond=RANK_TOL) @ rhs
+    assume(np.linalg.norm(exact) * np.linalg.norm(jac) <= 5.0 * np.linalg.norm(rhs))
     fid0 = landscape.gate_fidelity(target, traj.unitaries[-1])
     _, direction = steer._fidelity_gradient(target, traj)
-    assume(np.linalg.norm(direction) <= 2.0 * np.linalg.norm(delta))
     stepped = ControlField(horizon=field.horizon, values=start.values + direction)
     fid1 = landscape.gate_fidelity(target, evolve._final_propagator(sys_n, stepped).unitaries[-1])
     assert 1.0 - fid1 <= 1e3 * (1.0 - fid0) ** 2 + 1e-13
