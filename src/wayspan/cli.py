@@ -216,7 +216,6 @@ def _cmd_steer(args) -> int:
         steps_per_segment=args.steps,
         max_iters=args.max_iters,
         fid_target=args.fid_target,
-        step_size=args.step_size,
         seed=args.seed,
     )
     synthesis = steer.synthesize_through_waypoints(sys_obj, wset, opts)
@@ -289,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--waypoints", default=None)
     p.add_argument("--provenance", choices=("theorem1", "theorem3"), default=None)
     p.add_argument("--segment-time", type=float, default=None)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=int, default=None,
+                   help="steps per segment (default max(50, 2(N^2 - 1)); fewer than N^2 - 1 exit 2)")
     p.add_argument("--max-iters", type=int, default=500,
-                   help="accepted Newton or gradient steps per segment before it is reported unconverged")
+                   help="accepted Newton steps per segment before it is reported unconverged")
     p.add_argument("--fid-target", type=float, default=0.999)
-    p.add_argument("--step-size", type=float, default=0.1,
-                   help="largest gradient step, taken where the Newton step on the propagator "
-                        "does not ascend; Newton steps start at 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_steer)

@@ -5,8 +5,8 @@ Newton steps on the propagator (de Fouquières et al., J. Magn. Reson. 212,
 phase-invariant gate fidelity.  The Jacobian of the M-step map eps -> U_M
 has the columns i dt U_M mid_hat_m; ``jac`` = ``evolve._jacobian`` holds
 the real rows of dt mid_hat_m, and where they span isu(N), the control is
-regular and the Newton step converges quadratically.  Whenever the Newton
-step fails to ascend, the iteration takes a plain gradient step instead.
+regular and the Newton step converges quadratically.  There it ascends
+unless the gradient is 0, so a step that does not ascend ends the segment.
 The iterates are deterministic given the seed.
 """
 
@@ -21,7 +21,7 @@ from .evolve import ControlField, PropagatorTrajectory, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
 from .matspace import _real_rows, assert_unitary, dagger
 from .model import QuantumSystem
-from .tolerances import ARMIJO, GRAD_FLOOR, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
+from .tolerances import ARMIJO, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -51,23 +51,33 @@ def default_segment_time(sys: QuantumSystem) -> float:
     return 10.0 * np.pi * sys.dim / float(np.linalg.norm(sys.mu))
 
 
+def _segment_steps(dim: int, steps: int | None) -> int:
+    """``steps``, or max(50, 2(N^2 - 1)) when it is None.  A control is regular
+    only where the M rows of the Jacobian of eps -> U_M span isu(N), so a
+    ``steps`` below N^2 - 1 is refused."""
+    rows = dim * dim - 1
+    if steps is not None and steps < rows:
+        raise ValueError(f"steps_per_segment {steps} is below N^2 - 1 = {rows}: no control of that length is regular")
+    return max(50, 2 * rows) if steps is None else steps
+
+
 @dataclass(frozen=True)
 class SteerOptions:
     segment_time: float
-    steps_per_segment: int = 50
+    steps_per_segment: int | None = None
     max_iters: int = 500
     fid_target: float = 0.999
-    step_size: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps_per_segment", "max_iters"):
+        counts = ("max_iters",) if self.steps_per_segment is None else ("steps_per_segment", "max_iters")
+        for name in counts:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.fid_target < 1.0):
             raise ValueError(f"fid_target must lie in (0, 1), got {self.fid_target}")
-        for name in ("segment_time", "steps_per_segment", "max_iters", "step_size"):
+        for name in ("segment_time", *counts):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -162,7 +172,7 @@ def _synthesize(
     pivot = flat[np.argmax(np.abs(flat) >= (1.0 - PIVOT_RTOL) * np.abs(flat).max())]
     target = np.round(target * (abs(pivot) / pivot), 12)
 
-    m_steps = opts.steps_per_segment
+    m_steps = _segment_steps(sys.dim, opts.steps_per_segment)
     if initial is not None:
         if initial.steps != m_steps or abs(initial.horizon - opts.segment_time) > GRID_RTOL * opts.segment_time:
             raise ValueError("initial field must match segment_time and steps_per_segment")
@@ -173,26 +183,20 @@ def _synthesize(
     traj = evolve._final_propagator(sys, ControlField(horizon=opts.segment_time, values=values))
     fid = gate_fidelity(target, traj.unitaries[-1])
     iterations = 0
-    # Gradient steps start at min(step_size, 2 alpha) of the last one; Newton
-    # steps at 1, or at twice the last accepted Newton step when that was
+    # A step starts at 1, or at twice the last accepted step when that was
     # shorter, so that a run of damped steps does not pay the same backtracks
     # again on every iteration.
-    alpha, newton_alpha = opts.step_size, 1.0
+    alpha = 1.0
     while fid < opts.fid_target and iterations < opts.max_iters:
         # Derivatives only where a step follows: a pass that meets fid_target
         # or uses up max_iters ends the segment without them.
         grad, direction = _fidelity_gradient(target, traj)
-        gnorm2 = float(np.dot(grad, grad))
-        if gnorm2 < GRAD_FLOOR**2:
-            break
         slope = float(np.dot(grad, direction))
-        newton = slope > 0.0 and bool(np.all(np.isfinite(direction)))
-        if newton:
-            step = newton_alpha
-        else:
-            # A Newton step that does not ascend: a gradient step instead.
-            direction, slope = grad, gnorm2
-            step = alpha = min(opts.step_size, 2.0 * alpha)
+        # A Newton step that does not ascend (a zero gradient included) marks
+        # a singular control or a critical point: the segment ends here.
+        if not (slope > 0.0 and np.all(np.isfinite(direction))):
+            break
+        step = alpha
         phi = fid * fid
         while step >= MIN_STEP:
             trial = ControlField(horizon=opts.segment_time, values=traj.field.values + step * direction)
@@ -204,10 +208,7 @@ def _synthesize(
             step *= 0.5
         else:
             break
-        if newton:
-            newton_alpha = min(1.0, 2.0 * step)
-        else:
-            alpha = step
+        alpha = min(1.0, 2.0 * step)
         iterations += 1
         traj, fid = trial_traj, trial_fid
 
@@ -232,14 +233,17 @@ def synthesize_to_target(
 
     Requires a controllable system.  The initial guess is small seeded
     uniform noise (the zero field is often a saddle); an explicit
-    ``initial`` field overrides it.  Each iteration takes the Newton step on
-    the propagator, the least control change whose linearised effect undoes
-    the Hermitian log of the phase-normalised gap target† U_M, from 1 or
-    twice the last accepted Newton step; where it does not ascend, a
-    gradient step of at most ``opts.step_size``.  Accepted iterations
-    strictly raise the fidelity (Armijo backtracking on its increase), and a
-    field already meeting ``fid_target`` returns converged at iteration 0.
-    Non-convergence is reported in the result rather than raised.
+    ``initial`` field overrides it.  A segment has ``steps_per_segment``
+    steps, max(50, 2(N^2 - 1)) by default; fewer than N^2 - 1 raise
+    ``ValueError``, as no such control is regular.  Each iteration takes the
+    Newton step on the propagator, the least control change whose linearised
+    effect undoes the Hermitian log of the phase-normalised gap target† U_M,
+    from 1 or twice the last accepted step.  Accepted iterations strictly
+    raise the fidelity (Armijo backtracking on its increase), and a field
+    already meeting ``fid_target`` returns converged at iteration 0.  A
+    Newton step that does not ascend, as at a singular control, ends the
+    segment at its current iterate.  Non-convergence is reported in the
+    result rather than raised.
     """
     _require_controllable(sys)
     target = assert_unitary(target, name="target")

@@ -57,7 +57,6 @@ WITNESS_CHECK_RTOL   1e-8    agreement of the predicted witness value with
 PIVOT_RTOL           1e-9    entries within this fraction of the largest
                              magnitude tie for the target's phase pivot
                              (steer)
-GRAD_FLOOR           1e-14   gradient norm at which steering stops (steer)
 ARMIJO               1e-4    sufficient-increase fraction of the Armijo
                              test on the squared fidelity (steer)
 MIN_STEP             1e-12   step size below which the line search gives
@@ -93,7 +92,6 @@ LEMMA1_DET_THRESHOLD = 1e-6
 WITNESS_RTOL = 1e-10
 WITNESS_CHECK_RTOL = 1e-8
 PIVOT_RTOL = 1e-9
-GRAD_FLOOR = 1e-14
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
 VISIT_FID_TOL = 1e-3

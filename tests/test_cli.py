@@ -286,12 +286,15 @@ class TestSteer:
 
     @pytest.mark.parametrize(
         "flag, value, name",
-        [("--step-size", "nan", "step_size"), ("--step-size", "inf", "step_size"),
-         ("--segment-time", "nan", "segment_time"), ("--segment-time", "inf", "segment_time")],
+        [("--segment-time", "nan", "segment_time"), ("--segment-time", "inf", "segment_time")],
     )
     def test_nan_or_infinite_option_exits_2(self, files, flag, value, name, capsys):
         assert run("steer", "--system", files["pauli"], "--provenance", "theorem3", flag, value) == 2
         assert name in capsys.readouterr().err
+
+    def test_segment_shorter_than_the_algebra_exits_2(self, files, capsys):
+        assert run("steer", "--system", files["pauli"], "--provenance", "theorem3", "--steps", 2) == 2
+        assert "N^2 - 1 = 3" in capsys.readouterr().err
 
     def test_uncontrollable_exits_1(self, files, capsys):
         assert run("steer", "--system", files["diag"], "--provenance", "theorem3") == 1
