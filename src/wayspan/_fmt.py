@@ -83,26 +83,30 @@ def write_document(target, doc) -> None:
         _emit(fh, plan)
 
 
-def write_float_table(target, table: np.ndarray, header=None) -> None:
+def write_float_table(target, table, header=None) -> None:
     """Write a 2-D float array as CSV: an optional header line, then one line per row.
 
-    The text is ``"\n".join(lines) + "\n"`` with every value written as
+    ``table`` is one 2-D array, or an iterable of 2-D arrays of equal width
+    whose rows are written one after another.  The text is
+    ``"\n".join(lines) + "\n"`` with every value written as
     ``repr(float(value))``, so each reloads bit-exactly, -0.0 and
     subnormals included.  Rows are formatted and written in blocks of
     about ``BLOCK_FLOATS`` values.
     """
-    table = np.asarray(table, dtype=float)
-    width = table.shape[1]
-    rows = max(1, BLOCK_FLOATS // width)
+    parts = [table] if isinstance(table, np.ndarray) else table
     with _opened(target) as fh:
         sep = ""
         if header is not None:
             fh.write(",".join(header))
             sep = "\n"
-        for start in range(0, len(table), rows):
-            texts = list(map(float.__repr__, table[start : start + rows].ravel().tolist()))
-            fh.write(sep + "\n".join(",".join(texts[i : i + width]) for i in range(0, len(texts), width)))
-            sep = "\n"
+        for part in parts:
+            part = np.asarray(part, dtype=float)
+            width = part.shape[1]
+            rows = max(1, BLOCK_FLOATS // width)
+            for start in range(0, len(part), rows):
+                texts = list(map(float.__repr__, part[start : start + rows].ravel().tolist()))
+                fh.write(sep + "\n".join(",".join(texts[i : i + width]) for i in range(0, len(texts), width)))
+                sep = "\n"
         fh.write("\n")
 
 

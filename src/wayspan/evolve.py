@@ -12,6 +12,14 @@ J of :func:`_jacobian` is ``_real_rows(dt mid_hat_m)``; as Re Tr(A X) =
 ``_real_rows(A) . _real_rows(X)`` for Hermitian A, every control derivative
 is one product ``J @ _real_rows(X)``.  Conjugated dipoles ``u† mu u`` are
 formed only by :func:`conjugated_dipole`, for the nodes a span samples.
+
+A pass keeps the M + 1 nodes and the M step eigenpairs.  The pass and every
+stage that reads it (the unitarity guard, the Jacobian rows, the span
+coordinates, the way-point visits and the CSV writer) work through the
+blocks of :func:`_blocks`, so their temporaries are O(``_BLOCK`` N^2)
+whatever M.  Every per-matrix operation is the same in a block as over the
+whole field; only products of stacked rows go through BLAS, which can round
+a row in a block differently in its last bit (seen from N = 16 on).
 """
 
 from __future__ import annotations
@@ -36,6 +44,11 @@ __all__ = [
     "save_field",
     "trajectory_csv",
 ]
+
+# Steps per block of every stage that walks a pass (:func:`_blocks`): at
+# N = 32 a stack of _BLOCK complex matrices holds 4 MB, whatever M.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ControlField:
@@ -128,20 +141,53 @@ def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float) -> tup
     return eig, (v * np.exp(-1j * dt * w)[:, None, :]) @ dagger(v)
 
 
+def _blocks(count: int) -> list[slice]:
+    """Consecutive slices covering range(count): blocks of ``_BLOCK`` indices,
+    the last of which also takes the remainder, so it has fewer than
+    2 ``_BLOCK``.
+
+    No block is shorter than ``_BLOCK`` unless it is the only one.  BLAS
+    takes a short product by other kernels, whose sums can run in another
+    order, and numpy a one-row product by another routine; a row of a short
+    tail block would then differ in its last bits from the same row of the
+    product over all rows.
+    """
+    cuts = list(range(_BLOCK, count - _BLOCK + 1, _BLOCK))
+    return [slice(start, stop) for start, stop in zip([0, *cuts], [*cuts, count])]
+
+
 def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     """The field's step pass under ``sys``, whose last node is the endpoint U_M.
-    Every propagator of the package comes from this pass; it is not validated."""
-    eig, steps = _step_exponentials(sys, field.values, field.dt)
-    m_total, n, _ = steps.shape
-    nodes = np.empty((m_total + 1, n, n), dtype=complex)
+    Every propagator of the package comes from this pass; it is not validated.
+
+    The pass keeps the M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps.
+    It diagonalises and exponentiates one block of ``_BLOCK`` steps at a time
+    and multiplies each block onto the running node, writing the eigenpairs
+    into arrays for the whole field; a field of one block keeps ``eigh``'s
+    own arrays.
+    """
+    n = sys.dim
+    blocks = _blocks(field.steps)
+    nodes = np.empty((field.steps + 1, n, n), dtype=complex)
     nodes[0] = np.eye(n)
-    for m in range(m_total):
-        np.matmul(steps[m], nodes[m], out=nodes[m + 1])
+    eig = None
+    for block in blocks:
+        part, steps = _step_exponentials(sys, field.values[block], field.dt)
+        if len(blocks) == 1:
+            eig = part
+        else:
+            if eig is None:
+                eig = tuple(np.empty((field.steps, *a.shape[1:]), dtype=a.dtype) for a in part)
+            for whole, a in zip(eig, part):
+                whole[block] = a
+        for m in range(block.start, block.stop):
+            np.matmul(steps[m - block.start], nodes[m], out=nodes[m + 1])
     return PropagatorTrajectory(sys=sys, field=field, eig=eig, unitaries=nodes)
 
 
-def _step_frames(traj: PropagatorTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Every step's frame ``v_m† U_m`` and coupling ``(v_m† mu v_m) ∘ Phi_m``.
+def _step_frames(traj: PropagatorTrajectory, steps: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The frame ``v_m† U_m`` and coupling ``(v_m† mu v_m) ∘ Phi_m`` of every
+    step m in the slice ``steps``.
 
     ``v_m`` holds the eigenvectors of step m, ``w`` its eigenvalues, and
     Phi_ab = sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix) with x = dt (w_a - w_b) / 2,
@@ -149,18 +195,18 @@ def _step_frames(traj: PropagatorTrajectory) -> tuple[np.ndarray, np.ndarray]:
     over s in [0, 1].  e^{ix} is the outer product p_a conj(p_b) of the
     per-level phases p = e^{i dt w / 2}, so only M N exponentials are taken.
     """
-    w, v = traj.eig
+    w, v = (a[steps] for a in traj.eig)
     vh = dagger(v)
     x = 0.5 * traj.dt * (w[:, :, None] - w[:, None, :])
     p = np.exp(0.5j * traj.dt * w)
     # Phi before the frames, so that its temporaries are gone at the peak.
     phi = np.sinc(x / np.pi) * (p[:, :, None] * p.conj()[:, None, :])
-    return vh @ traj.unitaries[:-1], (vh @ traj.sys.mu @ v) * phi
+    return vh @ traj.unitaries[:-1][steps], (vh @ traj.sys.mu @ v) * phi
 
 
-def _jacobian(traj: PropagatorTrajectory) -> np.ndarray:
-    """The real (M, 2 N^2) Jacobian J of the pass ``traj``: row m is
-    ``_real_rows(dt mid_hat_m)``, Re and Im of each entry in row-major order.
+def _jacobian(traj: PropagatorTrajectory, steps: slice = slice(None)) -> np.ndarray:
+    """Rows ``steps`` of the real (M, 2 N^2) Jacobian J of the pass ``traj``: row m
+    is ``_real_rows(dt mid_hat_m)``, Re and Im of each entry in row-major order.
 
     ``mid_hat_m = frame_m† coupling_m frame_m`` (:func:`_step_frames`) is the
     mean of U(s)† mu U(s) over step m, and dU_M/d(eps_m) = i dt U_M mid_hat_m
@@ -168,7 +214,7 @@ def _jacobian(traj: PropagatorTrajectory) -> np.ndarray:
     ``_real_rows(A) . _real_rows(X)`` for A = dt mid_hat_m, and
     ``J @ _real_rows(X)`` is dt Re Tr(mid_hat_m X) for every step m.
     """
-    frames, coupling = _step_frames(traj)
+    frames, coupling = _step_frames(traj, steps)
     mid = dagger(frames) @ coupling @ frames
     mid *= traj.dt
     return _real_rows(mid)
@@ -178,13 +224,15 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     """Integrate the propagator over the control grid.
 
     The field's step pass, with the unitarity of every node checked against
-    ``TRAJECTORY_TOL``; its nodes are read-only.
+    ``TRAJECTORY_TOL`` one block of nodes at a time; its nodes are read-only.
     """
     traj = _final_propagator(sys, field)
-    defect = float(unitarity_defect(traj.unitaries).max())
+    nodes = traj.unitaries
+    # numpy's max, unlike Python's, keeps a NaN defect of any block.
+    defect = float(np.max([unitarity_defect(nodes[block]).max() for block in _blocks(len(nodes))]))
     if not defect <= TRAJECTORY_TOL:
         raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
-    traj.unitaries.setflags(write=False)
+    nodes.setflags(write=False)
     return traj
 
 
@@ -236,8 +284,11 @@ def save_field(field: ControlField, target) -> None:
 
 
 def trajectory_csv(traj: PropagatorTrajectory, target) -> None:
-    """Write t plus Re/Im of all propagator entries (row-major) as CSV."""
+    """Write t plus Re/Im of all propagator entries (row-major) as CSV, one
+    block of nodes at a time."""
     n = traj.dim
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     header = ["t"] + [f"{part}_u_{i}_{j}" for i, j in pairs for part in ("re", "im")]
-    write_float_table(target, np.column_stack([traj.times, _real_rows(traj.unitaries)]), header)
+    times, nodes = traj.times, traj.unitaries
+    rows = (np.column_stack([times[block], _real_rows(nodes[block])]) for block in _blocks(len(nodes)))
+    write_float_table(target, rows, header)

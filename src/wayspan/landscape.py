@@ -33,11 +33,6 @@ __all__ = [
     "visits_csv",
 ]
 
-# Steps per batched probe block of ``finite_difference_gradient``: at N = 32
-# a block's stack of probe endpoints holds 8 MB, whatever the step count.
-_FD_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class SpanReport:
     """Singular spectrum, rank and verdict of a traceless-Hermitian span.
@@ -75,21 +70,28 @@ def spanning_rank(mats) -> SpanReport:
 
     Stacks the coordinates of every matrix (in the orthonormal basis from
     :func:`wayspan.matspace.basis_zt`) as rows and takes their singular
-    values; the rank counts those above ``RANK_TOL`` times the largest
-    one.  Only a deficient span has a complement, so only then is the SVD
-    taken again for its right-singular vectors; the discarded directions
-    are mapped back to matrices.  Inputs are expected Hermitian;
-    the report is invariant under permutations of the list and under
-    appending linear combinations of existing elements.
+    values (:func:`_coords_span`).  Inputs are expected Hermitian; the report
+    is invariant under permutations of the list and under appending linear
+    combinations of existing elements.
     """
     arr = np.asarray(mats, dtype=complex)
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise ValueError(f"need a nonempty stack of square matrices, got shape {arr.shape}")
     if arr.shape[1] != arr.shape[2]:
         raise ValueError(f"matrices must be square, got shape {arr.shape}")
-    n = arr.shape[1]
-    basis = basis_zt(n)
-    coords = to_coords(arr, basis)
+    basis = basis_zt(arr.shape[1])
+    return _coords_span(to_coords(arr, basis), basis)
+
+
+def _coords_span(coords: np.ndarray, basis: np.ndarray) -> SpanReport:
+    """Spanning report of the rows ``coords``, isu(N) coordinates in ``basis``.
+
+    The rank counts the singular values above ``RANK_TOL`` times the largest
+    one.  Only a deficient span has a complement, so only then is the SVD
+    taken again for its right-singular vectors; the discarded directions are
+    mapped back to matrices.
+    """
+    n = basis.shape[1]
     s = np.linalg.svd(coords, compute_uv=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     full = rank == n * n - 1
@@ -102,7 +104,7 @@ def spanning_rank(mats) -> SpanReport:
     s.setflags(write=False)
     return SpanReport(
         dim=n,
-        count=int(arr.shape[0]),
+        count=int(coords.shape[0]),
         singular_values=s,
         rank=rank,
         full=full,
@@ -115,25 +117,34 @@ def trajectory_independence(traj: PropagatorTrajectory, sample_indices=None) -> 
 
     A FULL verdict certifies linear independence of the conjugated-dipole
     entries at the sample resolution; by default all nodes are used.  Only the
-    sampled nodes are conjugated; their dipoles must be Hermitian and traceless
-    to ``TRAJECTORY_TOL`` times ||mu||_HS, the norm every conjugate shares.
+    sampled nodes are conjugated, one block of ``evolve._BLOCK`` at a time, and
+    only their coordinates are kept; their dipoles must be Hermitian and
+    traceless to ``TRAJECTORY_TOL`` times ||mu||_HS, the norm every conjugate
+    shares.
     """
     nodes = traj.unitaries
+    idx = np.arange(nodes.shape[0])
     if sample_indices is not None:
         idx = np.asarray(sample_indices, dtype=int)
         if idx.size == 0:
             raise ValueError("sample_indices must be nonempty")
         if idx.min() < 0 or idx.max() >= nodes.shape[0]:
             raise ValueError(f"sample indices out of range 0..{nodes.shape[0] - 1}")
-        nodes = nodes[idx]
     mu = traj.sys.mu
-    mats = evolve.conjugated_dipole(nodes, mu)
+    basis = basis_zt(traj.dim)
+    coords = np.empty((idx.size, basis.shape[0]))
+    herm, traces = [], []
+    for block in evolve._blocks(idx.size):
+        mats = evolve.conjugated_dipole(nodes[idx[block]], mu)
+        herm.append(np.abs(mats - dagger(mats)).max())
+        traces.append(np.abs(np.trace(mats, axis1=1, axis2=2)).max())
+        coords[block] = to_coords(mats, basis)
+    # numpy's max, unlike Python's, keeps a NaN defect of any block.
+    herm, traces = float(np.max(herm)), float(np.max(traces))
     tol = TRAJECTORY_TOL * hs_norm(mu)
-    herm = float(np.abs(mats - dagger(mats)).max())
-    traces = float(np.abs(np.trace(mats, axis1=1, axis2=2)).max())
     if not (herm <= tol and traces <= tol):
         raise RuntimeError(f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}")
-    return spanning_rank(mats)
+    return _coords_span(coords, basis)
 
 
 def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
@@ -157,23 +168,28 @@ def waypoint_visits(
     """
     if wset.dim != traj.dim:
         raise ValueError(f"dimension mismatch: set {wset.dim} vs trajectory {traj.dim}")
-    flat = traj.unitaries.reshape(traj.steps + 1, -1)
-    overlaps = np.abs(wset.unitaries.conj().reshape(-1, flat.shape[1]) @ flat.T) / traj.dim
+    count, nodes = len(wset), traj.unitaries
+    conj = wset.unitaries.conj().reshape(count, -1)
+    best, steps = np.full(count, -np.inf), np.zeros(count, dtype=int)
+    # A running best over blocks of nodes; the strict > keeps the first
+    # maximum on ties, as one argmax over all nodes would.
+    for block in evolve._blocks(len(nodes)):
+        overlaps = np.abs(conj @ nodes[block].reshape(-1, conj.shape[1]).T) / traj.dim
+        m = np.argmax(overlaps, axis=1)
+        fid = overlaps[np.arange(count), m]
+        better = fid > best
+        best[better], steps[better] = fid[better], block.start + m[better]
     times = traj.times
-    records = []
-    for k in range(len(wset)):
-        m = int(np.argmax(overlaps[k]))
-        fid = float(overlaps[k, m])
-        records.append(
-            VisitRecord(
-                index=k + 1,
-                fidelity=fid,
-                time=float(times[m]),
-                step=m,
-                visited=fid >= 1.0 - fid_tol,
-            )
+    return [
+        VisitRecord(
+            index=k + 1,
+            fidelity=float(best[k]),
+            time=float(times[steps[k]]),
+            step=int(steps[k]),
+            visited=float(best[k]) >= 1.0 - fid_tol,
         )
-    return records
+        for k in range(count)
+    ]
 
 
 def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -182,7 +198,8 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
     On the step pass ``traj`` it is ``g = J @ _real_rows(i [rho0, O_T])``, with
     ``O_T = U_M† obs U_M`` and J = ``evolve._jacobian(traj)``, row m the real
     view of dt mid_hat_m: g_m = dt Tr(mid_hat_m i [rho0, O_T]).  It is formed
-    as ``J @ _real_rows(2i rho0 O_T)``, equal because mid_hat_m is Hermitian.
+    as ``J @ _real_rows(2i rho0 O_T)``, equal because mid_hat_m is Hermitian,
+    one block of ``evolve._BLOCK`` rows of J at a time.
     The central finite-difference check is the normative contract pinning
     sign and convention.
     """
@@ -194,7 +211,11 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
             f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}"
         )
     u = traj.unitaries[-1]
-    return evolve._jacobian(traj) @ _real_rows(2j * rho0 @ dagger(u) @ obs @ u)
+    x = _real_rows(2j * rho0 @ dagger(u) @ obs @ u)
+    out = np.empty(traj.steps)
+    for block in evolve._blocks(traj.steps):
+        out[block] = evolve._jacobian(traj, block) @ x
+    return out
 
 
 def finite_difference_gradient(
@@ -212,8 +233,8 @@ def finite_difference_gradient(
     endpoint is ``(U_M U_{m+1}†) step_m(eps_m ± h) U_m``, with the nodes of
     ``traj`` and the probe steps from the pass's own step helper,
     ``evolve._step_exponentials``: one batched ``eigh`` of both signs per
-    block of ``_FD_BLOCK`` steps, so the work is O(M) and the extra memory is
-    bounded by the block.
+    block of ``evolve._BLOCK`` steps, the block every stage that walks a pass
+    shares, so the work is O(M) and the extra memory is bounded by the block.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
@@ -221,14 +242,13 @@ def finite_difference_gradient(
     obs = np.asarray(obs, dtype=complex)
     sys, field, nodes = traj.sys, traj.field, traj.unitaries
     out = np.empty(field.steps)
-    for start in range(0, field.steps, _FD_BLOCK):
-        eps = field.values[start : start + _FD_BLOCK]
-        stop = start + eps.size
+    for block in evolve._blocks(field.steps):
+        eps = field.values[block]
         probes = np.concatenate([eps + h, eps - h])
         steps = evolve._step_exponentials(sys, probes, field.dt)[1].reshape(2, eps.size, sys.dim, sys.dim)
-        ends = nodes[-1] @ dagger(nodes[start + 1 : stop + 1]) @ steps @ nodes[start:stop]
+        ends = nodes[-1] @ dagger(nodes[block.start + 1 : block.stop + 1]) @ steps @ nodes[block]
         f = np.real(np.einsum("sbij,ji->sb", ends @ rho0 @ dagger(ends), obs))
-        out[start:stop] = (f[0] - f[1]) / (2.0 * h)
+        out[block] = (f[0] - f[1]) / (2.0 * h)
     return out
 
 

@@ -9,8 +9,12 @@ from wayspan.evolve import ControlField
 from wayspan.model import QuantumSystem
 
 # Derandomized examples make every run of the suite draw the same cases;
-# no deadline, because BLAS timings on a shared machine are noisy.
+# no deadline, because BLAS timings on a shared machine are noisy.  The
+# "random" profile draws fresh cases from a seed, for sweeping a property
+# test over many draws:
+#     pytest --hypothesis-profile=random --hypothesis-seed=N
 settings.register_profile("default", derandomize=True, deadline=None)
+settings.register_profile("random", derandomize=False, deadline=None)
 settings.load_profile("default")
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -67,6 +71,20 @@ def coupled_traceless_symmetric(n, rng, min_offdiag=0.1):
 def jacobian_matrices(traj):
     """The rows of ``evolve._jacobian`` as the complex matrices dt mid_hat_m."""
     return evolve._jacobian(traj).view(complex).reshape(traj.steps, traj.dim, traj.dim)
+
+
+def spoil_last_block(monkeypatch, name, count, spoil):
+    """Patch ``evolve.<name>``, called once per block of ``count`` indices, so
+    that ``spoil`` edits its result for the last block."""
+    real, calls = getattr(evolve, name), []
+    last = len(evolve._blocks(count)) - 1
+
+    def spoiled(*args):
+        out = real(*args)
+        calls.append(name)
+        return spoil(out) if len(calls) - 1 == last else out
+
+    monkeypatch.setattr(evolve, name, spoiled)
 
 
 def random_system_and_field(n, steps, seed):

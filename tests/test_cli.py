@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, coupled_traceless_symmetric, random_system_and_field
+from conftest import SX, SZ, coupled_traceless_symmetric, random_system_and_field, spoil_last_block
 from wayspan import cli, evolve, reachability, waypoints
 from wayspan.evolve import ControlField
 from wayspan.matspace import dagger
@@ -184,7 +184,10 @@ class TestCheck:
         argv = ("check", "--system", files["pauli"], "--field", files["field"])
         assert run(*argv, "--rho0", files["rho0_3"], "--obs", files["obs"]) == 2
 
-    def test_gradient_reuses_the_one_step_pass(self, files, monkeypatch):
+    @pytest.mark.parametrize("steps", [30, 2 * evolve._BLOCK + 3])
+    def test_gradient_reuses_the_one_step_pass(self, files, tmp_path, monkeypatch, rng, steps):
+        field = tmp_path / "steps.json"
+        evolve.save_field(ControlField(horizon=0.1 * steps, values=rng.normal(size=steps)), field)
         stacks, passes = [], []
         real_eigh, real_final = np.linalg.eigh, evolve._final_propagator
 
@@ -199,10 +202,14 @@ class TestCheck:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(evolve, "_final_propagator", counted_final)
-        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        argv = ("check", "--system", files["pauli"], "--field", field)
         assert run(*argv, "--rho0", files["rho0"], "--obs", files["obs"]) == 0
-        assert stacks == [(30, 2, 2)]
-        assert passes == [30]
+        # One pass, and each step diagonalised once, in blocks of _BLOCK
+        # steps; the last block takes the remainder.
+        assert passes == [steps]
+        sizes = [shape[0] for shape in stacks]
+        assert all(shape[1:] == (2, 2) for shape in stacks) and sum(sizes) == steps
+        assert all(size == evolve._BLOCK for size in sizes[:-1]) and sizes[-1] < 2 * evolve._BLOCK
 
     def test_verdict_does_not_depend_on_the_system_scale(self, tmp_path, capsys):
         # (c h0, c mu, T / c) gives the same propagators for every c.
@@ -324,6 +331,24 @@ class TestNumericalFailure:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"ERROR: numerical failure: {message}")
         assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e-6])
+    @pytest.mark.parametrize("name", ["_step_exponentials", "conjugated_dipole"])
+    def test_check_with_a_bad_last_block(self, files, tmp_path, monkeypatch, capsys, name, bad):
+        steps = 2 * evolve._BLOCK + 3
+        field = tmp_path / "long.json"
+        evolve.save_field(ControlField(horizon=30.0, values=np.linspace(-1.0, 1.0, steps)), field)
+
+        def spoil(out):
+            stack = out[1] if name == "_step_exponentials" else out.copy()
+            stack[-1, 0, 1] += bad
+            return out if name == "_step_exponentials" else stack
+
+        count = steps if name == "_step_exponentials" else steps + 1
+        spoil_last_block(monkeypatch, name, count, spoil)
+        assert run("check", "--system", files["pauli"], "--field", field) == 2
+        message = "propagation lost unitarity" if name == "_step_exponentials" else "conjugated dipoles off structure"
+        assert capsys.readouterr().err.startswith(f"ERROR: numerical failure: {message}")
 
     def test_steer(self, files, tmp_path, monkeypatch, capsys):
         message = self._lose_unitarity(monkeypatch)

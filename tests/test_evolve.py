@@ -14,6 +14,7 @@ from conftest import (
     random_system_and_field,
     random_traceless_symmetric,
     random_unitary,
+    spoil_last_block,
 )
 from wayspan import evolve, matspace
 from wayspan.evolve import ControlField
@@ -237,6 +238,20 @@ def test_propagate_rejects_nan_propagators(monkeypatch, pauli_system):
     monkeypatch.setattr(evolve, "_step_exponentials", nan_step)
     with pytest.raises(RuntimeError, match="lost unitarity: defect nan"):
         evolve.propagate(pauli_system, field)
+
+
+@pytest.mark.parametrize("factor, defect", [(np.nan, "nan"), (1.0 + 1e-6, "2.828e-06")])
+def test_unitarity_guard_sees_the_last_block(monkeypatch, pauli_system, factor, defect):
+    steps = 2 * evolve._BLOCK + 3
+
+    def spoil(out):
+        out[1][-1] *= factor
+        return out
+
+    spoil_last_block(monkeypatch, "_step_exponentials", steps, spoil)
+    assert len(evolve._blocks(steps)) == 2
+    with pytest.raises(RuntimeError, match=f"lost unitarity: defect {defect}"):
+        evolve.propagate(pauli_system, ControlField(horizon=1.0, values=np.linspace(-1.0, 1.0, steps)))
 
 
 def test_trajectory_derives_its_grid_from_the_field(pauli_system):

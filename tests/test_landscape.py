@@ -1,3 +1,7 @@
+import io
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from conftest import (
     random_system_and_field,
     random_traceless_hermitian,
     random_traceless_symmetric,
+    random_unitary,
 )
 from wayspan import evolve, landscape, matspace, waypoints
 from wayspan.evolve import ControlField
@@ -162,6 +167,18 @@ class TestTrajectoryIndependence:
         with pytest.raises(RuntimeError, match="off structure"):
             landscape.trajectory_independence(bad, [7])
 
+    @pytest.mark.parametrize("defect, message", [(np.nan, "hermiticity nan"), (1e-6, "trace")])
+    def test_structure_guard_sees_the_last_block(self, pauli_system, rng, defect, message):
+        steps = 2 * evolve._BLOCK + 3
+        traj = evolve.propagate(pauli_system, ControlField(horizon=2.0, values=rng.normal(size=steps)))
+        nodes = traj.unitaries.copy()
+        nodes[-1, 0, 1] += defect
+        bad = evolve.PropagatorTrajectory(sys=traj.sys, field=traj.field, eig=traj.eig, unitaries=nodes)
+        assert len(evolve._blocks(steps + 1)) == 2
+        assert landscape.trajectory_independence(bad, np.arange(steps)).full
+        with pytest.raises(RuntimeError, match=f"off structure: .*{message}"):
+            landscape.trajectory_independence(bad)
+
     def test_nan_dipoles_are_off_structure(self, pauli_system, monkeypatch):
         traj = evolve.propagate(pauli_system, ControlField(horizon=1.0, values=[0.3, -0.2, 0.1]))
         conjugated_dipole = evolve.conjugated_dipole
@@ -197,6 +214,15 @@ class TestWaypointVisits:
         records = landscape.waypoint_visits(traj, wset, fid_tol=1e-3)
         assert records[0].fidelity == pytest.approx(0.0, abs=1e-12)
         assert not records[0].visited
+
+    def test_ties_keep_the_first_node(self):
+        # With no drift and no control every node is the identity: all tie.
+        sys2 = QuantumSystem(2, np.zeros((2, 2)), np.real(SX))
+        traj = evolve.propagate(sys2, ControlField.constant(0.0, 1.0, 2 * evolve._BLOCK + 3))
+        wset = waypoints.WaypointSet(dim=2, unitaries=np.array([np.eye(2)]), provenance="custom")
+        assert np.all(traj.unitaries == np.eye(2))
+        record = landscape.waypoint_visits(traj, wset)[0]
+        assert (record.step, record.fidelity) == (0, 1.0)
 
     def test_overlaps_match_each_gate_fidelity(self, rng):
         sys_n, field = random_system_and_field(3, 60, 8)
@@ -368,14 +394,28 @@ def _full_pass_differences(sys_n, field, rho0, obs, h):
 
 
 def _oracle_gap(n, steps, seed):
-    """Largest gap between the oracle and the full-pass reference, over max |g|."""
+    """Largest gap between the oracle and the full-pass reference, in units of
+    eps ||obs||_2 / h.
+
+    Both sides are central differences at h of f = Tr(rho(T) obs), with
+    |f| <= ||obs||_2 for a density matrix rho(T).  Each f is rounded to a few
+    eps ||obs||_2, and the two sides round differently (the oracle forms its
+    probe endpoints from the nodes), so their gap is of the order of
+    eps ||obs||_2 / h whatever the gradient.
+    """
     sys_n, field = random_system_and_field(n, steps, seed)
     rng = np.random.default_rng(seed)
     rho0 = random_density(n, rng)
     obs = random_traceless_symmetric(n, rng)
-    analytic = landscape.gradient(evolve.propagate(sys_n, field), rho0, obs)
-    numeric = landscape.finite_difference_gradient(evolve.propagate(sys_n, field), rho0, obs, h=1e-5)
-    return np.abs(numeric - _full_pass_differences(sys_n, field, rho0, obs, 1e-5)).max() / np.abs(analytic).max()
+    h = 1e-5
+    numeric = landscape.finite_difference_gradient(evolve.propagate(sys_n, field), rho0, obs, h=h)
+    gap = np.abs(numeric - _full_pass_differences(sys_n, field, rho0, obs, h)).max()
+    return gap / (np.finfo(float).eps * np.linalg.norm(obs, 2) / h)
+
+
+# Bound on ``_oracle_gap``: over 4000 random draws of n 2-4 and 1-40 steps the
+# gap reached 4.2 units; a wrong probe endpoint is off by O(1) in f, 1e6 units.
+ORACLE_GAP_UNITS = 16.0
 
 
 @settings(max_examples=25)
@@ -385,12 +425,73 @@ def _oracle_gap(n, steps, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_oracle_matches_one_full_pass_per_probe(n, steps, seed):
-    assert _oracle_gap(n, steps, seed) < 1e-8
+    assert _oracle_gap(n, steps, seed) < ORACLE_GAP_UNITS
 
 
 def test_oracle_probe_blocks_join_up(monkeypatch):
-    monkeypatch.setattr(landscape, "_FD_BLOCK", 4)
-    assert _oracle_gap(3, 11, 5) < 1e-8
+    monkeypatch.setattr(evolve, "_BLOCK", 4)
+    assert _oracle_gap(3, 11, 5) < ORACLE_GAP_UNITS
+
+
+def _pass_outputs(n, steps, seed):
+    """The nodes, step eigenpairs, gradient, span, visits and CSV text of one
+    seeded field, at the current block size."""
+    sys_n, field = random_system_and_field(n, steps, seed)
+    rng = np.random.default_rng(seed)
+    rho0 = random_density(n, rng)
+    obs = random_traceless_symmetric(n, rng)
+    traj = evolve.propagate(sys_n, field)
+    picks = np.concatenate([traj.unitaries[::2], [random_unitary(n, rng) for _ in range(3)]])
+    wset = waypoints.WaypointSet(dim=n, unitaries=picks, provenance="custom")
+    text = io.StringIO()
+    evolve.trajectory_csv(traj, text)
+    span = landscape.trajectory_independence(traj)
+    return (
+        traj.unitaries,
+        *traj.eig,
+        landscape.gradient(traj, rho0, obs),
+        span.singular_values,
+        span.complement_basis,
+        landscape.waypoint_visits(traj, wset),
+        text.getvalue(),
+    )
+
+
+@pytest.mark.parametrize("steps", [1, 3, 4, 5, 7, 8, 11])
+@pytest.mark.parametrize("n", [2, 4])
+def test_pass_blocks_join_up(monkeypatch, n, steps):
+    # Blocks of 4 steps against a single block: every stage that walks the
+    # pass gives the same bits.  Block 4 splits the stages at these sizes;
+    # the last block takes the remainder, so 7 steps (8 nodes) split in two.
+    monkeypatch.setattr(evolve, "_BLOCK", sys.maxsize)
+    whole = _pass_outputs(n, steps, 100 * n + steps)
+    monkeypatch.setattr(evolve, "_BLOCK", 4)
+    blocked = _pass_outputs(n, steps, 100 * n + steps)
+    for a, b in zip(whole, blocked):
+        assert a == b if isinstance(a, (list, str)) else np.array_equal(a, b)
+
+
+def test_pass_memory_does_not_grow_with_the_step_count():
+    # What a pass keeps is the nodes, the step eigenpairs and the span
+    # coordinates; every other array of propagate, trajectory_independence
+    # and gradient holds one block.  Whole-trajectory temporaries put the
+    # traced peak at about 3.1 times the kept bytes.
+    n, steps = 4, 16 * evolve._BLOCK
+    sys_n, field = random_system_and_field(n, steps, 7)
+    rng = np.random.default_rng(7)
+    rho0 = random_density(n, rng)
+    obs = random_traceless_symmetric(n, rng)
+    tracemalloc.start()
+    try:
+        traj = evolve.propagate(sys_n, field)
+        assert landscape.trajectory_independence(traj).full
+        landscape.gradient(traj, rho0, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coords = (steps + 1) * (n * n - 1) * np.dtype(float).itemsize
+    kept = traj.unitaries.nbytes + sum(a.nbytes for a in traj.eig) + coords
+    assert peak <= 1.5 * kept
 
 
 def _reference_svd(mats):
