@@ -1,5 +1,7 @@
 """Shared fixtures, random-matrix helpers and the hypothesis profile."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -76,13 +78,12 @@ def jacobian_matrices(traj):
 def spoil_last_block(monkeypatch, name, count, spoil):
     """Patch ``evolve.<name>``, called once per block of ``count`` indices, so
     that ``spoil`` edits its result for the last block."""
-    real, calls = getattr(evolve, name), []
+    real, calls = getattr(evolve, name), itertools.count()
     last = len(evolve._blocks(count)) - 1
 
     def spoiled(*args):
         out = real(*args)
-        calls.append(name)
-        return spoil(out) if len(calls) - 1 == last else out
+        return spoil(out) if next(calls) == last else out
 
     monkeypatch.setattr(evolve, name, spoiled)
 

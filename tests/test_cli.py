@@ -333,21 +333,27 @@ class TestNumericalFailure:
         assert "verdict" not in captured.out
 
     @pytest.mark.parametrize("bad", [np.nan, 1e-6])
-    @pytest.mark.parametrize("name", ["_step_exponentials", "conjugated_dipole"])
-    def test_check_with_a_bad_last_block(self, files, tmp_path, monkeypatch, capsys, name, bad):
+    @pytest.mark.parametrize(
+        "name, extra, message",
+        [("_step_exponentials", 0, "propagation lost unitarity"), ("conjugated_dipole", 1, "conjugated dipoles off structure")],
+    )
+    def test_check_with_a_bad_last_block(self, files, tmp_path, monkeypatch, capsys, name, extra, message, bad):
+        # One bad entry in the last block of the steps (or of the nodes'
+        # dipoles, one more than the steps) is a numerical failure.
         steps = 2 * evolve._BLOCK + 3
         field = tmp_path / "long.json"
         evolve.save_field(ControlField(horizon=30.0, values=np.linspace(-1.0, 1.0, steps)), field)
 
         def spoil(out):
-            stack = out[1] if name == "_step_exponentials" else out.copy()
-            stack[-1, 0, 1] += bad
-            return out if name == "_step_exponentials" else stack
+            if name == "_step_exponentials":
+                out[1][-1, 0, 1] += bad
+                return out
+            out = out.copy()
+            out[-1, 0, 1] += bad
+            return out
 
-        count = steps if name == "_step_exponentials" else steps + 1
-        spoil_last_block(monkeypatch, name, count, spoil)
+        spoil_last_block(monkeypatch, name, steps + extra, spoil)
         assert run("check", "--system", files["pauli"], "--field", field) == 2
-        message = "propagation lost unitarity" if name == "_step_exponentials" else "conjugated dipoles off structure"
         assert capsys.readouterr().err.startswith(f"ERROR: numerical failure: {message}")
 
     def test_steer(self, files, tmp_path, monkeypatch, capsys):
