@@ -9,14 +9,16 @@ the same document with each array replaced by its ``.tolist()``:
 * every other scalar is written by the ``json`` module, so floats use
   Python's shortest round-trip ``repr`` and a saved document reloads
   bit-exactly;
-* a finite float64 ``ndarray`` of at least one dimension is written from
-  its buffer: each distinct value goes through ``float.__repr__`` once,
-  the pieces are joined by per-level templates of the fixed indent
-  separators, and the leading axis is streamed to the target in blocks,
-  so neither the nested lists nor the whole text is ever held;
-* any other array (non-finite, non-float64 or 0-d) is written through its
-  ``.tolist()`` by the ``json`` path, keeping its ``NaN``/``Infinity``
-  tokens.
+* a finite, non-empty float64 ``ndarray`` of at least one dimension is
+  written from its buffer, its leading axis streamed to the target in
+  blocks, so neither the nested lists nor the whole text is ever held.
+  The row template is split once at its value slots into the fixed indent
+  separators; each distinct value of a block goes through
+  ``float.__repr__`` once, and the block is one ``"".join`` of its value
+  texts interleaved with the separators;
+* any other array (non-finite, non-float64, empty or 0-d) is written
+  through its ``.tolist()`` by the ``json`` path, keeping its
+  ``NaN``/``Infinity`` tokens.
 
 The whole document is checked before the target is opened, so an
 unserializable value or a non-string key never leaves a truncated file.
@@ -130,7 +132,7 @@ def _plan(obj):
     if isinstance(obj, (list, tuple)):
         return "[]", [("", _plan(item)) for item in obj]
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and np.isfinite(obj).all():
+        if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
             return obj
         return _plan(obj.tolist())
     return json.dumps(obj)
@@ -169,34 +171,58 @@ def _template(shape: tuple, level: int) -> str:
 
 
 def _array_chunks(a: np.ndarray, level: int):
-    """A float array's text, streamed in blocks along its leading axis."""
-    if not len(a):
-        yield "[]"
-        return
+    """A non-empty float array's text, streamed in blocks along its leading axis.
+
+    The row template splits at its ``%s`` slots into ``parts``; every value is
+    followed by the separator after its slot, which for a row's last value
+    also closes the row and opens the next, and a block is one join of its
+    value texts interleaved with those separators.
+    """
     inner = "\n" + INDENT * (level + 1)
-    sep = "," + inner
-    item = _template(a.shape[1:], level + 1)
-    rows = min(len(a), max(1, BLOCK_FLOATS // max(1, a[0].size)))
-    full = sep.join([item] * rows)
-    yield "[" + inner
+    parts = _template(a.shape[1:], level + 1).split("%s")
+    width = len(parts) - 1
+    rows = max(1, BLOCK_FLOATS // width)
+    seps = (parts[1:-1] + [parts[-1] + "," + inner + parts[0]]) * min(rows, len(a))
+    pieces = [None] * (2 * len(seps))
+    pieces[1::2] = seps
+    yield "[" + inner + parts[0]
     for start in range(0, len(a), rows):
-        block = a[start : start + rows]
-        tmpl = full if len(block) == rows else sep.join([item] * len(block))
-        yield (sep if start else "") + tmpl % _reprs(block)
+        texts = _value_texts(a[start : start + rows])
+        if start + rows >= len(a):
+            del pieces[2 * len(texts) :]
+            pieces[-1] = parts[-1]
+        pieces[::2] = texts
+        yield "".join(pieces)
     yield "\n" + INDENT * level + "]"
 
 
-def _reprs(block: np.ndarray) -> tuple:
-    """``float.__repr__`` of every value, computed once per distinct bit pattern.
+def _value_texts(block: np.ndarray) -> list:
+    """``float.__repr__`` of every value in C order, formatted once per run of
+    equal bit patterns.
 
     Way-point sets repeat few values (zeros and ones of the identity
     embedding, shared eigenvector entries): the Theorem 1 set at N = 24
-    has 673 distinct ones among 1.27M, so formatting only those removes
-    nearly all of the writer's cost; on distinct values it costs a sort.
+    has 673 distinct ones among 1,271,808, so formatting only those removes
+    most of the writer's cost.  The runs come from one plain sort: each
+    key is a value's bit pattern with its low bits replaced by its
+    position, so after the sort equal values are adjacent unless values
+    that differ only in those low bits interleave.  Runs are cut wherever
+    the full bit patterns of neighbours differ, which keeps every text
+    exact; such an interleaving only formats a value more than once.
     """
-    bits, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return tuple(texts[inverse].tolist())
+    bits = block.ravel().view(np.uint64)
+    shift = (len(bits) - 1).bit_length()
+    low = (1 << shift) - 1
+    keys = bits & ~np.uint64(low) | np.arange(len(bits), dtype=np.uint64)
+    order = (np.sort(keys) & low).astype(np.intp)
+    sorted_bits = bits[order]
+    new_run = np.empty(len(bits), dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=new_run[1:])
+    texts = np.array(list(map(float.__repr__, sorted_bits[new_run].view(np.float64).tolist())), dtype=object)
+    run = np.empty(len(bits), dtype=np.intp)
+    run[order] = np.cumsum(new_run) - 1
+    return texts[run].tolist()
 
 
 def parse_json(source) -> dict:
@@ -240,11 +266,18 @@ def float_array(obj, name: str, *shapes: tuple) -> np.ndarray:
     if arr.shape not in shapes:
         expected = " or ".join(map(str, shapes))
         raise FormatError(f"field {name!r} must have shape {expected}, got {arr.shape}")
-    # min and max carry any NaN or infinity without an elementwise temporary,
-    # which a process that reloads large documents would keep resident.
-    if not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all():
+    if not _all_finite(arr):
         raise FormatError(f"field {name!r} contains non-finite entries")
     return arr
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array ``a`` is finite.
+
+    min and max carry any NaN or infinity without an elementwise temporary,
+    which would be as large as the array.
+    """
+    return bool(np.isfinite([a.min(initial=0.0), a.max(initial=0.0)]).all())
 
 
 def complex_from_entries(arr: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Bit-exact document text and round trips, including -0.0 and subnormals."""
 
 import io
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import coupled_traceless_symmetric
 from wayspan import _fmt, cli, evolve, model, waypoints
 from wayspan._fmt import FormatError, canonical_dumps, complex_entries, write_document
 from wayspan.evolve import ControlField
@@ -96,6 +98,10 @@ ARRAYS = (
     | hnp.arrays(np.float64, SHAPES, elements=st.floats())
     | hnp.arrays(np.int64, SHAPES, elements=st.integers(-(2**40), 2**40))
 )
+# Few distinct values whose bit patterns differ only in their lowest bits
+# (signed zeros, subnormals, one-ulp neighbours), interleaved, so that equal
+# values are not adjacent in a sort that ignores those bits.
+FEW = [0.0, TINY, -0.0, 1.0, np.nextafter(1.0, 2.0), 2 * TINY, 1.0, 0.0, -TINY, SUB, -0.0, TINY, 0.5]
 TEXT = st.text(alphabet='ab", [\\\né', max_size=5)
 SCALARS = st.none() | st.booleans() | st.integers(-(10**20), 10**20) | FINITE | TEXT
 DOCS = st.recursive(
@@ -119,19 +125,33 @@ def _oracle(doc) -> str:
     return json.dumps(_to_lists(doc), indent=2, sort_keys=True) + "\n"
 
 
+def _first_difference(text, expected):
+    """None for equal texts, else the first differing line number and lines.
+
+    Used in place of a bare ``==`` on long documents, whose failure report,
+    pytest's line diff, takes time quadratic in the line count.
+    """
+    if text == expected:
+        return None
+    pairs = itertools.zip_longest(text.splitlines(), expected.splitlines())
+    return next(((k + 1, got, want) for k, (got, want) in enumerate(pairs) if got != want), "line ends")
+
+
 @settings(max_examples=300)
 @given(doc=DOCS, block=st.sampled_from([1, 2, 5, _fmt.BLOCK_FLOATS]))
 @example(doc={'", [': [np.array([[-0.0, 1e16], [1e-5, TINY]]), None, 3]}, block=1)
 @example(doc=np.zeros((2, 0, 3)), block=1)
 @example(doc=[np.array([1.0, np.nan, -np.inf])], block=1)
+@example(doc=np.resize(FEW, (7, 2, 3)), block=13)
+@example(doc={"row": np.resize(FEW, (1, _fmt.BLOCK_FLOATS + 3))}, block=_fmt.BLOCK_FLOATS)
 def test_writer_matches_json_oracle(doc, block):
     expected = _oracle(doc)
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_fmt, "BLOCK_FLOATS", block)
-        assert canonical_dumps(doc) == expected
+        assert _first_difference(canonical_dumps(doc), expected) is None
         write_document(buf, doc)
-    assert buf.getvalue() == expected
+    assert _first_difference(buf.getvalue(), expected) is None
 
 
 def test_streamed_file_matches_oracle_across_blocks(tmp_path, monkeypatch):
@@ -142,6 +162,20 @@ def test_streamed_file_matches_oracle_across_blocks(tmp_path, monkeypatch):
         path = tmp_path / f"doc{block}.json"
         write_document(path, doc)
         assert path.read_bytes() == _oracle(doc).encode()
+
+
+def test_theorem1_document_matches_oracle(tmp_path):
+    wset = waypoints.theorem1_waypoints(coupled_traceless_symmetric(8, np.random.default_rng(8)))
+    path = tmp_path / "set.json"
+    waypoints.save_waypoints(wset, path)
+    doc = {
+        "dim": 8,
+        "provenance": "theorem1",
+        "count": 112,
+        "unitaries": complex_entries(wset.unitaries),
+        "pair_index": [list(entry) for entry in wset.pair_index],
+    }
+    assert _first_difference(path.read_bytes().decode(), _oracle(doc)) is None
 
 
 @pytest.mark.parametrize(
