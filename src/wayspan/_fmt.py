@@ -160,11 +160,9 @@ def _chunks(node, level: int):
 
 
 def _template(shape: tuple, level: int) -> str:
-    """Format string of an array of ``shape`` at ``level``, one ``%s`` per value."""
+    """Format string of an array of ``shape`` (no zero axis) at ``level``, one ``%s`` per value."""
     if not shape:
         return "%s"
-    if not shape[0]:
-        return "[]"
     inner = "\n" + INDENT * (level + 1)
     item = _template(shape[1:], level + 1)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + INDENT * level + "]"

@@ -268,8 +268,6 @@ def synthesize_through_waypoints(
     verified against the set with phase-invariant visit fidelities.
     """
     _require_controllable(sys)
-    if len(wset) == 0:
-        raise ValueError("way-point set is empty")
     if wset.dim != sys.dim:
         raise ValueError(f"dimension mismatch: set {wset.dim} vs system {sys.dim}")
 

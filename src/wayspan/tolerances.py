@@ -41,11 +41,9 @@ CLOSURE_TRACE_TOL    1e-10   |Tr e| of every closure basis element for the
                              "SU" verdict (reachability)
 ZERO_NORM            1e-14   a coupling operator or witness input with a
                              smaller HS norm is zero (waypoints)
-BLOCK_PATTERN_TOL    1e-10   max entry error of a Theorem 1 conjugated
-                             dipole's (i, j) block against its pattern
-                             (waypoints)
-OFF_BLOCK_TOL        1e-12   max entry change outside the (i, j) block
-                             within a Theorem 1 quadruple (waypoints)
+EIGH_RESIDUAL_RTOL   1e-10   max entry of |Q† mu Q - diag(w)| over ||mu||_2
+                             for the eigendecomposition behind the Theorem 1
+                             set (waypoints)
 LEMMA1_DET_THRESHOLD 1e-6    |det| of the five-angle trig matrix above
                              which a grid passes Lemma 1 (waypoints)
 WITNESS_RTOL         1e-10   floor of the separating witness value over
@@ -86,8 +84,7 @@ RANK_RTOL = 1e-10
 ABS_FLOOR = 1e-13
 CLOSURE_TRACE_TOL = 1e-10
 ZERO_NORM = 1e-14
-BLOCK_PATTERN_TOL = 1e-10
-OFF_BLOCK_TOL = 1e-12
+EIGH_RESIDUAL_RTOL = 1e-10
 LEMMA1_DET_THRESHOLD = 1e-6
 WITNESS_RTOL = 1e-10
 WITNESS_CHECK_RTOL = 1e-8

@@ -141,6 +141,18 @@ class TestWaypoints:
         text = (out / "span.txt").read_text()
         assert "DEFICIENT rank=" in text and "complement" in text
 
+    def test_theorem1_holds_for_a_large_dipole(self, tmp_path, rng, capsys):
+        # The check of the eigendecomposition is relative to ||mu||_2.
+        system = _system(tmp_path / "big.json", np.diag(np.arange(8.0)), 2.0**20 * coupled_traceless_symmetric(8, rng))
+        assert run("waypoints", "--provenance", "theorem1", "--system", system, "--out", tmp_path / "wp") == 0
+        assert "spanning verdict: FULL" in capsys.readouterr().out
+
+    def test_hypothesis_violation_exits_1(self, tmp_path, capsys):
+        h0 = [[0.0, 1.0], [0.5, 1.0]]
+        (tmp_path / "asym.json").write_text(json.dumps({"n": 2, "h0": h0, "mu": np.real(SX).tolist()}))
+        assert run("waypoints", "--provenance", "theorem1", "--system", tmp_path / "asym.json", "--out", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("INVALID: h0 is not symmetric")
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert run("waypoints", "--provenance", "theorem1", "--out", tmp_path) == 2
         assert run("waypoints", "--provenance", "theorem3", "--out", tmp_path) == 2

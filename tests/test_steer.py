@@ -157,8 +157,8 @@ def test_concatenated_field_reproduces_segment_boundaries(pauli_system, opts):
 
 
 def test_empty_waypoint_set_rejected(pauli_system, opts):
-    wset = waypoints.WaypointSet(dim=2, unitaries=np.zeros((0, 2, 2)), provenance="custom")
     with pytest.raises(ValueError, match="empty"):
+        wset = waypoints.WaypointSet(dim=2, unitaries=np.zeros((0, 2, 2)), provenance="custom")
         steer.synthesize_through_waypoints(pauli_system, wset, opts)
 
 

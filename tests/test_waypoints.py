@@ -70,12 +70,15 @@ def degenerate_traceless_hermitian(n, rng):
     return (m + m.conj().T) / 2
 
 
+DIPOLES = [random_traceless_symmetric, random_traceless_hermitian, degenerate_traceless_hermitian]
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-@pytest.mark.parametrize("make", [random_traceless_symmetric, random_traceless_hermitian, degenerate_traceless_hermitian])
+@pytest.mark.parametrize("make", DIPOLES)
 def test_batched_theorem1_matches_the_per_pair_loop(n, make, rng):
     mu = make(n, rng)
     unitaries, index = reference_theorem1(mu)
@@ -94,18 +97,29 @@ def test_batched_theorem3_matches_the_per_pair_loop_bit_for_bit(n, grid):
     assert [tuple(map(type, e)) for e in wset.pair_index] == [tuple(map(type, e)) for e in index]
 
 
-@pytest.mark.parametrize("factor, position", [("_ROTATE", 3), ("_PHASE", 4)])
-def test_a_wrong_factor_names_its_waypoint_and_pair(factor, position, monkeypatch, rng):
-    monkeypatch.setattr(waypoints, factor, np.eye(2, dtype=complex))
-    with pytest.raises(RuntimeError, match=rf"^way-point {position} of pair \(1,2\) misses its block pattern by "):
-        waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("make", DIPOLES)
+def test_theorem1_is_bit_identical_under_power_of_two_scaling(n, make, rng):
+    # The residual check is relative: a scaled mu passes it, and eigh of an
+    # exactly scaled matrix returns the same eigenvectors.
+    mu = make(n, rng)
+    unitaries = waypoints.theorem1_waypoints(mu).unitaries
+    for k in range(-40, 41):
+        assert np.array_equal(_bits(waypoints.theorem1_waypoints(2.0**k * mu).unitaries), _bits(unitaries)), k
 
 
-def test_a_disturbed_off_block_names_its_waypoint_and_pair(monkeypatch, rng):
-    # Each factor also swaps columns 3 and 4, which leaves the (1,2) block alone.
-    embed = waypoints.embed_2x2
-    monkeypatch.setattr(waypoints, "embed_2x2", lambda *args: embed(*args)[..., [0, 1, 3, 2]])
-    with pytest.raises(RuntimeError, match=r"^way-point 2 of pair \(1,2\) disturbs off-block entries by "):
+def test_a_wrong_eigendecomposition_names_its_residual(monkeypatch, rng):
+    eigh = np.linalg.eigh
+
+    def rotated(m):
+        # A unitary Q whose first two columns are turned by 1e-6 radians.
+        w, q = eigh(m)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    with pytest.raises(RuntimeError, match=r"^eigendecomposition of mu has residual \S+ above the bound "):
         waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
 
 
