@@ -161,28 +161,19 @@ def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTraj
     Every propagator of the package comes from this pass; it is not validated.
 
     The pass keeps the M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps.
-    It diagonalises and exponentiates one block of ``_BLOCK`` steps at a time
-    and multiplies each block onto the running node, writing the eigenpairs
-    into arrays for the whole field; a field of one block keeps ``eigh``'s
-    own arrays.
+    It diagonalises and exponentiates one block of ``_BLOCK`` steps at a time,
+    writes the block's eigenpairs into arrays for the whole field and
+    multiplies its step exponentials onto the running node.
     """
     n = sys.dim
-    blocks = _blocks(field.steps)
     nodes = np.empty((field.steps + 1, n, n), dtype=complex)
     nodes[0] = np.eye(n)
-    eig = None
-    for block in blocks:
-        part, steps = _step_exponentials(sys, field.values[block], field.dt)
-        if len(blocks) == 1:
-            eig = part
-        else:
-            if eig is None:
-                eig = tuple(np.empty((field.steps, *a.shape[1:]), dtype=a.dtype) for a in part)
-            for whole, a in zip(eig, part):
-                whole[block] = a
+    w, v = np.empty((field.steps, n)), np.empty((field.steps, n, n))
+    for block in _blocks(field.steps):
+        (w[block], v[block]), steps = _step_exponentials(sys, field.values[block], field.dt)
         for m in range(block.start, block.stop):
             np.matmul(steps[m - block.start], nodes[m], out=nodes[m + 1])
-    return PropagatorTrajectory(sys=sys, field=field, eig=eig, unitaries=nodes)
+    return PropagatorTrajectory(sys=sys, field=field, eig=(w, v), unitaries=nodes)
 
 
 def _step_frames(traj: PropagatorTrajectory, steps: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import HERMITIAN_ENTRY_TOL, TRACE_RTOL, UNITARY_TOL
+from .tolerances import HERMITIAN_RTOL, TRACE_RTOL, UNITARY_TOL
 
 __all__ = [
     "dagger",
@@ -54,20 +54,28 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _hermitian_defect(m: np.ndarray) -> float:
+    """max |m - m†| over max |m|, equal for m and c m; 0 for the zero matrix,
+    NaN if ``m`` holds one."""
+    defect = float(np.abs(m - dagger(m)).max())
+    scale = float(np.abs(m).max())
+    return defect / scale if scale else defect
+
+
 def assert_hermitian_zt(m, *, name: str = "matrix") -> np.ndarray:
     """Validate that ``m`` is Hermitian and traceless within tolerance.
 
-    Hermiticity is checked entrywise against ``HERMITIAN_ENTRY_TOL``; the
-    trace magnitude must be below ``TRACE_RTOL`` times the Frobenius norm
-    (an exactly zero trace always passes).  Returns ``m`` as a complex
-    array on success.
+    Both tests are relative to ``m``'s own scale, so ``c m`` passes exactly
+    when ``m`` does: max |m - m†| must be at most ``HERMITIAN_RTOL`` times the
+    largest entry, and |Tr m| at most ``TRACE_RTOL`` times the Frobenius
+    norm.  Returns ``m`` as a complex array on success.
     """
     m = _square(m, name).astype(complex)
-    herm_err = float(np.abs(m - dagger(m)).max())
-    if not herm_err <= HERMITIAN_ENTRY_TOL:
-        raise ValueError(f"{name} is not Hermitian: max entry defect {herm_err:.3e}")
+    defect = _hermitian_defect(m)
+    if not defect <= HERMITIAN_RTOL:
+        raise ValueError(f"{name} is not Hermitian: relative defect {defect:.3e}")
     tr = abs(complex(np.trace(m)))
-    if tr != 0.0 and not tr <= TRACE_RTOL * hs_norm(m):
+    if not tr <= TRACE_RTOL * hs_norm(m):
         raise ValueError(f"{name} is not traceless: |trace| = {tr:.3e}")
     return m
 

@@ -5,7 +5,10 @@ A system is a drift Hamiltonian ``h0`` and a coupling (dipole) operator
 bilinearly.  Both are restricted to real symmetric matrices and ``mu``
 must be traceless; inputs outside those assumptions are rejected rather
 than silently accepted so that every downstream construction stays on
-well-defined ground.
+well-defined ground.  Both tests are relative to each matrix's own scale
+(``HERMITIAN_RTOL`` of its largest entry, ``TRACE_RTOL`` of its HS norm):
+a change of energy unit, (c h0, c mu), is accepted exactly when (h0, mu)
+is, for c a power of two, and up to round-off for any c > 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from . import reachability
 from ._fmt import FormatError, float_array, int_field, parse_json, read_text, require_key, write_document
-from .tolerances import OFFDIAG_RTOL, SYMMETRY_ENTRY_TOL, TRACE_RTOL
+from .matspace import _hermitian_defect
+from .tolerances import HERMITIAN_RTOL, OFFDIAG_RTOL, TRACE_RTOL
 
 __all__ = [
     "FormatError",
@@ -38,13 +42,6 @@ class HypothesisViolation(ValueError):
         self.hypothesis = hypothesis
 
 
-def _worst_asymmetry(m: np.ndarray) -> tuple[float, int, int]:
-    defect = np.abs(m - m.T)
-    flat = int(np.argmax(defect))
-    i, j = divmod(flat, m.shape[0])
-    return float(defect[i, j]), i + 1, j + 1
-
-
 def _as_real_symmetric(entries, name: str, dim: int) -> np.ndarray:
     if np.iscomplexobj(entries):
         raise HypothesisViolation(f"{name}_real", f"{name} must have real entries")
@@ -58,12 +55,9 @@ def _as_real_symmetric(entries, name: str, dim: int) -> np.ndarray:
         raise ValueError(f"{name} must be {dim}x{dim}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    defect, i, j = _worst_asymmetry(m)
-    if defect > SYMMETRY_ENTRY_TOL:
-        raise HypothesisViolation(
-            f"{name}_symmetric",
-            f"{name} is not symmetric: entry ({i},{j}) differs from ({j},{i}) by {defect:.3e}",
-        )
+    defect = _hermitian_defect(m)
+    if not defect <= HERMITIAN_RTOL:
+        raise HypothesisViolation(f"{name}_symmetric", f"{name} is not symmetric: relative defect {defect:.3e}")
     return m
 
 
@@ -81,8 +75,7 @@ class QuantumSystem:
             raise ValueError(f"system dimension must be an integer >= 2, got {self.dim!r}")
         h0 = _as_real_symmetric(self.h0, "h0", self.dim)
         mu = _as_real_symmetric(self.mu, "mu", self.dim)
-        trace = abs(float(np.trace(mu)))
-        if trace >= TRACE_RTOL * (1.0 + float(np.linalg.norm(mu))):
+        if not abs(np.trace(mu)) <= TRACE_RTOL * np.linalg.norm(mu):
             raise HypothesisViolation(
                 "mu_traceless", f"zero-trace hypothesis violated: Tr(mu) = {np.trace(mu):.6g}"
             )

@@ -57,11 +57,13 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     normalized to unit HS norm, has p = 1, a commutator p = p_a + p_b.
     Odd p (symmetric) and even p (antisymmetric) elements fill separate
     row blocks, and a candidate is projected against its own block only.
-    Commutators are taken breadth first: every element pairs with all its
-    predecessors in the round after it was added, in one matmul
-    X = H E (E H = +-(H E)^T), so each unordered pair is visited once.  A
-    commutator above ``ABS_FLOOR`` is projected by two passes
-    ``r -= B.T @ (B @ r)`` and accepted, in schedule order, when its
+    Only an exactly zero generator is left out, so the verdict does not
+    depend on the scale of h0 and mu: every later candidate is formed from
+    unit-norm basis elements.  Commutators are taken breadth first: every
+    element pairs with all its predecessors in the round after it was
+    added, in one matmul X = H E (E H = +-(H E)^T), so each unordered pair
+    is visited once.  A commutator above ``ABS_FLOOR`` is projected by two
+    passes ``r -= B.T @ (B @ r)`` and accepted, in schedule order, when its
     residual exceeds ``RANK_RTOL``: basis elements have unit norm, so the
     residual is measured at the scale of their products, not against the
     commutator's own norm, which cancellation can make small.  Stops at
@@ -99,7 +101,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     new: list[int] = []
     for gen in (h0, mu):
         norm = float(np.linalg.norm(gen))
-        if norm > ABS_FLOOR and try_add((gen / norm).reshape(full), 1):
+        if norm > 0.0 and try_add((gen / norm).reshape(full), 1):
             new.append(len(slots) - 1)
 
     stack = rows.reshape(full, n, n)

@@ -11,9 +11,9 @@ and ``waypoint_visits(fid_tol=)``.
 ==================== ======= ===============================================
 name                 value   test (module)
 ==================== ======= ===============================================
-HERMITIAN_ENTRY_TOL  1e-12   max entry of |m - m†| of a constructed matrix
-                             (matspace)
-SYMMETRY_ENTRY_TOL   1e-12   max entry of |m - m^T| of h0 and mu (model)
+HERMITIAN_RTOL       1e-12   max entry of |m - m†| over the largest entry
+                             of m, for h0 and mu and every validated
+                             traceless Hermitian input (matspace, model)
 TRACE_RTOL           1e-12   |Tr m| over the HS norm of a traceless matrix
                              (matspace, model)
 OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
@@ -35,12 +35,10 @@ RANK_RTOL            1e-10   a Lie-closure candidate joins the basis when
                              basis elements have unit HS norm, so it is
                              measured at the scale of their commutators
                              (reachability)
-ABS_FLOOR            1e-13   a generator or commutator with a smaller HS
-                             norm is zero (reachability)
+ABS_FLOOR            1e-13   a commutator of unit-norm closure elements
+                             with a smaller HS norm is zero (reachability)
 CLOSURE_TRACE_TOL    1e-10   |Tr e| of every closure basis element for the
                              "SU" verdict (reachability)
-ZERO_NORM            1e-14   a coupling operator or witness input with a
-                             smaller HS norm is zero (waypoints)
 EIGH_RESIDUAL_RTOL   1e-10   max entry of |Q† mu Q - diag(w)| over ||mu||_2
                              for the eigendecomposition behind the Theorem 1
                              set (waypoints)
@@ -50,7 +48,7 @@ WITNESS_RTOL         1e-10   floor of the separating witness value over
                              ||z|| ||mu||; Chebyshev's bound keeps the value
                              above 1/N^2 of it (waypoints)
 WITNESS_CHECK_RTOL   1e-8    agreement of the predicted witness value with
-                             the conjugation, relative to max(1, value)
+                             the conjugation, relative to the value
                              (waypoints)
 PIVOT_RTOL           1e-9    entries within this fraction of the largest
                              magnitude tie for the target's phase pivot
@@ -72,8 +70,7 @@ DIV_FLOOR            1e-300  floor of the gradient scale that divides that
 ==================== ======= ===============================================
 """
 
-HERMITIAN_ENTRY_TOL = 1e-12
-SYMMETRY_ENTRY_TOL = 1e-12
+HERMITIAN_RTOL = 1e-12
 TRACE_RTOL = 1e-12
 OFFDIAG_RTOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -83,7 +80,6 @@ RANK_TOL = 1e-8
 RANK_RTOL = 1e-10
 ABS_FLOOR = 1e-13
 CLOSURE_TRACE_TOL = 1e-10
-ZERO_NORM = 1e-14
 EIGH_RESIDUAL_RTOL = 1e-10
 LEMMA1_DET_THRESHOLD = 1e-6
 WITNESS_RTOL = 1e-10

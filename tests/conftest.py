@@ -39,6 +39,19 @@ def random_traceless_symmetric(n, rng):
     return m - np.trace(m) / n * np.eye(n)
 
 
+def rotated_symmetric(n, rng, traceless=False):
+    """Q diag(w) Q^T for a random orthogonal Q, symmetric only up to round-off:
+    from N = 3 on, m and m^T usually differ in some last bit.  With
+    ``traceless``, w sums to zero and Tr m is round-off."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = rng.normal(size=n)
+    return q @ np.diag(w - w.mean() if traceless else w) @ q.T
+
+
+def rotated_traceless_symmetric(n, rng):
+    return rotated_symmetric(n, rng, traceless=True)
+
+
 def random_traceless_hermitian(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     z = (a + a.conj().T) / 2

@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, coupled_traceless_symmetric, random_system_and_field, spoil_last_block
+from conftest import (
+    SX,
+    SZ,
+    coupled_traceless_symmetric,
+    random_system_and_field,
+    rotated_traceless_symmetric,
+    spoil_last_block,
+)
 from wayspan import cli, evolve, reachability, waypoints
 from wayspan.evolve import ControlField
 from wayspan.matspace import dagger
@@ -144,6 +151,17 @@ class TestWaypoints:
     def test_theorem1_holds_for_a_large_dipole(self, tmp_path, rng, capsys):
         # The check of the eigendecomposition is relative to ||mu||_2.
         system = _system(tmp_path / "big.json", np.diag(np.arange(8.0)), 2.0**20 * coupled_traceless_symmetric(8, rng))
+        assert run("waypoints", "--provenance", "theorem1", "--system", system, "--out", tmp_path / "wp") == 0
+        assert "spanning verdict: FULL" in capsys.readouterr().out
+
+    def test_a_large_rotated_dipole_is_valid(self, tmp_path, capsys):
+        # mu = Q diag(w) Q^T is symmetric up to round-off, which scales with mu;
+        # the symmetry check is relative to the largest entry.
+        mu = 2.0**20 * rotated_traceless_symmetric(4, np.random.default_rng(4))
+        assert (mu != mu.T).any()
+        system = tmp_path / "big.json"
+        system.write_text(json.dumps({"n": 4, "h0": np.diag([1.0, 2.0, 3.5, 4.0]).tolist(), "mu": mu.tolist()}))
+        assert run("validate", "--system", system) == 0
         assert run("waypoints", "--provenance", "theorem1", "--system", system, "--out", tmp_path / "wp") == 0
         assert "spanning verdict: FULL" in capsys.readouterr().out
 

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, SZ, coupled_traceless_symmetric, random_real_symmetric
+from conftest import (
+    SX,
+    SZ,
+    coupled_traceless_symmetric,
+    random_real_symmetric,
+    rotated_symmetric,
+    rotated_traceless_symmetric,
+)
 from wayspan import reachability
 from wayspan.model import QuantumSystem
 
@@ -161,6 +168,18 @@ def test_spin_chain_closure_has_exact_dimension(n):
     _assert_orthonormal_skew(result)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closure_does_not_depend_on_the_energy_unit(n, rng):
+    # Only an exactly zero generator is dropped, and every commutator is
+    # formed from unit-norm basis elements, so (c h0, c mu) closes as (h0, mu).
+    h0, mu = rotated_symmetric(n, rng), rotated_traceless_symmetric(n, rng)
+    result = reachability.lie_closure(h0, mu)
+    assert result.verdict == "U"
+    for k in range(-60, 41):
+        scaled = reachability.lie_closure(2.0**k * h0, 2.0**k * mu)
+        assert (scaled.dimension, scaled.verdict) == (result.dimension, result.verdict), k
+
+
 def _complex_closure_oracle(h0, mu):
     """The closure on complex skew-Hermitian matrices, projected against one
     mixed basis: the reference for the real, parity-split ``lie_closure``."""
@@ -188,7 +207,7 @@ def _complex_closure_oracle(h0, mu):
     new = []
     for gen in (-1j * np.asarray(h0, dtype=complex), -1j * np.asarray(mu, dtype=complex)):
         norm = float(np.linalg.norm(gen))
-        if norm > ABS_FLOOR and try_add(_real_rows(gen / norm)):
+        if norm > 0.0 and try_add(_real_rows(gen / norm)):
             new.append(dim - 1)
     while new and dim < full:
         next_new = []

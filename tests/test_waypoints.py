@@ -13,6 +13,7 @@ from conftest import (
     hs_inner,
     random_traceless_hermitian,
     random_traceless_symmetric,
+    rotated_traceless_symmetric,
 )
 from wayspan import evolve, landscape, matspace, waypoints
 from wayspan.model import FormatError
@@ -70,7 +71,12 @@ def degenerate_traceless_hermitian(n, rng):
     return (m + m.conj().T) / 2
 
 
-DIPOLES = [random_traceless_symmetric, random_traceless_hermitian, degenerate_traceless_hermitian]
+DIPOLES = [
+    random_traceless_symmetric,
+    random_traceless_hermitian,
+    degenerate_traceless_hermitian,
+    rotated_traceless_symmetric,
+]
 
 
 def _bits(a):
@@ -100,8 +106,9 @@ def test_batched_theorem3_matches_the_per_pair_loop_bit_for_bit(n, grid):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("make", DIPOLES)
 def test_theorem1_is_bit_identical_under_power_of_two_scaling(n, make, rng):
-    # The residual check is relative: a scaled mu passes it, and eigh of an
-    # exactly scaled matrix returns the same eigenvectors.
+    # The Hermiticity, trace and residual checks are relative: a scaled mu
+    # passes them, and eigh of an exactly scaled matrix returns the same
+    # eigenvectors.  A rotated dipole is Hermitian only up to round-off.
     mu = make(n, rng)
     unitaries = waypoints.theorem1_waypoints(mu).unitaries
     for k in range(-40, 41):
@@ -307,6 +314,14 @@ class TestSeparatingWitness:
         assert matspace.unitarity_defect(wit.unitary) < 1e-10
         trace = np.einsum("ij,ji->", z, wit.unitary.conj().T @ mu @ wit.unitary)
         assert abs(trace.real - wit.value) < 1e-8 * max(1.0, abs(wit.value))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_power_of_two_scaling_scales_the_value(self, n, rng):
+        # Every input check is relative, so only an exactly zero input is refused.
+        z, mu = rotated_traceless_symmetric(n, rng), rotated_traceless_symmetric(n, rng)
+        value = waypoints.separating_unitary(z, mu).value
+        for k in range(-40, 41):
+            assert waypoints.separating_unitary(2.0**k * z, 2.0**k * mu).value == pytest.approx(4.0**k * value), k
 
     def test_rejects_zero_input(self):
         with pytest.raises(ValueError, match="nonzero"):
