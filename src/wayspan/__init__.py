@@ -37,7 +37,6 @@ from .matspace import (
     embed_2x2,
     from_coords,
     hs_norm,
-    submatrix_2x2,
     to_coords,
 )
 from .model import (

@@ -33,7 +33,7 @@ from .model import (
     load_system,
     load_system_csv,
 )
-from .tolerances import DIV_FLOOR, FD_GRAD_RTOL, FD_STEP
+from .tolerances import DIV_FLOOR, FD_GRAD_RTOL, FD_STEP, HERMITIAN_RTOL
 
 __all__ = ["main", "entry"]
 
@@ -55,6 +55,17 @@ def _load_matrix(path: str, name: str, n: int) -> np.ndarray:
         raise FormatError(f"{name} document has n = {dim}, system has n = {n}")
     arr = float_array(require_key(doc, "entries"), name, (n, n), (n, n, 2))
     return arr.astype(complex) if arr.ndim == 2 else complex_from_entries(arr)
+
+
+def _state_and_obs(args, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``--rho0`` as a validated density matrix, and ``--obs``, which must be
+    Hermitian: the analytic gradient assumes it, the central differences do not."""
+    rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", n))
+    obs = _load_matrix(args.obs, "obs", n)
+    defect = matspace._hermitian_defect(obs)
+    if not defect <= HERMITIAN_RTOL:
+        raise ValueError(f"obs is not Hermitian: relative defect {defect:.3e}")
+    return rho0, obs
 
 
 def _out_dir(args) -> Path | None:
@@ -176,8 +187,7 @@ def _cmd_check(args) -> int:
     print(f"independence verdict: {report.verdict} ({report.count} samples, dim {report.dim})")
 
     if args.rho0 is not None:
-        rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", sys_obj.dim))
-        obs = _load_matrix(args.obs, "obs", sys_obj.dim)
+        rho0, obs = _state_and_obs(args, sys_obj.dim)
         grad = landscape.gradient(traj, rho0, obs)
         resid = landscape.kinematic_residual(traj.unitaries[-1], rho0, obs)
         print(f"gradient max |g_m|: {float(np.abs(grad).max()):.6g}")
@@ -194,8 +204,7 @@ def _cmd_gradient_check(args) -> int:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
-    rho0 = evolve.density_matrix(_load_matrix(args.rho0, "rho0", sys_obj.dim))
-    obs = _load_matrix(args.obs, "obs", sys_obj.dim)
+    rho0, obs = _state_and_obs(args, sys_obj.dim)
     traj = evolve.propagate(sys_obj, field)
     analytic = landscape.gradient(traj, rho0, obs)
     numeric = landscape.finite_difference_gradient(traj, rho0, obs, h=args.fd_step)

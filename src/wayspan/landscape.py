@@ -16,7 +16,7 @@ from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import PropagatorTrajectory
 from .matspace import _real_rows, basis_zt, dagger, from_coords, hs_norm, to_coords
-from .tolerances import FD_STEP, RANK_TOL, TRAJECTORY_TOL, VISIT_FID_TOL
+from .tolerances import FD_STEP, RANK_TOL, TRAJECTORY_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -89,10 +89,13 @@ def _coords_span(coords: np.ndarray, basis: np.ndarray) -> SpanReport:
     The rank counts the singular values above ``RANK_TOL`` times the largest
     one.  Only a deficient span has a complement, so only then is the SVD
     taken again for its right-singular vectors; the discarded directions are
-    mapped back to matrices.
+    mapped back to matrices.  A spectrum that is not finite, as when the
+    singular values overflow, has no rank: ``RuntimeError``.
     """
     n = basis.shape[1]
     s = np.linalg.svd(coords, compute_uv=False)
+    if not np.isfinite(s).all():
+        raise RuntimeError(f"singular values of the span are not finite: largest {s[0]:.3e}")
     rank = int(np.sum(s > RANK_TOL * s[0]))
     full = rank == n * n - 1
     vt = np.empty((0, n * n - 1))
@@ -156,9 +159,7 @@ def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
     return float(abs(np.vdot(target, u)) / target.shape[0])
 
 
-def waypoint_visits(
-    traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: float = VISIT_FID_TOL
-) -> list[VisitRecord]:
+def waypoint_visits(traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: float) -> list[VisitRecord]:
     """Best visit fidelity of every way-point over the trajectory nodes.
 
     Fidelity is phase-invariant, |Tr(W† U_m)| / N, since way-points only
@@ -262,7 +263,7 @@ def kinematic_residual(u_t: np.ndarray, rho0: np.ndarray, obs: np.ndarray) -> fl
             f"dimension mismatch: u {u_t.shape}, rho0 {rho0.shape}, obs {obs.shape}"
         )
     conj_obs = dagger(u_t) @ obs @ u_t
-    return float(np.linalg.norm(conj_obs @ rho0 - rho0 @ conj_obs))
+    return hs_norm(conj_obs @ rho0 - rho0 @ conj_obs)
 
 
 def save_span_report(report: SpanReport, target) -> None:

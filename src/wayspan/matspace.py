@@ -2,9 +2,9 @@
 
 Traceless Hermitian N x N matrices form a real vector space of dimension
 N^2 - 1 under the Hilbert-Schmidt inner product Tr(AB).  This module holds
-the validators of the matrix value types used across the package, extraction and embedding of 2x2 blocks at a row/column pair, and
-an orthonormal basis of the traceless-Hermitian space for coordinate and
-rank computations.
+the validators of the matrix value types used across the package, the
+embedding of 2x2 blocks at a row/column pair, and an orthonormal basis of
+the traceless-Hermitian space for coordinate and rank computations.
 
 Row/column pairs (i, j) are 1-based with i < j in every public signature;
 they are converted to 0-based indices internally.  All returned arrays are
@@ -24,7 +24,6 @@ __all__ = [
     "assert_hermitian_zt",
     "unitarity_defect",
     "assert_unitary",
-    "submatrix_2x2",
     "embed_2x2",
     "basis_zt",
     "to_coords",
@@ -50,8 +49,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(a: np.ndarray) -> float:
-    """Frobenius norm, i.e. the norm induced by the HS inner product."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, i.e. the norm induced by the HS inner product.
+
+    ``a`` is scaled by the power of two at its largest entry before the norm
+    is taken, and the result is scaled back, so the sum of squares neither
+    underflows nor overflows: ``hs_norm(2^k a) == 2^k hs_norm(a)`` exactly
+    while the entries of both stay normal floats.  Scaling by a power of two
+    is exact, so the result equals ``np.linalg.norm(a)`` bit for bit wherever
+    that norm neither underflows nor overflows.
+    """
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    exp = np.frexp(np.abs(a).max(initial=0.0))[1]
+    parts = a.view(float)
+    np.ldexp(parts, -exp, out=parts)
+    return float(np.ldexp(np.linalg.norm(a), exp))
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
@@ -119,20 +130,6 @@ def _block_index(lead: tuple, i, j, n: int) -> tuple[tuple, tuple]:
     rows = np.broadcast_to(np.stack([a - 1, b - 1], axis=-1), (*shape, 2))
     stack = tuple(ax[..., None, None] for ax in np.ix_(*map(range, shape)))
     return shape, (*stack, rows[..., :, None], rows[..., None, :])
-
-
-def submatrix_2x2(m, i, j) -> np.ndarray:
-    """2x2 sub-matrix of ``m`` formed by the i-th and j-th rows and columns.
-
-    Indices are 1-based with i < j.  Returns ``[[m_ii, m_ij], [m_ji, m_jj]]``.
-    Batched: ``m`` may be a stack (..., n, n) and ``i``, ``j`` integer arrays
-    broadcast against its leading axes; the result has shape (..., 2, 2).
-    """
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    shape, at = _block_index(m.shape[:-2], i, j, m.shape[-1])
-    return _readonly(np.broadcast_to(m, (*shape, *m.shape[-2:]))[at].astype(complex))
 
 
 def embed_2x2(d, i, j, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reachability
 from ._fmt import FormatError, float_array, int_field, parse_json, read_text, require_key, write_document
-from .matspace import _hermitian_defect
+from .matspace import _hermitian_defect, hs_norm
 from .tolerances import HERMITIAN_RTOL, OFFDIAG_RTOL, TRACE_RTOL
 
 __all__ = [
@@ -75,7 +75,7 @@ class QuantumSystem:
             raise ValueError(f"system dimension must be an integer >= 2, got {self.dim!r}")
         h0 = _as_real_symmetric(self.h0, "h0", self.dim)
         mu = _as_real_symmetric(self.mu, "mu", self.dim)
-        if not abs(np.trace(mu)) <= TRACE_RTOL * np.linalg.norm(mu):
+        if not abs(np.trace(mu)) <= TRACE_RTOL * hs_norm(mu):
             raise HypothesisViolation(
                 "mu_traceless", f"zero-trace hypothesis violated: Tr(mu) = {np.trace(mu):.6g}"
             )
@@ -126,7 +126,7 @@ def check_hypotheses(sys: QuantumSystem) -> HypothesisReport:
     :func:`reachability.lie_closure`.
     """
     mu = sys.mu
-    tol = OFFDIAG_RTOL * float(np.linalg.norm(mu))
+    tol = OFFDIAG_RTOL * hs_norm(mu)
     off_mask = ~np.eye(sys.dim, dtype=bool)
     offdiag_min = float(np.abs(mu[off_mask]).min())
     closure = reachability.lie_closure(sys.h0, sys.mu)

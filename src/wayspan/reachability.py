@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matspace import hs_norm
 from .tolerances import ABS_FLOOR, CLOSURE_TRACE_TOL, RANK_RTOL
 
 __all__ = [
@@ -100,7 +101,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
 
     new: list[int] = []
     for gen in (h0, mu):
-        norm = float(np.linalg.norm(gen))
+        norm = hs_norm(gen)
         if norm > 0.0 and try_add((gen / norm).reshape(full), 1):
             new.append(len(slots) - 1)
 

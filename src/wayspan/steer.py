@@ -19,7 +19,7 @@ import numpy as np
 from . import evolve, reachability
 from .evolve import ControlField, PropagatorTrajectory, concat_fields
 from .landscape import VisitRecord, gate_fidelity, waypoint_visits
-from .matspace import _real_rows, assert_unitary, dagger
+from .matspace import _real_rows, assert_unitary, dagger, hs_norm
 from .model import QuantumSystem
 from .tolerances import ARMIJO, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
 from .waypoints import WaypointSet
@@ -48,7 +48,7 @@ def default_segment_time(sys: QuantumSystem) -> float:
     failures at a too-short horizon are reported honestly rather than
     hidden.
     """
-    return 10.0 * np.pi * sys.dim / float(np.linalg.norm(sys.mu))
+    return 10.0 * np.pi * sys.dim / hs_norm(sys.mu)
 
 
 def _segment_steps(dim: int, steps: int | None) -> int:

@@ -4,16 +4,17 @@ All values are dimensionless and sized for double precision up to the soft
 dimension cap N = 32: far above round-off there, far below any physical
 scale of the problem class.  A module imports the constants it tests
 against from here; none defines its own, and no option overrides the
-thresholds behind a verdict.  The four settable defaults are marked (*):
-``gradient-check --fd-step`` and ``--tol``, ``finite_difference_gradient(h=)``
-and ``waypoint_visits(fid_tol=)``.
+thresholds behind a verdict.  The three settable defaults are marked (*):
+``gradient-check --fd-step`` and ``--tol``, and
+``finite_difference_gradient(h=)``.
 
 ==================== ======= ===============================================
 name                 value   test (module)
 ==================== ======= ===============================================
 HERMITIAN_RTOL       1e-12   max entry of |m - m†| over the largest entry
-                             of m, for h0 and mu and every validated
-                             traceless Hermitian input (matspace, model)
+                             of m, for h0, mu, the CLI's obs and every
+                             validated traceless Hermitian input (cli,
+                             matspace, model)
 TRACE_RTOL           1e-12   |Tr m| over the HS norm of a traceless matrix
                              (matspace, model)
 OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
@@ -57,8 +58,6 @@ ARMIJO               1e-4    sufficient-increase fraction of the Armijo
                              test on the squared fidelity (steer)
 MIN_STEP             1e-12   step size below which the line search gives
                              up (steer)
-VISIT_FID_TOL        1e-3    (*) shortfall from 1 of the best fidelity
-                             that still counts as a visit (landscape)
 FD_STEP              1e-5    (*) central-difference step of the gradient
                              oracle (landscape, cli)
 FD_GRAD_RTOL         1e-5    (*) largest relative max-norm gap between the
@@ -87,7 +86,6 @@ WITNESS_CHECK_RTOL = 1e-8
 PIVOT_RTOL = 1e-9
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
-VISIT_FID_TOL = 1e-3
 FD_STEP = 1e-5
 FD_GRAD_RTOL = 1e-5
 DIV_FLOOR = 1e-300

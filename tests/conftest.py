@@ -19,6 +19,13 @@ settings.register_profile("default", derandomize=True, deadline=None)
 settings.register_profile("random", derandomize=False, deadline=None)
 settings.load_profile("default")
 
+# Powers of two k tested beyond the unit changes k = -40..40: past 2^-510 and
+# 2^510, where a norm that squares the entries would underflow or overflow,
+# and the ends of the range over which every command keeps its verdict on the
+# N=4 system of test_cli.  Below 2^-1012 the horizon of its 45 steered
+# segments overflows; above 2^1018 the span of their dipoles does.
+EXTREME_SCALES = (-1012, -540, 540, 1018)
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    EXTREME_SCALES,
     SX,
     SZ,
     coupled_traceless_symmetric,
@@ -260,6 +261,14 @@ class TestCheck:
         assert captured.out == ""
         assert f"--{given} needs {missing}" in captured.err
 
+    def test_a_non_hermitian_obs_exits_2(self, files, tmp_path, capsys):
+        obs = _matrix_doc(tmp_path / "skew.json", np.array([[1.0, 1.0], [0.0, -1.0]]))
+        argv = ("check", "--system", files["pauli"], "--field", files["field"])
+        assert run(*argv, "--rho0", files["rho0"], "--obs", obs) == 2
+        captured = capsys.readouterr()
+        assert "gradient" not in captured.out
+        assert captured.err == "ERROR: obs is not Hermitian: relative defect 1.000e+00\n"
+
     def test_module_entry_point_exits_with_the_verdict(self, files):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         argv = ("check", "--system", files["pauli"], "--field", files["field"], "--stride", "20")
@@ -274,6 +283,17 @@ class TestGradientCheck:
                 "--rho0", files["rho0"], "--obs", files["obs"])
         assert run(*argv) == 0
         assert run(*argv, "--tol", 1e-300) == 1
+
+    def test_a_non_hermitian_obs_exits_2(self, files, tmp_path, capsys):
+        # i SX: the central differences see Re Tr(rho(T) obs), the analytic
+        # gradient assumes obs Hermitian, so the two would disagree.
+        obs = tmp_path / "anti.json"
+        obs.write_text(json.dumps({"n": 2, "entries": [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]]}))
+        argv = ("gradient-check", "--system", files["pauli"], "--field", files["field"], "--rho0", files["rho0"])
+        assert run(*argv, "--obs", obs) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR: obs is not Hermitian: relative defect 2.000e+00\n"
 
     @pytest.mark.parametrize("steps", [1, 30, 600])
     def test_oracle_takes_one_base_pass(self, files, tmp_path, monkeypatch, steps, rng):
@@ -339,6 +359,57 @@ class TestSteer:
 
     def test_needs_a_waypoint_source(self, files):
         assert run("steer", "--system", files["pauli"]) == 2
+
+
+class TestEnergyUnit:
+    """(2^k h0, 2^k mu, T / 2^k) on an N=4 system with mu = Q diag(w) Q^T:
+    every command keeps the verdict lines and exit code of k = 0 over the
+    stated range, and past it a command that fails exits 2 without a verdict."""
+
+    @staticmethod
+    def _outputs(tmp_path, capsys, k, commands=("validate", "controllability", "waypoints", "check", "steer")):
+        c = 2.0**k
+        rng = np.random.default_rng(4)
+        mu = rotated_traceless_symmetric(4, rng)
+        system = tmp_path / f"sys_{k}.json"
+        system.write_text(json.dumps({"n": 4, "h0": (c * np.diag([1.0, 2.0, 3.5, 4.0])).tolist(), "mu": (c * mu).tolist()}))
+        field = tmp_path / f"field_{k}.json"
+        evolve.save_field(ControlField(horizon=6.0 / c, values=rng.normal(size=40)), field)
+        argv = {
+            "validate": ("validate", "--system", system),
+            "controllability": ("controllability", "--system", system),
+            "waypoints": ("waypoints", "--provenance", "theorem1", "--system", system, "--out", tmp_path / "wp"),
+            "check": ("check", "--system", system, "--field", field),
+            "steer": ("steer", "--system", system, "--provenance", "theorem3", "--out", tmp_path / "st"),
+        }
+        outputs = {}
+        for name in commands:
+            code = run(*argv[name])
+            # validate names the file and prints min |mu_ij|, which scales with mu.
+            captured = capsys.readouterr()
+            lines = [line for line in captured.out.splitlines() if not line.endswith(".json:") and "min |mu_ij|" not in line]
+            outputs[name] = code, lines, captured.err
+        return outputs
+
+    @pytest.mark.parametrize("k", [520, *EXTREME_SCALES])
+    def test_every_command_keeps_its_verdict(self, tmp_path, capsys, k):
+        base = self._outputs(tmp_path, capsys, 0)
+        assert base["steer"] == (0, ["segments converged: 45/45", "worst visit fidelity: 0.999050 (target 0.999)",
+                                     "independence verdict: FULL"], "")
+        assert self._outputs(tmp_path, capsys, k) == base
+
+    @pytest.mark.parametrize("k", [min(EXTREME_SCALES) - 1, max(EXTREME_SCALES) + 1])
+    def test_one_past_the_range_only_steer_fails_and_it_exits_2(self, tmp_path, capsys, k):
+        base = self._outputs(tmp_path, capsys, 0)
+        past = self._outputs(tmp_path, capsys, k)
+        code, lines, err = past.pop("steer")
+        assert (code, lines) == (2, []) and err.startswith("ERROR: ")
+        assert past == {name: base[name] for name in past}
+
+    def test_an_overflowing_spectrum_exits_2(self, tmp_path, capsys):
+        # At 2^1021 the singular values of the sampled dipoles overflow: no rank.
+        message = "ERROR: numerical failure: singular values of the span are not finite: largest inf\n"
+        assert self._outputs(tmp_path, capsys, 1021, ("check",)) == {"check": (2, [], message)}
 
 
 class TestNumericalFailure:

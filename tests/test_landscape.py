@@ -221,7 +221,7 @@ class TestWaypointVisits:
         traj = evolve.propagate(sys2, ControlField.constant(0.0, 1.0, 2 * evolve._BLOCK + 3))
         wset = waypoints.WaypointSet(dim=2, unitaries=np.array([np.eye(2)]), provenance="custom")
         assert np.all(traj.unitaries == np.eye(2))
-        record = landscape.waypoint_visits(traj, wset)[0]
+        record = landscape.waypoint_visits(traj, wset, fid_tol=1e-3)[0]
         assert (record.step, record.fidelity) == (0, 1.0)
 
     def test_overlaps_match_each_gate_fidelity(self, rng):
@@ -229,7 +229,7 @@ class TestWaypointVisits:
         traj = evolve.propagate(sys_n, field)
         picks = traj.unitaries[[5, 31, 60]] * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))[:, None, None]
         wset = waypoints.WaypointSet(dim=3, unitaries=picks, provenance="custom")
-        for record, w, step in zip(landscape.waypoint_visits(traj, wset), wset.unitaries, (5, 31, 60)):
+        for record, w, step in zip(landscape.waypoint_visits(traj, wset, fid_tol=1e-3), wset.unitaries, (5, 31, 60)):
             fids = [landscape.gate_fidelity(w, u) for u in traj.unitaries]
             assert record.step == step == int(np.argmax(fids))
             assert abs(record.fidelity - fids[step]) <= 1e-15
@@ -468,7 +468,7 @@ def _pass_outputs(n, steps, seed):
         landscape.gradient(traj, rho0, obs),
         span.singular_values,
         span.complement_basis,
-        landscape.waypoint_visits(traj, wset),
+        landscape.waypoint_visits(traj, wset, fid_tol=1e-3),
         text.getvalue(),
     )
 

@@ -7,23 +7,16 @@ from conftest import SX, SY, SZ, hs_inner, random_traceless_hermitian
 from wayspan import matspace
 
 
-def test_submatrix_diagonal_case():
-    m = np.diag([1.0, 2.0, 3.0])
-    block = matspace.submatrix_2x2(m, 1, 3)
-    assert np.allclose(block, np.diag([1.0, 3.0]))
-
-
 def test_submatrix_of_embedded_block_roundtrips():
     m = matspace.embed_2x2(SX, 1, 2, 3)
-    assert np.allclose(matspace.submatrix_2x2(m, 1, 2), SX)
+    assert np.array_equal(m[:2, :2], SX)
 
 
 def test_embed_then_extract_agrees_on_selected_entries(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     for (i, j) in [(1, 2), (2, 4), (1, 4)]:
-        block = matspace.submatrix_2x2(m, i, j)
-        back = matspace.embed_2x2(block, i, j, 4)
         a, b = i - 1, j - 1
+        back = matspace.embed_2x2(m[np.ix_([a, b], [a, b])], i, j, 4)
         for r, c in [(a, a), (a, b), (b, a), (b, b)]:
             assert back[r, c] == pytest.approx(m[r, c])
 
@@ -59,8 +52,6 @@ def test_embed_unitary_blocks_stay_unitary(rng):
 @pytest.mark.parametrize("i,j", [(2, 2), (0, 1), (3, 2), (1, 5)])
 def test_block_index_validation(i, j):
     with pytest.raises(ValueError):
-        matspace.submatrix_2x2(np.eye(4), i, j)
-    with pytest.raises(ValueError):
         matspace.embed_2x2(np.eye(2), i, j, 4)
 
 
@@ -71,16 +62,11 @@ def test_batched_blocks_match_per_element_calls(rng):
     j = np.array([[2], [5], [4]])
     stack = matspace.embed_2x2(blocks, i, j, n)
     assert stack.shape == (3, 4, n, n)
-    m = rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n))
-    subs = matspace.submatrix_2x2(m, i, j)
-    assert subs.shape == (3, 4, 2, 2)
     for p in range(3):
         for k in range(4):
             pair = int(i[p, 0]), int(j[p, 0])
             assert np.array_equal(stack[p, k], matspace.embed_2x2(blocks[p, k], *pair, n))
-            assert np.array_equal(subs[p, k], matspace.submatrix_2x2(m[p, k], *pair))
-    # One matrix against many pairs, and one pair against many blocks.
-    assert np.array_equal(matspace.submatrix_2x2(m[0, 0], i[:, 0], j[:, 0])[1], matspace.submatrix_2x2(m[0, 0], 2, 5))
+    # One pair against many blocks.
     assert np.array_equal(matspace.embed_2x2(blocks[0], 2, 3, n)[2], matspace.embed_2x2(blocks[0, 2], 2, 3, n))
 
 
@@ -89,8 +75,6 @@ def test_a_bad_pair_anywhere_in_a_batch_is_rejected():
     j = np.array([2, 4, 3, 4])
     with pytest.raises(ValueError, match=r"need 1 <= i < j <= 4, got \(i, j\) = \(3, 3\)"):
         matspace.embed_2x2(np.eye(2), i, j, 4)
-    with pytest.raises(ValueError, match=r"got \(i, j\) = \(3, 3\)"):
-        matspace.submatrix_2x2(np.zeros((4, 4, 4)), i, j)
     with pytest.raises(ValueError, match="integers"):
         matspace.embed_2x2(np.eye(2), i, j.astype(float), 4)
 
@@ -141,6 +125,25 @@ def test_coords_roundtrip_and_isometry(rng):
             back = matspace.from_coords(coords, basis)
             assert np.linalg.norm(back - z) < 1e-10
             assert np.linalg.norm(coords) == pytest.approx(matspace.hs_norm(z), rel=1e-10)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=32),
+    is_complex=st.booleans(),
+    k=st.integers(min_value=-1000, max_value=1000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_hs_norm_scales_exactly_and_is_numpys_norm_at_ordinary_scales(n, is_complex, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if is_complex else 0.0)
+    assert matspace.hs_norm(a) == np.linalg.norm(a)
+    assert matspace.hs_norm(2.0**k * a) == 2.0**k * matspace.hs_norm(a)
+
+
+def test_hs_norm_of_the_zero_matrix_and_of_a_nan():
+    assert matspace.hs_norm(np.zeros((3, 3))) == 0.0
+    assert np.isnan(matspace.hs_norm(np.array([[0.0, np.nan], [1.0, 0.0]])))
 
 
 def test_assert_hermitian_zt_rejects_non_hermitian_and_traced():

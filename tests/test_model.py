@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, random_traceless_symmetric, rotated_symmetric, rotated_traceless_symmetric
+from conftest import (
+    EXTREME_SCALES,
+    SX,
+    SZ,
+    random_traceless_symmetric,
+    rotated_symmetric,
+    rotated_traceless_symmetric,
+)
 from wayspan import model
 from wayspan.model import FormatError, HypothesisViolation, QuantumSystem
 
@@ -43,19 +50,21 @@ def _accepted(h0, mu):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("defect", [0.0, 1e-9])
 def test_acceptance_does_not_depend_on_the_energy_unit(n, defect, rng):
-    # Both checks are relative to the matrix's own scale, so (2^k h0, 2^k mu)
-    # is accepted exactly when (h0, mu) is, round-off asymmetry included.
+    # Both checks are relative to the matrix's own scale, and the HS norm of
+    # the trace check does not square the entries, so (2^k h0, 2^k mu) is
+    # accepted exactly when (h0, mu) is, round-off asymmetry included.
     h0, mu = rotated_symmetric(n, rng), rotated_traceless_symmetric(n, rng)
     mu[0, 1] += defect * np.abs(mu).max()
     assert _accepted(h0, mu) == (defect == 0.0)
-    assert [k for k in range(-40, 41) if _accepted(2.0**k * h0, 2.0**k * mu) != (defect == 0.0)] == []
+    scales = [*range(-40, 41), *EXTREME_SCALES]
+    assert [k for k in scales if _accepted(2.0**k * h0, 2.0**k * mu) != (defect == 0.0)] == []
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_a_traced_dipole_is_rejected_at_every_scale(n, rng):
     h0, mu = rotated_symmetric(n, rng), rotated_traceless_symmetric(n, rng)
     traced = mu + 1e-9 * np.abs(mu).max() * np.eye(n)
-    for k in range(-40, 41):
+    for k in [*range(-40, 41), *EXTREME_SCALES]:
         with pytest.raises(HypothesisViolation, match="zero-trace"):
             QuantumSystem(n, 2.0**k * h0, 2.0**k * traced)
         with pytest.raises(HypothesisViolation, match="zero-trace"):

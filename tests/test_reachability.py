@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EXTREME_SCALES,
     SX,
     SZ,
     coupled_traceless_symmetric,
@@ -170,12 +171,13 @@ def test_spin_chain_closure_has_exact_dimension(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_closure_does_not_depend_on_the_energy_unit(n, rng):
-    # Only an exactly zero generator is dropped, and every commutator is
-    # formed from unit-norm basis elements, so (c h0, c mu) closes as (h0, mu).
+    # Only an exactly zero generator is dropped, the generators are normalized
+    # by an HS norm that does not square their entries, and every commutator
+    # is formed from unit-norm basis elements, so (c h0, c mu) closes as (h0, mu).
     h0, mu = rotated_symmetric(n, rng), rotated_traceless_symmetric(n, rng)
     result = reachability.lie_closure(h0, mu)
     assert result.verdict == "U"
-    for k in range(-60, 41):
+    for k in [*range(-60, 41), *EXTREME_SCALES]:
         scaled = reachability.lie_closure(2.0**k * h0, 2.0**k * mu)
         assert (scaled.dimension, scaled.verdict) == (result.dimension, result.verdict), k
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EXTREME_SCALES,
     SX,
     SY,
     SZ,
@@ -115,6 +116,18 @@ def test_theorem1_is_bit_identical_under_power_of_two_scaling(n, make, rng):
         assert np.array_equal(_bits(waypoints.theorem1_waypoints(2.0**k * mu).unitaries), _bits(unitaries)), k
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("make", DIPOLES)
+def test_theorem1_holds_at_the_extreme_scales(n, make, rng):
+    # Far from 1, eigh rescales mu by a factor that is not a power of two, so
+    # the set agrees with the unscaled one only up to round-off; it is still
+    # accepted, and it still spans for mu.
+    mu = make(n, rng)
+    for k in EXTREME_SCALES:
+        wset = waypoints.theorem1_waypoints(2.0**k * mu)
+        assert landscape.spanning_rank(evolve.conjugated_dipole(wset.unitaries, mu)).full, k
+
+
 def test_a_wrong_eigendecomposition_names_its_residual(monkeypatch, rng):
     eigh = np.linalg.eigh
 
@@ -176,7 +189,7 @@ class TestDipoleDependentSet:
                 0.5 * np.array([[s, -1j * d], [1j * d, s]]),
             ]
             for pos, (i, j, k) in enumerate(wset.pair_index):
-                got = matspace.submatrix_2x2(hats[pos], i, j)
+                got = hats[pos][np.ix_([i - 1, j - 1], [i - 1, j - 1])]
                 assert np.abs(got - blocks[k - 1]).max() < 1e-10
                 if k > 1:
                     anchor = hats[pos - (k - 1)]
@@ -322,6 +335,11 @@ class TestSeparatingWitness:
         value = waypoints.separating_unitary(z, mu).value
         for k in range(-40, 41):
             assert waypoints.separating_unitary(2.0**k * z, 2.0**k * mu).value == pytest.approx(4.0**k * value), k
+        # The value scales with both inputs, so at the extreme scales they are
+        # scaled apart and the value is that of (z, mu).
+        for k in EXTREME_SCALES:
+            assert waypoints.separating_unitary(2.0**k * z, 2.0**-k * mu).value == pytest.approx(value), k
+            assert waypoints.separating_unitary(2.0**-k * z, 2.0**k * mu).value == pytest.approx(value), k
 
     def test_rejects_zero_input(self):
         with pytest.raises(ValueError, match="nonzero"):
