@@ -46,7 +46,6 @@ from .model import (
     check_hypotheses,
     load_system,
     load_system_csv,
-    save_system,
 )
 from .reachability import LieClosureResult, is_controllable, lie_closure
 from .steer import (

@@ -2,8 +2,9 @@
 
 Exit codes are a stable scripting contract: 0 for success or a passing
 verdict, 1 for a failed verdict or non-convergence, 2 for usage, parse or
-shape errors and for a numerical failure: a guard (unitarity, dipole
-structure, way-point pattern) raised ``RuntimeError``, so no verdict exists.
+shape errors and for a numerical failure: a guard (node unitarity, the
+eigendecomposition of mu, a span that is not finite) raised
+``RuntimeError``, so no verdict exists.
 """
 
 from __future__ import annotations
@@ -180,14 +181,14 @@ def _cmd_check(args) -> int:
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     traj = evolve.propagate(sys_obj, field)
-    indices = None
-    if args.stride > 1:
-        indices = np.arange(0, field.steps + 1, args.stride)
-    report = landscape.trajectory_independence(traj, indices)
+    report = landscape.trajectory_independence(traj, args.stride)
+    # The inputs load after the propagation, which keeps them out of its peak
+    # memory, but before the verdict line: exit 2 prints no verdict.
+    if args.rho0 is not None:
+        rho0, obs = _state_and_obs(args, sys_obj.dim)
     print(f"independence verdict: {report.verdict} ({report.count} samples, dim {report.dim})")
 
     if args.rho0 is not None:
-        rho0, obs = _state_and_obs(args, sys_obj.dim)
         grad = landscape.gradient(traj, rho0, obs)
         resid = landscape.kinematic_residual(traj.unitaries[-1], rho0, obs)
         print(f"gradient max |g_m|: {float(np.abs(grad).max()):.6g}")
@@ -229,11 +230,10 @@ def _cmd_steer(args) -> int:
     )
     synthesis = steer.synthesize_through_waypoints(sys_obj, wset, opts)
 
+    span = landscape.trajectory_independence(synthesis.trajectory)
     out = _out_dir(args) or Path(".")
     evolve.save_field(synthesis.field, out / "field.json")
     landscape.visits_csv(list(synthesis.visits), out / "visits.csv")
-
-    span = landscape.trajectory_independence(synthesis.trajectory)
     landscape.save_span_report(span, out / "span.txt")
 
     worst = min(v.fidelity for v in synthesis.visits)

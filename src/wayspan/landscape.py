@@ -16,7 +16,7 @@ from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import PropagatorTrajectory
 from .matspace import _real_rows, basis_zt, dagger, from_coords, hs_norm, to_coords
-from .tolerances import FD_STEP, RANK_TOL, TRAJECTORY_TOL
+from .tolerances import FD_STEP, RANK_TOL
 from .waypoints import WaypointSet
 
 __all__ = [
@@ -90,10 +90,15 @@ def _coords_span(coords: np.ndarray, basis: np.ndarray) -> SpanReport:
     one.  Only a deficient span has a complement, so only then is the SVD
     taken again for its right-singular vectors; the discarded directions are
     mapped back to matrices.  A spectrum that is not finite, as when the
-    singular values overflow, has no rank: ``RuntimeError``.
+    singular values overflow or a coordinate is NaN, has no rank:
+    ``RuntimeError``.
     """
     n = basis.shape[1]
-    s = np.linalg.svd(coords, compute_uv=False)
+    try:
+        s = np.linalg.svd(coords, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK does not converge on a coordinate that is not finite.
+        raise RuntimeError(f"singular values of the span are not finite: {exc}") from exc
     if not np.isfinite(s).all():
         raise RuntimeError(f"singular values of the span are not finite: largest {s[0]:.3e}")
     rank = int(np.sum(s > RANK_TOL * s[0]))
@@ -115,38 +120,27 @@ def _coords_span(coords: np.ndarray, basis: np.ndarray) -> SpanReport:
     )
 
 
-def trajectory_independence(traj: PropagatorTrajectory, sample_indices=None) -> SpanReport:
-    """Spanning report of the conjugated dipoles at the sampled grid nodes.
+def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> SpanReport:
+    """Spanning report of the conjugated dipoles at every ``stride``-th grid node.
 
     A FULL verdict certifies linear independence of the conjugated-dipole
     entries at the sample resolution; by default all nodes are used.  Only the
-    sampled nodes are conjugated, one block of ``evolve._BLOCK`` at a time, and
-    only their coordinates are kept; their dipoles must be Hermitian and
-    traceless to ``TRAJECTORY_TOL`` times ||mu||_HS, the norm every conjugate
-    shares.
+    sampled nodes, ``traj.unitaries[::stride]``, are conjugated, one block of
+    ``evolve._BLOCK`` at a time, and only their coordinates are kept.
+
+    The dipoles need no structure check: :func:`evolve.propagate` bounds
+    ||u†u - I||_F by ``TRAJECTORY_TOL`` at every node, so the trace
+    |Tr(u† mu u) - Tr(mu)| = |Tr(mu (uu† - I))| is at most that times
+    ||mu||_HS, the anti-Hermitian part is round-off, and :func:`to_coords`
+    discards both.  A node that is not finite gives a span that is not
+    finite, which :func:`_coords_span` refuses.
     """
-    nodes = traj.unitaries
-    idx = np.arange(nodes.shape[0])
-    if sample_indices is not None:
-        idx = np.asarray(sample_indices, dtype=int)
-        if idx.size == 0:
-            raise ValueError("sample_indices must be nonempty")
-        if idx.min() < 0 or idx.max() >= nodes.shape[0]:
-            raise ValueError(f"sample indices out of range 0..{nodes.shape[0] - 1}")
+    nodes = traj.unitaries[::stride]
     mu = traj.sys.mu
     basis = basis_zt(traj.dim)
-    coords = np.empty((idx.size, basis.shape[0]))
-    herm, traces = [], []
-    for block in evolve._blocks(idx.size):
-        mats = evolve.conjugated_dipole(nodes[idx[block]], mu)
-        herm.append(np.abs(mats - dagger(mats)).max())
-        traces.append(np.abs(np.trace(mats, axis1=1, axis2=2)).max())
-        coords[block] = to_coords(mats, basis)
-    # numpy's max, unlike Python's, keeps a NaN defect of any block.
-    herm, traces = float(np.max(herm)), float(np.max(traces))
-    tol = TRAJECTORY_TOL * hs_norm(mu)
-    if not (herm <= tol and traces <= tol):
-        raise RuntimeError(f"conjugated dipoles off structure: hermiticity {herm:.3e}, trace {traces:.3e}")
+    coords = np.empty((len(nodes), basis.shape[0]))
+    for block in evolve._blocks(len(nodes)):
+        coords[block] = to_coords(evolve.conjugated_dipole(nodes[block], mu), basis)
     return _coords_span(coords, basis)
 
 

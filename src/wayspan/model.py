@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reachability
-from ._fmt import FormatError, float_array, int_field, parse_json, read_text, require_key, write_document
+from ._fmt import FormatError, float_array, int_field, parse_json, read_text, require_key
 from .matspace import _hermitian_defect, hs_norm
 from .tolerances import HERMITIAN_RTOL, OFFDIAG_RTOL, TRACE_RTOL
 
@@ -29,7 +29,6 @@ __all__ = [
     "HypothesisReport",
     "load_system",
     "load_system_csv",
-    "save_system",
     "check_hypotheses",
 ]
 
@@ -171,10 +170,3 @@ def load_system_csv(source) -> QuantumSystem:
     table = float_array(rows, "h0 and mu rows", (2 * n, n))
     return QuantumSystem(dim=n, h0=table[:n], mu=table[n:])
 
-
-def save_system(sys: QuantumSystem, target) -> None:
-    """Write the canonical system document; reloading recovers it bit-exactly."""
-    doc = {"n": sys.dim, "h0": sys.h0, "mu": sys.mu}
-    if sys.label is not None:
-        doc["label"] = sys.label
-    write_document(target, doc)

@@ -21,10 +21,8 @@ OFFDIAG_RTOL         1e-12   an off-diagonal entry of mu at most this times
                              ||mu||_HS counts as a zero coupling (model)
 UNITARY_TOL          1e-10   ||u†u - I||_F of a constructed unitary or
                              way-point (matspace, waypoints)
-TRAJECTORY_TOL       1e-10   unitarity of every propagated node, density
-                             matrix checks, and, relative to ||mu||_HS, the
-                             Hermiticity and trace of every sampled
-                             conjugated dipole (evolve, landscape)
+TRAJECTORY_TOL       1e-10   unitarity of every propagated node and density
+                             matrix checks (evolve)
 GRID_RTOL            1e-12   relative step or horizon mismatch below which
                              two fields share one grid (evolve, steer)
 RANK_TOL             1e-8    singular values below this fraction of the

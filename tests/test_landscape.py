@@ -117,69 +117,72 @@ class TestTrajectoryIndependence:
         assert report.rank == 2
         assert not report.full
 
-    def test_single_sample(self, pauli_system):
+    def test_a_stride_past_the_last_node_samples_node_0(self, pauli_system):
         field = ControlField.constant(0.0, 1.0, 10)
         traj = evolve.propagate(pauli_system, field)
-        assert landscape.trajectory_independence(traj, [0]).rank == 1
+        report = landscape.trajectory_independence(traj, 11)
+        assert (report.count, report.rank) == (1, 1)
 
     def test_monotone_in_samples(self, pauli_system, rng):
+        # Stride 10 samples every node that stride 20 does, and more.
         field = ControlField(horizon=4.0, values=rng.normal(size=80))
         traj = evolve.propagate(pauli_system, field)
-        few = landscape.trajectory_independence(traj, [0, 10, 20])
-        more = landscape.trajectory_independence(traj, [0, 10, 20, 40, 60, 80])
+        few = landscape.trajectory_independence(traj, 20)
+        more = landscape.trajectory_independence(traj, 10)
+        assert (few.count, more.count) == (5, 9)
         assert more.rank >= few.rank
 
-    def test_invalid_indices(self, pauli_system):
+    def test_zero_stride_is_invalid(self, pauli_system):
         field = ControlField.constant(0.0, 1.0, 10)
         traj = evolve.propagate(pauli_system, field)
         with pytest.raises(ValueError):
-            landscape.trajectory_independence(traj, [0, 99])
-        with pytest.raises(ValueError):
-            landscape.trajectory_independence(traj, [])
+            landscape.trajectory_independence(traj, 0)
 
     def test_strided_samples_conjugate_only_their_nodes(self):
         sys_n, field = random_system_and_field(3, 200, 11)
         traj = evolve.propagate(sys_n, field)
-        idx = np.arange(0, 201, 40)
-        report = landscape.trajectory_independence(traj, idx)
-        ref = landscape.spanning_rank(evolve.conjugated_dipole(traj.unitaries[idx], traj.sys.mu))
-        assert not report.full
+        report = landscape.trajectory_independence(traj, 40)
+        ref = landscape.spanning_rank(evolve.conjugated_dipole(traj.unitaries[::40], traj.sys.mu))
+        assert not report.full and report.count == 6
         assert np.array_equal(report.singular_values, ref.singular_values)
         assert np.array_equal(report.complement_basis, ref.complement_basis)
 
+    @pytest.mark.parametrize("steps", [evolve._BLOCK - 1, evolve._BLOCK, 2 * evolve._BLOCK + 3])
+    def test_every_stride_spans_its_strided_nodes(self, steps):
+        # One block, one full block, and two blocks with a remainder; the
+        # strides run up to one past the last node, which samples node 0 only.
+        sys_n, field = random_system_and_field(3, steps, steps)
+        traj = evolve.propagate(sys_n, field)
+        for stride in range(1, steps + 2):
+            report = landscape.trajectory_independence(traj, stride)
+            ref = landscape.spanning_rank(evolve.conjugated_dipole(traj.unitaries[::stride], traj.sys.mu))
+            assert report.count == ref.count == len(range(0, steps + 1, stride))
+            assert np.array_equal(report.singular_values, ref.singular_values)
+            assert np.array_equal(report.complement_basis, ref.complement_basis)
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
-    def test_dipole_guard_is_relative_to_the_dipole_norm(self, scale):
+    def test_verdict_does_not_depend_on_the_system_scale(self, scale):
         # The same propagators under (c h0, c mu, T / c); at c = 1e3 the
-        # conjugates' trace round-off alone exceeds TRAJECTORY_TOL.
+        # conjugates' trace round-off alone exceeds TRAJECTORY_TOL, which
+        # to_coords discards with the trace.
         sys_n, field = random_system_and_field(6, 600, 2)
         scaled = QuantumSystem(6, scale * sys_n.h0, scale * sys_n.mu)
         traj = evolve.propagate(scaled, ControlField(horizon=field.horizon / scale, values=field.values))
         assert landscape.trajectory_independence(traj).full
 
-    def test_a_perturbed_node_is_off_structure(self, pauli_system, rng):
-        traj = evolve.propagate(pauli_system, ControlField(horizon=2.0, values=rng.normal(size=20)))
-        nodes = traj.unitaries.copy()
-        nodes[7] += 1e-6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        bad = evolve.PropagatorTrajectory(sys=traj.sys, field=traj.field, eig=traj.eig, unitaries=nodes)
-        assert landscape.trajectory_independence(bad, [0, 3]).rank == 2
-        with pytest.raises(RuntimeError, match="off structure"):
-            landscape.trajectory_independence(bad)
-        with pytest.raises(RuntimeError, match="off structure"):
-            landscape.trajectory_independence(bad, [7])
-
-    @pytest.mark.parametrize("defect, message", [(np.nan, "hermiticity nan"), (1e-6, "trace")])
-    def test_structure_guard_sees_the_last_block(self, pauli_system, rng, defect, message):
+    def test_a_nan_node_in_the_last_block_has_no_span(self, pauli_system, rng):
         steps = 2 * evolve._BLOCK + 3
         traj = evolve.propagate(pauli_system, ControlField(horizon=2.0, values=rng.normal(size=steps)))
         nodes = traj.unitaries.copy()
-        nodes[-1, 0, 1] += defect
+        nodes[-1, 0, 1] += np.nan
         bad = evolve.PropagatorTrajectory(sys=traj.sys, field=traj.field, eig=traj.eig, unitaries=nodes)
         assert len(evolve._blocks(steps + 1)) == 2
-        assert landscape.trajectory_independence(bad, np.arange(steps)).full
-        with pytest.raises(RuntimeError, match=f"off structure: .*{message}"):
+        # Stride 2 stops one node short of the last.
+        assert landscape.trajectory_independence(bad, 2).full
+        with pytest.raises(RuntimeError, match="singular values of the span are not finite"):
             landscape.trajectory_independence(bad)
 
-    def test_nan_dipoles_are_off_structure(self, pauli_system, monkeypatch):
+    def test_nan_dipoles_have_no_span(self, pauli_system, monkeypatch):
         traj = evolve.propagate(pauli_system, ControlField(horizon=1.0, values=[0.3, -0.2, 0.1]))
         conjugated_dipole = evolve.conjugated_dipole
 
@@ -189,7 +192,7 @@ class TestTrajectoryIndependence:
             return hats
 
         monkeypatch.setattr(evolve, "conjugated_dipole", nan_dipole)
-        with pytest.raises(RuntimeError, match="off structure: hermiticity nan"):
+        with pytest.raises(RuntimeError, match="singular values of the span are not finite"):
             landscape.trajectory_independence(traj)
 
 
