@@ -180,17 +180,18 @@ def _cmd_check(args) -> int:
         raise ValueError(f"{given} needs {missing}: the gradient report takes both")
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
-    traj = evolve.propagate(sys_obj, field)
-    report = landscape.trajectory_independence(traj, args.stride)
-    # The inputs load after the propagation, which keeps them out of its peak
+    with_gradient = args.rho0 is not None
+    run = landscape._streamed_check(sys_obj, field, args.stride, with_gradient)
+    report = run.span
+    # The inputs load after the pass, which keeps them out of its peak
     # memory, but before the verdict line: exit 2 prints no verdict.
-    if args.rho0 is not None:
+    if with_gradient:
         rho0, obs = _state_and_obs(args, sys_obj.dim)
     print(f"independence verdict: {report.verdict} ({report.count} samples, dim {report.dim})")
 
-    if args.rho0 is not None:
-        grad = landscape.gradient(traj, rho0, obs)
-        resid = landscape.kinematic_residual(traj.unitaries[-1], rho0, obs)
+    if with_gradient:
+        grad = run.gradient(rho0, obs)
+        resid = landscape.kinematic_residual(run.endpoint, rho0, obs)
         print(f"gradient max |g_m|: {float(np.abs(grad).max()):.6g}")
         print(f"kinematic residual: {resid:.6g}")
 

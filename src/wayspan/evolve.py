@@ -13,13 +13,21 @@ J of :func:`_jacobian` is ``_real_rows(dt mid_hat_m)``; as Re Tr(A X) =
 is one product ``J @ _real_rows(X)``.  Conjugated dipoles ``u† mu u`` are
 formed only by :func:`conjugated_dipole`, for the nodes a span samples.
 
-A pass keeps the M + 1 nodes and the M step eigenpairs.  The pass and every
-stage that reads it (the unitarity guard, the Jacobian rows, the span
-coordinates, the way-point visits and the CSV writer) work through the
-blocks of :func:`_blocks`, so their temporaries are O(``_BLOCK`` N^2)
-whatever M.  Every per-matrix operation is the same in a block as over the
-whole field; only products of stacked rows go through BLAS, which can round
-a row in a block differently in its last bit (seen from N = 16 on).
+The node product U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m is taken in one
+place, the block generator :func:`_step_blocks`: it diagonalises and
+exponentiates ``_BLOCK`` steps at a time and continues the product from the
+last node, so a consumer that keeps nothing of a block holds
+O(``_BLOCK`` N^2) whatever M.  :func:`propagate` collects the blocks into a
+pass that keeps the M + 1 nodes and the M step eigenpairs, for the commands
+that read them again (``steer``, ``gradient-check``, ``propagate``);
+``check`` streams the blocks (``landscape._streamed_check``) and keeps
+neither.  Every stage that reads a kept pass (the
+unitarity guard, the Jacobian rows, the span coordinates, the way-point
+visits and the CSV writer) works through the blocks of :func:`_blocks`, so
+its temporaries are O(``_BLOCK`` N^2) too.  Every per-matrix operation is
+the same in a block as over the whole field; only products of stacked rows
+go through BLAS, which can round a row in a block differently in its last
+bit (seen from N = 16 on).
 """
 
 from __future__ import annotations
@@ -135,9 +143,19 @@ def density_matrix(entries) -> np.ndarray:
 def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float) -> tuple[tuple, np.ndarray]:
     """``eig = (w, v)`` of h0 - eps mu for every amplitude of ``values``, and each
     step's exponential exp(-i dt (h0 - eps mu)) = V diag(exp(-i dt w)) V†.  Every
-    step exponential of the package is taken here."""
-    eig = np.linalg.eigh(sys.h0[None, :, :] - values[:, None, None] * sys.mu[None, :, :])
+    step exponential of the package is taken here.
+
+    A generator or a spectrum that is not finite, as when h0 - eps mu
+    overflows, raises ``RuntimeError`` before any step is exponentiated.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = sys.h0[None, :, :] - values[:, None, None] * sys.mu[None, :, :]
+    if not np.isfinite(gen).all():
+        raise RuntimeError("step generators h0 - eps mu are not finite")
+    eig = np.linalg.eigh(gen)
     w, v = eig
+    if not np.isfinite(w).all():
+        raise RuntimeError("step eigenvalues are not finite")
     return eig, (v * np.exp(-1j * dt * w)[:, None, :]) @ dagger(v)
 
 
@@ -156,29 +174,46 @@ def _blocks(count: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *cuts], [*cuts, count])]
 
 
-def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
-    """The field's step pass under ``sys``, whose last node is the endpoint U_M.
-    Every propagator of the package comes from this pass; it is not validated.
+def _step_blocks(sys: QuantumSystem, field: ControlField):
+    """The field's step pass under ``sys``, one block of :func:`_blocks` at a
+    time: yields ``(block, (w, v), nodes)`` with the eigenpairs of the steps in
+    ``block`` and the nodes U_{block.start} .. U_{block.stop}, U_0 = I exactly.
 
-    The pass keeps the M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps.
-    It diagonalises and exponentiates one block of ``_BLOCK`` steps at a time,
-    writes the block's eigenpairs into arrays for the whole field and
-    multiplies its step exponentials onto the running node.
+    Each block continues the product from the last node of the one before,
+    U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m; no other code of the package
+    multiplies out nodes.  Nothing is validated.
+    """
+    node = np.eye(sys.dim, dtype=complex)
+    for block in _blocks(field.steps):
+        eig, steps = _step_exponentials(sys, field.values[block], field.dt)
+        nodes = np.empty((len(steps) + 1, *node.shape), dtype=complex)
+        nodes[0] = node
+        for k, step in enumerate(steps):
+            np.matmul(step, nodes[k], out=nodes[k + 1])
+        node = nodes[-1]
+        yield block, eig, nodes
+
+
+def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
+    """The field's step pass under ``sys`` as one :class:`PropagatorTrajectory`,
+    whose last node is the endpoint U_M; it is not validated.
+
+    The blocks of :func:`_step_blocks` are collected into arrays for the whole
+    field: the M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps.
     """
     n = sys.dim
     nodes = np.empty((field.steps + 1, n, n), dtype=complex)
     nodes[0] = np.eye(n)
     w, v = np.empty((field.steps, n)), np.empty((field.steps, n, n))
-    for block in _blocks(field.steps):
-        (w[block], v[block]), steps = _step_exponentials(sys, field.values[block], field.dt)
-        for m in range(block.start, block.stop):
-            np.matmul(steps[m - block.start], nodes[m], out=nodes[m + 1])
+    for block, eig, block_nodes in _step_blocks(sys, field):
+        w[block], v[block] = eig
+        nodes[block.start + 1 : block.stop + 1] = block_nodes[1:]
     return PropagatorTrajectory(sys=sys, field=field, eig=(w, v), unitaries=nodes)
 
 
-def _step_frames(traj: PropagatorTrajectory, steps: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _step_frames(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frame ``v_m† U_m`` and coupling ``(v_m† mu v_m) ∘ Phi_m`` of every
-    step m in the slice ``steps``.
+    step m with eigenpairs ``eig = (w, v)`` and start node ``nodes[m]`` = U_m.
 
     ``v_m`` holds the eigenvectors of step m, ``w`` its eigenvalues, and
     Phi_ab = sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix) with x = dt (w_a - w_b) / 2,
@@ -186,13 +221,23 @@ def _step_frames(traj: PropagatorTrajectory, steps: slice = slice(None)) -> tupl
     over s in [0, 1].  e^{ix} is the outer product p_a conj(p_b) of the
     per-level phases p = e^{i dt w / 2}, so only M N exponentials are taken.
     """
-    w, v = (a[steps] for a in traj.eig)
+    w, v = eig
     vh = dagger(v)
-    x = 0.5 * traj.dt * (w[:, :, None] - w[:, None, :])
-    p = np.exp(0.5j * traj.dt * w)
+    x = 0.5 * dt * (w[:, :, None] - w[:, None, :])
+    p = np.exp(0.5j * dt * w)
     # Phi before the frames, so that its temporaries are gone at the peak.
     phi = np.sinc(x / np.pi) * (p[:, :, None] * p.conj()[:, None, :])
-    return vh @ traj.unitaries[:-1][steps], (vh @ traj.sys.mu @ v) * phi
+    return vh @ nodes, (vh @ mu @ v) * phi
+
+
+def _mid_hats(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> np.ndarray:
+    """dt mid_hat_m of every step m with eigenpairs ``eig`` and start node
+    ``nodes[m]`` = U_m (:func:`_step_frames`): the complex matrices whose real
+    views are the rows of the Jacobian J (:func:`_jacobian`)."""
+    frames, coupling = _step_frames(dt, mu, eig, nodes)
+    mid = dagger(frames) @ coupling @ frames
+    mid *= dt
+    return mid
 
 
 def _jacobian(traj: PropagatorTrajectory, steps: slice = slice(None)) -> np.ndarray:
@@ -205,10 +250,17 @@ def _jacobian(traj: PropagatorTrajectory, steps: slice = slice(None)) -> np.ndar
     ``_real_rows(A) . _real_rows(X)`` for A = dt mid_hat_m, and
     ``J @ _real_rows(X)`` is dt Re Tr(mid_hat_m X) for every step m.
     """
-    frames, coupling = _step_frames(traj, steps)
-    mid = dagger(frames) @ coupling @ frames
-    mid *= traj.dt
-    return _real_rows(mid)
+    eig = tuple(a[steps] for a in traj.eig)
+    return _real_rows(_mid_hats(traj.dt, traj.sys.mu, eig, traj.unitaries[:-1][steps]))
+
+
+def _require_unitary(nodes: np.ndarray) -> None:
+    """``RuntimeError`` unless every node is unitary within ``TRAJECTORY_TOL``,
+    checked one block of nodes at a time."""
+    # numpy's max, unlike Python's, keeps a NaN defect of any block.
+    defect = float(np.max([unitarity_defect(nodes[block]).max() for block in _blocks(len(nodes))]))
+    if not defect <= TRAJECTORY_TOL:
+        raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
@@ -218,12 +270,8 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     ``TRAJECTORY_TOL`` one block of nodes at a time; its nodes are read-only.
     """
     traj = _final_propagator(sys, field)
-    nodes = traj.unitaries
-    # numpy's max, unlike Python's, keeps a NaN defect of any block.
-    defect = float(np.max([unitarity_defect(nodes[block]).max() for block in _blocks(len(nodes))]))
-    if not defect <= TRAJECTORY_TOL:
-        raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
-    nodes.setflags(write=False)
+    _require_unitary(traj.unitaries)
+    traj.unitaries.setflags(write=False)
     return traj
 
 

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
-from .evolve import PropagatorTrajectory
+from .evolve import ControlField, PropagatorTrajectory
 from .matspace import _real_rows, basis_zt, dagger, from_coords, hs_norm, to_coords
+from .model import QuantumSystem
 from .tolerances import FD_STEP, RANK_TOL
 from .waypoints import WaypointSet
 
@@ -70,21 +71,24 @@ def spanning_rank(mats) -> SpanReport:
 
     Stacks the coordinates of every matrix (in the orthonormal basis from
     :func:`wayspan.matspace.basis_zt`) as rows and takes their singular
-    values (:func:`_coords_span`).  Inputs are expected Hermitian; the report
-    is invariant under permutations of the list and under appending linear
-    combinations of existing elements.
+    values (:class:`_SpanAccumulator`).  Inputs are expected Hermitian; the
+    report is invariant under permutations of the list and under appending
+    linear combinations of existing elements.
     """
     arr = np.asarray(mats, dtype=complex)
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise ValueError(f"need a nonempty stack of square matrices, got shape {arr.shape}")
     if arr.shape[1] != arr.shape[2]:
         raise ValueError(f"matrices must be square, got shape {arr.shape}")
-    basis = basis_zt(arr.shape[1])
-    return _coords_span(to_coords(arr, basis), basis)
+    span = _SpanAccumulator(basis_zt(arr.shape[1]))
+    span.add(to_coords(arr, span.basis))
+    return span.report()
 
 
-def _coords_span(coords: np.ndarray, basis: np.ndarray) -> SpanReport:
-    """Spanning report of the rows ``coords``, isu(N) coordinates in ``basis``.
+def _coords_span(coords: np.ndarray, basis: np.ndarray, count: int | None = None) -> SpanReport:
+    """Spanning report of the rows ``coords``, isu(N) coordinates in ``basis``,
+    or of any stack with the same singular values and right-singular vectors,
+    such as the R factor of the rows: ``count`` is then the number of rows.
 
     The rank counts the singular values above ``RANK_TOL`` times the largest
     one.  Only a deficient span has a complement, so only then is the SVD
@@ -112,12 +116,73 @@ def _coords_span(coords: np.ndarray, basis: np.ndarray) -> SpanReport:
     s.setflags(write=False)
     return SpanReport(
         dim=n,
-        count=int(coords.shape[0]),
+        count=int(coords.shape[0]) if count is None else count,
         singular_values=s,
         rank=rank,
         full=full,
         complement_basis=complement,
     )
+
+
+# Fewest rows of a fold (:class:`_SpanAccumulator`): the pass's block, read
+# once, so that a test that shrinks the block does not change the folds.
+_FOLD_ROWS = evolve._BLOCK
+
+
+class _SpanAccumulator:
+    """The span of a stream of isu(N) coordinate rows in O(N^4) memory.
+
+    Rows are buffered and folded F = max(``_FOLD_ROWS``, 2(N^2 - 1)) at a time
+    into the triangular factor of everything folded so far,
+    R <- qr([R; C], mode="r") (TSQR: Demmel, Grigori, Hoemmen and Langou,
+    SIAM J. Sci. Comput. 34(1), 2012).  [R; C] = Q R' with Q orthonormal, so
+    R has the singular values and right-singular vectors of all the rows, and
+    each fold costs about one QR of its F rows.  The report is
+    :func:`_coords_span` of R, or of the rows themselves when fewer than F
+    arrived, which is the dense SVD of the stack bit for bit.  The folds
+    depend only on the row sequence, so rows fed in any partition give the
+    same report.  Unfolded rows are held by reference: callers do not write
+    to a block once it is added.
+    """
+
+    def __init__(self, basis: np.ndarray):
+        self.basis = basis
+        self.fold = max(_FOLD_ROWS, 2 * basis.shape[0])
+        self.r: np.ndarray | None = None
+        self.pending: list[np.ndarray] = []
+        self.held = 0
+        self.count = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        """Append the rows of an (k, N^2 - 1) array of coordinates."""
+        self.count += len(rows)
+        while len(rows):
+            chunk, rows = rows[: self.fold - self.held], rows[self.fold - self.held :]
+            self.pending.append(chunk)
+            self.held += len(chunk)
+            if self.held == self.fold:
+                self._fold()
+
+    def _fold(self) -> None:
+        stack = np.concatenate([self.r, *self.pending] if self.r is not None else self.pending)
+        self.r = np.linalg.qr(stack, mode="r")
+        self.pending, self.held = [], 0
+        if not np.isfinite(self.r).all():
+            # R keeps no trace of what made it so.  From finite rows only an
+            # overflow can, and then the largest singular value of all the
+            # rows overflows too; rows that are not finite fail the dense SVD
+            # of the stack as they fail that of all the rows.
+            if np.isfinite(stack).all():
+                raise RuntimeError("singular values of the span are not finite: largest inf")
+            _coords_span(stack, self.basis)
+
+    def report(self) -> SpanReport:
+        if self.r is None:
+            rows = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending)
+            return _coords_span(rows, self.basis)
+        if self.held:
+            self._fold()
+        return _coords_span(self.r, self.basis, self.count)
 
 
 def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> SpanReport:
@@ -126,7 +191,8 @@ def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> Span
     A FULL verdict certifies linear independence of the conjugated-dipole
     entries at the sample resolution; by default all nodes are used.  Only the
     sampled nodes, ``traj.unitaries[::stride]``, are conjugated, one block of
-    ``evolve._BLOCK`` at a time, and only their coordinates are kept.
+    ``evolve._BLOCK`` at a time, and their coordinates are folded into one
+    :class:`_SpanAccumulator`, so no more than a fold of them is kept.
 
     The dipoles need no structure check: :func:`evolve.propagate` bounds
     ||u†u - I||_F by ``TRAJECTORY_TOL`` at every node, so the trace
@@ -136,12 +202,62 @@ def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> Span
     finite, which :func:`_coords_span` refuses.
     """
     nodes = traj.unitaries[::stride]
-    mu = traj.sys.mu
-    basis = basis_zt(traj.dim)
-    coords = np.empty((len(nodes), basis.shape[0]))
+    span = _SpanAccumulator(basis_zt(traj.dim))
     for block in evolve._blocks(len(nodes)):
-        coords[block] = to_coords(evolve.conjugated_dipole(nodes[block], mu), basis)
-    return _coords_span(coords, basis)
+        span.add(to_coords(evolve.conjugated_dipole(nodes[block], traj.sys.mu), span.basis))
+    return span.report()
+
+
+@dataclass(frozen=True)
+class _StreamedCheck:
+    """What ``check`` keeps of a field's step pass: the span of its sampled
+    nodes, the endpoint U_M and, if asked for, the rows of the Jacobian J as
+    isu(N) coordinates, ``jacobian[m]`` = ``to_coords(dt mid_hat_m)``."""
+
+    span: SpanReport
+    endpoint: np.ndarray
+    jacobian: np.ndarray | None
+
+    def gradient(self, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """:func:`gradient` from the kept rows: g = J_c . coords(K), with
+        K = i [rho0, O_T] the Hermitian part of 2i rho0 O_T, which is all of it
+        that :func:`to_coords` keeps.  K is traceless, so the trace of
+        dt mid_hat_m that the coordinates drop adds nothing to Re Tr(A_m K)."""
+        u = self.endpoint
+        basis = basis_zt(len(u))
+        return self.jacobian @ to_coords(2j * rho0 @ dagger(u) @ obs @ u, basis)
+
+
+def _streamed_check(sys: QuantumSystem, field: ControlField, stride: int, jacobian: bool) -> _StreamedCheck:
+    """One pass over the blocks of ``evolve._step_blocks`` that keeps neither
+    nodes nor eigenpairs.
+
+    Each block's nodes are checked unitary (``evolve._require_unitary``)
+    before anything of them is used.  The nodes at multiples of ``stride`` are
+    conjugated, and their dipoles are taken to coordinates over the blocks of
+    ``evolve._blocks`` of all the samples, as :func:`trajectory_independence`
+    takes them; so the rows, and the report of the :class:`_SpanAccumulator`
+    they are folded into, are those of :func:`trajectory_independence` on
+    :func:`evolve.propagate` bit for bit.  With ``jacobian``, the coordinates
+    of each step's dt mid_hat_m are kept, M (N^2 - 1) floats.
+    """
+    span = _SpanAccumulator(basis_zt(sys.dim))
+    rows = np.empty((field.steps, span.basis.shape[0])) if jacobian else None
+    groups = [group.stop - group.start for group in evolve._blocks(len(range(0, field.steps + 1, stride)))]
+    dipoles = []
+    for block, eig, nodes in evolve._step_blocks(sys, field):
+        # A block's first node is the last of the block before, already used.
+        first = 0 if block.start == 0 else 1
+        evolve._require_unitary(nodes[first:])
+        sample = -(-(block.start + first) // stride) * stride - block.start
+        dipoles.append(evolve.conjugated_dipole(nodes[sample::stride], sys.mu))
+        while groups and sum(map(len, dipoles)) >= groups[0]:
+            stack = np.concatenate(dipoles)
+            span.add(to_coords(stack[: groups[0]], span.basis))
+            dipoles = [stack[groups.pop(0) :]]
+        if rows is not None:
+            rows[block] = to_coords(evolve._mid_hats(field.dt, sys.mu, eig, nodes[:-1]), span.basis)
+    return _StreamedCheck(span=span.report(), endpoint=nodes[-1].copy(), jacobian=rows)
 
 
 def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,19 +222,19 @@ class TestCheck:
         field = tmp_path / "steps.json"
         evolve.save_field(ControlField(horizon=0.1 * steps, values=rng.normal(size=steps)), field)
         stacks, passes = [], []
-        real_eigh, real_final = np.linalg.eigh, evolve._final_propagator
+        real_eigh, real_blocks = np.linalg.eigh, evolve._step_blocks
 
         def counted_eigh(a, *args, **kwargs):
             if np.ndim(a) == 3:
                 stacks.append(np.shape(a))
             return real_eigh(a, *args, **kwargs)
 
-        def counted_final(sys_, field):
+        def counted_blocks(sys_, field):
             passes.append(field.steps)
-            return real_final(sys_, field)
+            return real_blocks(sys_, field)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        monkeypatch.setattr(evolve, "_final_propagator", counted_final)
+        monkeypatch.setattr(evolve, "_step_blocks", counted_blocks)
         argv = ("check", "--system", files["pauli"], "--field", field)
         assert run(*argv, "--rho0", files["rho0"], "--obs", files["obs"]) == 0
         # One pass, and each step diagonalised once, in blocks of _BLOCK
@@ -418,6 +419,19 @@ class TestEnergyUnit:
         message = "ERROR: numerical failure: singular values of the span are not finite: largest inf\n"
         (tmp_path / "st").mkdir()
         assert self._outputs(tmp_path, capsys, 1019, ("steer",)) == {"steer": (2, [], message)}
+        assert list((tmp_path / "st").iterdir()) == []
+
+
+    def test_steer_refuses_an_overflowing_step_generator(self, tmp_path, capsys):
+        # At 2^1021 a Newton step takes h0 - eps mu past the float range.  The
+        # step pass refuses it before any arithmetic warns, so the run emits
+        # no RuntimeWarning and writes no file.
+        message = "ERROR: numerical failure: step generators h0 - eps mu are not finite\n"
+        (tmp_path / "st").mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self._outputs(tmp_path, capsys, 1021, ("steer",)) == {"steer": (2, [], message)}
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list((tmp_path / "st").iterdir()) == []
 
 

@@ -261,3 +261,19 @@ def test_trajectory_derives_its_grid_from_the_field(pauli_system):
     assert (traj.dt, traj.steps, traj.dim) == (field.dt, 5, 2)
     assert np.array_equal(traj.times, np.linspace(0.0, 2.5, 6))
     assert traj.unitaries.shape == (6, 2, 2) and not traj.unitaries.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "h0, mu, message",
+    [
+        # h0 - eps mu overflows at eps = -1.5.
+        (np.diag([1.0, -1.0]) * 2.0**1022, np.real(SZ) * 2.0**1023, "step generators h0 - eps mu are not finite"),
+        # At eps = 1.5 a finite generator whose eigenvalues +-sqrt(2) 1.5e308 overflow.
+        (np.real(SZ) * 1.5e308, np.real(SX) * -1e308, "step eigenvalues are not finite"),
+    ],
+)
+def test_a_step_past_the_float_range_is_refused(h0, mu, message):
+    sys_n = QuantumSystem(2, h0, mu)
+    with np.errstate(all="raise"):
+        with pytest.raises(RuntimeError, match=message):
+            evolve.propagate(sys_n, ControlField(horizon=1e-300, values=[0.5, 1.5, -1.5]))

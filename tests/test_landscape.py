@@ -18,6 +18,7 @@ from conftest import (
     random_traceless_hermitian,
     random_traceless_symmetric,
     random_unitary,
+    spoil_last_block,
 )
 from wayspan import evolve, landscape, matspace, waypoints
 from wayspan.evolve import ControlField
@@ -560,3 +561,167 @@ def test_random_deficient_samples_rank_and_complement_match_the_full_svd():
     assert report.rank == rank == 41 and not report.full
     assert np.abs(report.singular_values - s).max() <= 1e-12 * s[0]
     _assert_complement_of(report, mats)
+
+
+def _fold_rows(n):
+    return landscape._SpanAccumulator(matspace.basis_zt(n)).fold
+
+
+def _stack_of_rank(n, count, rank, rng):
+    """``count`` coordinate rows of exact rank min(rank, count): U diag(s) V^T
+    with orthonormal U and V and singular values s in [0.1, 1], so the rank
+    cut and the complement are far from round-off."""
+    dim, r = n * n - 1, min(rank, count)
+    u = np.linalg.qr(rng.normal(size=(count, r)))[0]
+    v = np.linalg.qr(rng.normal(size=(dim, r)))[0]
+    return (u * rng.uniform(0.1, 1.0, r)) @ v.T
+
+
+def _accumulated(rows, basis, cuts):
+    span = landscape._SpanAccumulator(basis)
+    for part in np.split(rows, sorted(cuts)):
+        span.add(part)
+    return span.report()
+
+
+def _complement_projector(report):
+    coords = matspace.to_coords(report.complement_basis, matspace.basis_zt(report.dim))
+    return coords.T @ coords
+
+
+@st.composite
+def _stacks(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    dim, fold = n * n - 1, _fold_rows(n)
+    # Fewer rows than dimensions, or a few rows either side of 1 to 3 folds.
+    count = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=dim - 1),
+            st.builds(lambda k, off: k * fold + off, st.integers(1, 3), st.integers(-2, 2)),
+        )
+    )
+    rank = draw(st.integers(min_value=1, max_value=dim))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=count), max_size=6))
+    return n, count, rank, seed, cuts
+
+
+@settings(max_examples=60)
+@given(_stacks())
+def test_accumulated_span_is_the_dense_span(case):
+    n, count, rank, seed, cuts = case
+    rows = _stack_of_rank(n, count, rank, np.random.default_rng(seed))
+    basis = matspace.basis_zt(n)
+    report = _accumulated(rows, basis, cuts)
+    # One row sequence gives one report, however it was fed.
+    whole = _accumulated(rows, basis, [])
+    assert report.count == whole.count == count and report.rank == whole.rank
+    assert np.array_equal(report.singular_values, whole.singular_values)
+    assert np.array_equal(report.complement_basis, whole.complement_basis)
+
+    dense = landscape._coords_span(rows, basis)
+    if count < _fold_rows(n):
+        # Nothing is folded: the dense SVD, bit for bit.
+        assert np.array_equal(report.singular_values, dense.singular_values)
+        assert np.array_equal(report.complement_basis, dense.complement_basis)
+    # Householder QR and the SVD are backward stable: each fold, the SVD of
+    # R and the dense SVD are exact for rows moved by at most
+    # gamma ||rows||_F, gamma = (F + N^2 - 1)(N^2 - 1) eps for a (F + N^2 - 1)
+    # by N^2 - 1 stack (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, Thm 19.4), and a singular value moves by no more than
+    # the perturbation (Weyl).  ceil(count / F) folds plus the two SVDs:
+    fold, dim = _fold_rows(n), n * n - 1
+    bound = (-(-count // fold) + 2) * (fold + dim) * dim * np.finfo(float).eps * np.linalg.norm(rows)
+    s_dense = np.linalg.svd(rows, compute_uv=False)
+    assert len(report.singular_values) == len(s_dense)
+    assert np.abs(report.singular_values - s_dense).max() <= bound
+    # The stack's spectrum is 0.1 to 1 or round-off, far from the rank cut on
+    # either side, so the ranks agree and the complements are one subspace.
+    assert report.rank == dense.rank == min(rank, count)
+    gap = np.linalg.norm(_complement_projector(report) - _complement_projector(dense), 2)
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [3, "fold", "tail"])
+def test_a_block_that_is_not_finite_fails_as_the_dense_span(n, bad, where):
+    fold = _fold_rows(n)
+    count = 2 * fold + 5
+    rows = _stack_of_rank(n, count, n * n - 1, np.random.default_rng(17))
+    row = {"fold": fold + 7, "tail": count - 1}.get(where, where)
+    rows[row, 1] = bad
+    basis = matspace.basis_zt(n)
+    with pytest.raises(RuntimeError) as dense:
+        landscape._coords_span(rows, basis)
+    with pytest.raises(RuntimeError) as streamed:
+        _accumulated(rows, basis, [fold // 3, fold + 1])
+    assert str(streamed.value) == str(dense.value)
+    assert str(dense.value).startswith("singular values of the span are not finite")
+
+
+def test_rows_whose_spectrum_overflows_have_no_span():
+    # Finite entries near 2^1021 whose 768-row stack has a norm past the float range.
+    rows = np.random.default_rng(3).normal(size=(3 * _fold_rows(3), 8)) * 2.0**1021
+    basis = matspace.basis_zt(3)
+    with pytest.raises(RuntimeError) as dense:
+        landscape._coords_span(rows, basis)
+    with pytest.raises(RuntimeError) as streamed:
+        _accumulated(rows, basis, [])
+    assert str(streamed.value) == str(dense.value) == "singular values of the span are not finite: largest inf"
+
+
+class TestStreamedCheck:
+    @pytest.mark.parametrize("steps, stride", [(30, 1), (2 * evolve._BLOCK + 3, 1), (2 * evolve._BLOCK + 3, 7),
+                                               (3 * evolve._BLOCK, evolve._BLOCK + 1), (2 * evolve._BLOCK + 3, 2 * evolve._BLOCK + 90),
+                                               (40, 41)])
+    def test_it_is_the_kept_pass_span_and_gradient(self, steps, stride):
+        sys_n, field = random_system_and_field(3, steps, steps + stride)
+        rng = np.random.default_rng(stride)
+        rho0 = random_density(3, rng)
+        obs = random_traceless_symmetric(3, rng)
+        run = landscape._streamed_check(sys_n, field, stride, True)
+        traj = evolve.propagate(sys_n, field)
+        kept = landscape.trajectory_independence(traj, stride)
+        assert np.array_equal(run.endpoint, traj.unitaries[-1])
+        assert (run.span.count, run.span.rank) == (kept.count, kept.rank)
+        assert np.array_equal(run.span.singular_values, kept.singular_values)
+        assert np.array_equal(run.span.complement_basis, kept.complement_basis)
+        grad = landscape.gradient(traj, rho0, obs)
+        assert np.abs(run.gradient(rho0, obs) - grad).max() <= 1e-13 * np.abs(grad).max()
+
+    def test_a_bad_node_fails_before_its_block_is_folded(self, monkeypatch):
+        sys_n, field = random_system_and_field(2, 2 * evolve._BLOCK + 3, 2)
+        folded = []
+        monkeypatch.setattr(landscape._SpanAccumulator, "add", lambda self, rows: folded.append(len(rows)))
+
+        def spoil(out):
+            out[1][0] *= 1.0 + 1e-6
+            return out
+
+        spoil_last_block(monkeypatch, "_step_exponentials", field.steps, spoil)
+        with pytest.raises(RuntimeError, match="propagation lost unitarity"):
+            landscape._streamed_check(sys_n, field, 1, False)
+        # Only the first group of samples, all from the first block, was added.
+        assert folded == [evolve._BLOCK]
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+def test_streamed_check_memory_is_flat_in_the_step_count(jacobian):
+    # Without the gradient nothing of a block outlives it; with it the pass
+    # keeps the M (N^2 - 1) Jacobian coordinates and nothing else per step.
+    n = 4
+    peaks = {}
+    for steps in (8 * evolve._BLOCK, 32 * evolve._BLOCK):
+        sys_n, field = random_system_and_field(n, steps, 5)
+        tracemalloc.start()
+        try:
+            landscape._streamed_check(sys_n, field, 1, jacobian)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    small, large = peaks[8 * evolve._BLOCK], peaks[32 * evolve._BLOCK]
+    if jacobian:
+        assert large - small <= 1.2 * 24 * evolve._BLOCK * (n * n - 1) * np.dtype(float).itemsize
+    else:
+        assert abs(large - small) < 0.1 * small
