@@ -133,12 +133,10 @@ def _waypoint_set(args, sys_obj: QuantumSystem | None) -> waypoints.WaypointSet:
         if sys_obj is None:
             raise FormatError("--provenance theorem1 requires --system (the set depends on mu)")
         return waypoints.theorem1_waypoints(sys_obj.mu)
-    if args.provenance == "theorem3":
-        n = sys_obj.dim if sys_obj is not None else getattr(args, "n", None)
-        if n is None:
-            raise FormatError("--provenance theorem3 needs --system or --n")
-        return waypoints.theorem3_waypoints(n)
-    raise FormatError("steer needs --waypoints FILE or --provenance {theorem1|theorem3}")
+    n = sys_obj.dim if sys_obj is not None else args.n
+    if n is None:
+        raise FormatError("--provenance theorem3 needs --system or --n")
+    return waypoints.theorem3_waypoints(n)
 
 
 def _cmd_waypoints(args) -> int:
@@ -173,15 +171,13 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.stride < 1:
-        raise ValueError(f"--stride must be a positive integer, got {args.stride}")
     if (args.rho0 is None) != (args.obs is None):
         given, missing = ("--rho0", "--obs") if args.obs is None else ("--obs", "--rho0")
         raise ValueError(f"{given} needs {missing}: the gradient report takes both")
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     with_gradient = args.rho0 is not None
-    run = landscape._streamed_check(sys_obj, field, args.stride, with_gradient)
+    run = landscape._read_pass(sys_obj, field, evolve._unitary_blocks(sys_obj, field), args.stride, with_gradient)
     report = run.span
     # The inputs load after the pass, which keeps them out of its peak
     # memory, but before the verdict line: exit 2 prints no verdict.
@@ -263,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_controllability)
 
     p = sub.add_parser("waypoints", help="emit a way-point set and its spanning verdict")
-    p.add_argument("--system", default=None)
-    p.add_argument("--n", type=int, default=None, help="dimension (theorem3 without a system)")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--system", default=None)
+    given.add_argument("--n", type=int, default=None, help="dimension (theorem3 without a system)")
     p.add_argument("--provenance", choices=("theorem1", "theorem3"), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_waypoints)
@@ -295,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steer", help="synthesize a control visiting a way-point list")
     p.add_argument("--system", required=True)
-    p.add_argument("--waypoints", default=None)
-    p.add_argument("--provenance", choices=("theorem1", "theorem3"), default=None)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--waypoints", default=None)
+    given.add_argument("--provenance", choices=("theorem1", "theorem3"), default=None)
     p.add_argument("--segment-time", type=float, default=None)
     p.add_argument("--steps", type=int, default=None,
                    help="steps per segment (default max(50, 2(N^2 - 1)); fewer than N^2 - 1 exit 2)")

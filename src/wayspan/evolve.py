@@ -17,17 +17,16 @@ The node product U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m is taken in one
 place, the block generator :func:`_step_blocks`: it diagonalises and
 exponentiates ``_BLOCK`` steps at a time and continues the product from the
 last node, so a consumer that keeps nothing of a block holds
-O(``_BLOCK`` N^2) whatever M.  :func:`propagate` collects the blocks into a
-pass that keeps the M + 1 nodes and the M step eigenpairs, for the commands
-that read them again (``steer``, ``gradient-check``, ``propagate``);
-``check`` streams the blocks (``landscape._streamed_check``) and keeps
-neither.  Every stage that reads a kept pass (the
-unitarity guard, the Jacobian rows, the span coordinates, the way-point
-visits and the CSV writer) works through the blocks of :func:`_blocks`, so
-its temporaries are O(``_BLOCK`` N^2) too.  Every per-matrix operation is
-the same in a block as over the whole field; only products of stacked rows
-go through BLAS, which can round a row in a block differently in its last
-bit (seen from N = 16 on).
+O(``_BLOCK`` N^2) whatever M.  :func:`_unitary_blocks` is the one guard on
+its nodes.  ``check`` reads the guarded blocks as they come and keeps neither
+nodes nor eigenpairs; :func:`propagate` keeps them, for the commands that
+read them again (``steer``, ``gradient-check``, ``propagate``), and gives
+them back in the same blocks (:meth:`PropagatorTrajectory.blocks`), so one
+reader (``landscape._read_pass``) serves both.  Every stage that reads a kept
+pass works through the blocks of :func:`_blocks`, so its temporaries are
+O(``_BLOCK`` N^2) too.  Every per-matrix operation is the same in a block as
+over the whole field; only products of stacked rows go through BLAS, which
+can round a row in a block differently in its last bit (seen from N = 16 on).
 """
 
 from __future__ import annotations
@@ -119,6 +118,15 @@ class PropagatorTrajectory:
         """Grid times t_m = m dt of the nodes, m = 0..M."""
         return np.linspace(0.0, self.field.horizon, self.field.steps + 1)
 
+    def blocks(self):
+        """The pass as :func:`_step_blocks` yields it, in read-only views of the
+        kept arrays."""
+        w, v, nodes = (a.view() for a in (*self.eig, self.unitaries))
+        for a in (w, v, nodes):
+            a.flags.writeable = False
+        for block in _blocks(self.steps):
+            yield block, (w[block], v[block]), nodes[block.start : block.stop + 1]
+
 
 def density_matrix(entries) -> np.ndarray:
     """Validated density matrix: Hermitian, unit trace, nonnegative spectrum,
@@ -194,21 +202,33 @@ def _step_blocks(sys: QuantumSystem, field: ControlField):
         yield block, eig, nodes
 
 
-def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
-    """The field's step pass under ``sys`` as one :class:`PropagatorTrajectory`,
-    whose last node is the endpoint U_M; it is not validated.
+def _unitary_blocks(sys: QuantumSystem, field: ControlField):
+    """The blocks of :func:`_step_blocks`, each yielded once its new nodes are
+    unitary within ``TRAJECTORY_TOL`` (U_0 = I exactly)."""
+    for block, eig, nodes in _step_blocks(sys, field):
+        defect = float(unitarity_defect(nodes[1:]).max())
+        if not defect <= TRAJECTORY_TOL:
+            raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
+        yield block, eig, nodes
 
-    The blocks of :func:`_step_blocks` are collected into arrays for the whole
-    field: the M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps.
-    """
+
+def _collect(sys: QuantumSystem, field: ControlField, blocks) -> PropagatorTrajectory:
+    """The pass of ``blocks`` (:func:`_step_blocks`) in whole-field arrays: the
+    M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps."""
     n = sys.dim
     nodes = np.empty((field.steps + 1, n, n), dtype=complex)
     nodes[0] = np.eye(n)
     w, v = np.empty((field.steps, n)), np.empty((field.steps, n, n))
-    for block, eig, block_nodes in _step_blocks(sys, field):
+    for block, eig, block_nodes in blocks:
         w[block], v[block] = eig
         nodes[block.start + 1 : block.stop + 1] = block_nodes[1:]
     return PropagatorTrajectory(sys=sys, field=field, eig=(w, v), unitaries=nodes)
+
+
+def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
+    """The field's step pass under ``sys``, unchecked, whose last node is the
+    endpoint U_M: the pass of each line-search trial of ``steer``."""
+    return _collect(sys, field, _step_blocks(sys, field))
 
 
 def _step_frames(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +260,9 @@ def _mid_hats(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> np.nd
     return mid
 
 
-def _jacobian(traj: PropagatorTrajectory, steps: slice = slice(None)) -> np.ndarray:
-    """Rows ``steps`` of the real (M, 2 N^2) Jacobian J of the pass ``traj``: row m
-    is ``_real_rows(dt mid_hat_m)``, Re and Im of each entry in row-major order.
+def _jacobian(traj: PropagatorTrajectory) -> np.ndarray:
+    """The real (M, 2 N^2) Jacobian J of the pass ``traj``: row m is
+    ``_real_rows(dt mid_hat_m)``, Re and Im of each entry in row-major order.
 
     ``mid_hat_m = frame_m† coupling_m frame_m`` (:func:`_step_frames`) is the
     mean of U(s)† mu U(s) over step m, and dU_M/d(eps_m) = i dt U_M mid_hat_m
@@ -250,27 +270,16 @@ def _jacobian(traj: PropagatorTrajectory, steps: slice = slice(None)) -> np.ndar
     ``_real_rows(A) . _real_rows(X)`` for A = dt mid_hat_m, and
     ``J @ _real_rows(X)`` is dt Re Tr(mid_hat_m X) for every step m.
     """
-    eig = tuple(a[steps] for a in traj.eig)
-    return _real_rows(_mid_hats(traj.dt, traj.sys.mu, eig, traj.unitaries[:-1][steps]))
-
-
-def _require_unitary(nodes: np.ndarray) -> None:
-    """``RuntimeError`` unless every node is unitary within ``TRAJECTORY_TOL``,
-    checked one block of nodes at a time."""
-    # numpy's max, unlike Python's, keeps a NaN defect of any block.
-    defect = float(np.max([unitarity_defect(nodes[block]).max() for block in _blocks(len(nodes))]))
-    if not defect <= TRAJECTORY_TOL:
-        raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
+    return _real_rows(_mid_hats(traj.dt, traj.sys.mu, traj.eig, traj.unitaries[:-1]))
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
-    """Integrate the propagator over the control grid.
-
-    The field's step pass, with the unitarity of every node checked against
-    ``TRAJECTORY_TOL`` one block of nodes at a time; its nodes are read-only.
+    """Integrate the propagator over the control grid: the field's step pass,
+    kept, with read-only nodes.  The first block whose nodes are not unitary
+    (:func:`_unitary_blocks`) raises ``RuntimeError`` naming that block's
+    largest defect, before any later step is taken.
     """
-    traj = _final_propagator(sys, field)
-    _require_unitary(traj.unitaries)
+    traj = _collect(sys, field, _unitary_blocks(sys, field))
     traj.unitaries.setflags(write=False)
     return traj
 

@@ -186,31 +186,17 @@ class _SpanAccumulator:
 
 
 def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> SpanReport:
-    """Spanning report of the conjugated dipoles at every ``stride``-th grid node.
-
-    A FULL verdict certifies linear independence of the conjugated-dipole
-    entries at the sample resolution; by default all nodes are used.  Only the
-    sampled nodes, ``traj.unitaries[::stride]``, are conjugated, one block of
-    ``evolve._BLOCK`` at a time, and their coordinates are folded into one
-    :class:`_SpanAccumulator`, so no more than a fold of them is kept.
-
-    The dipoles need no structure check: :func:`evolve.propagate` bounds
-    ||u†u - I||_F by ``TRAJECTORY_TOL`` at every node, so the trace
-    |Tr(u† mu u) - Tr(mu)| = |Tr(mu (uu† - I))| is at most that times
-    ||mu||_HS, the anti-Hermitian part is round-off, and :func:`to_coords`
-    discards both.  A node that is not finite gives a span that is not
-    finite, which :func:`_coords_span` refuses.
+    """Spanning report of the conjugated dipoles at every ``stride``-th grid node
+    of the kept pass ``traj``, all nodes by default: :func:`_read_pass` of its
+    blocks.  A FULL verdict certifies linear independence of the
+    conjugated-dipole entries at the sample resolution.
     """
-    nodes = traj.unitaries[::stride]
-    span = _SpanAccumulator(basis_zt(traj.dim))
-    for block in evolve._blocks(len(nodes)):
-        span.add(to_coords(evolve.conjugated_dipole(nodes[block], traj.sys.mu), span.basis))
-    return span.report()
+    return _read_pass(traj.sys, traj.field, traj.blocks(), stride).span
 
 
 @dataclass(frozen=True)
-class _StreamedCheck:
-    """What ``check`` keeps of a field's step pass: the span of its sampled
+class _PassReading:
+    """What :func:`_read_pass` keeps of a step pass: the span of its sampled
     nodes, the endpoint U_M and, if asked for, the rows of the Jacobian J as
     isu(N) coordinates, ``jacobian[m]`` = ``to_coords(dt mid_hat_m)``."""
 
@@ -228,28 +214,32 @@ class _StreamedCheck:
         return self.jacobian @ to_coords(2j * rho0 @ dagger(u) @ obs @ u, basis)
 
 
-def _streamed_check(sys: QuantumSystem, field: ControlField, stride: int, jacobian: bool) -> _StreamedCheck:
-    """One pass over the blocks of ``evolve._step_blocks`` that keeps neither
-    nodes nor eigenpairs.
+def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jacobian: bool = False) -> _PassReading:
+    """Read the pass of ``field`` under ``sys`` from its ``blocks``, in the shape
+    and partition of ``evolve._step_blocks``, keeping no node.  The nodes at
+    multiples of ``stride`` (a positive integer, else ``ValueError``) are
+    conjugated block by block; their coordinates are taken over the blocks of
+    ``evolve._blocks`` of all the samples, whatever the blocks' source, and
+    folded into one :class:`_SpanAccumulator`.  With ``jacobian``, the
+    coordinates of each step's dt mid_hat_m are kept, M (N^2 - 1) floats.
 
-    Each block's nodes are checked unitary (``evolve._require_unitary``)
-    before anything of them is used.  The nodes at multiples of ``stride`` are
-    conjugated, and their dipoles are taken to coordinates over the blocks of
-    ``evolve._blocks`` of all the samples, as :func:`trajectory_independence`
-    takes them; so the rows, and the report of the :class:`_SpanAccumulator`
-    they are folded into, are those of :func:`trajectory_independence` on
-    :func:`evolve.propagate` bit for bit.  With ``jacobian``, the coordinates
-    of each step's dt mid_hat_m are kept, M (N^2 - 1) floats.
+    It checks nothing: ``evolve._unitary_blocks`` bounds ||u†u - I||_F by
+    ``TRAJECTORY_TOL`` where the nodes are formed, so the trace
+    |Tr(u† mu u) - Tr(mu)| = |Tr(mu (uu† - I))| is at most that times
+    ||mu||_HS, the anti-Hermitian part is round-off, and :func:`to_coords`
+    discards both.  A node that is not finite gives a span that is not
+    finite, which :func:`_coords_span` refuses.
     """
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
     span = _SpanAccumulator(basis_zt(sys.dim))
     rows = np.empty((field.steps, span.basis.shape[0])) if jacobian else None
     groups = [group.stop - group.start for group in evolve._blocks(len(range(0, field.steps + 1, stride)))]
     dipoles = []
-    for block, eig, nodes in evolve._step_blocks(sys, field):
-        # A block's first node is the last of the block before, already used.
-        first = 0 if block.start == 0 else 1
-        evolve._require_unitary(nodes[first:])
-        sample = -(-(block.start + first) // stride) * stride - block.start
+    for block, eig, nodes in blocks:
+        # A block's first node is the last of the block before, already sampled.
+        first = block.start + (block.start > 0)
+        sample = -(-first // stride) * stride - block.start
         dipoles.append(evolve.conjugated_dipole(nodes[sample::stride], sys.mu))
         while groups and sum(map(len, dipoles)) >= groups[0]:
             stack = np.concatenate(dipoles)
@@ -257,7 +247,7 @@ def _streamed_check(sys: QuantumSystem, field: ControlField, stride: int, jacobi
             dipoles = [stack[groups.pop(0) :]]
         if rows is not None:
             rows[block] = to_coords(evolve._mid_hats(field.dt, sys.mu, eig, nodes[:-1]), span.basis)
-    return _StreamedCheck(span=span.report(), endpoint=nodes[-1].copy(), jacobian=rows)
+    return _PassReading(span=span.report(), endpoint=nodes[-1].copy(), jacobian=rows)
 
 
 def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
@@ -310,7 +300,7 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
     ``O_T = U_M† obs U_M`` and J = ``evolve._jacobian(traj)``, row m the real
     view of dt mid_hat_m: g_m = dt Tr(mid_hat_m i [rho0, O_T]).  It is formed
     as ``J @ _real_rows(2i rho0 O_T)``, equal because mid_hat_m is Hermitian,
-    one block of ``evolve._BLOCK`` rows of J at a time.
+    one block of the pass (``traj.blocks()``) at a time.
     The central finite-difference check is the normative contract pinning
     sign and convention.
     """
@@ -324,8 +314,8 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
     u = traj.unitaries[-1]
     x = _real_rows(2j * rho0 @ dagger(u) @ obs @ u)
     out = np.empty(traj.steps)
-    for block in evolve._blocks(traj.steps):
-        out[block] = evolve._jacobian(traj, block) @ x
+    for block, eig, nodes in traj.blocks():
+        out[block] = _real_rows(evolve._mid_hats(traj.dt, traj.sys.mu, eig, nodes[:-1])) @ x
     return out
 
 

@@ -177,6 +177,13 @@ class TestWaypoints:
         assert run("waypoints", "--provenance", "theorem1", "--out", tmp_path) == 2
         assert run("waypoints", "--provenance", "theorem3", "--out", tmp_path) == 2
 
+    def test_a_system_and_a_dimension_exit_2(self, files, tmp_path, capsys):
+        # The system fixes the dimension, so --n could only conflict with it.
+        with pytest.raises(SystemExit) as exc:
+            run("waypoints", "--provenance", "theorem3", "--system", files["pauli"], "--n", 5, "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestPropagate:
     def test_writes_trajectory(self, files, tmp_path, capsys):
@@ -301,13 +308,13 @@ class TestGradientCheck:
     def test_oracle_takes_one_base_pass(self, files, tmp_path, monkeypatch, steps, rng):
         field = tmp_path / "long.json"
         evolve.save_field(ControlField(horizon=0.1 * steps, values=rng.normal(size=steps)), field)
-        passes, real_final = [], evolve._final_propagator
+        passes, real_blocks = [], evolve._step_blocks
 
-        def counted_final(sys_, probe):
+        def counted_blocks(sys_, probe):
             passes.append(probe.steps)
-            return real_final(sys_, probe)
+            return real_blocks(sys_, probe)
 
-        monkeypatch.setattr(evolve, "_final_propagator", counted_final)
+        monkeypatch.setattr(evolve, "_step_blocks", counted_blocks)
         assert run("gradient-check", "--system", files["pauli"], "--field", field,
                    "--rho0", files["rho0"], "--obs", files["obs"]) == 0
         assert passes == [steps]
@@ -338,6 +345,15 @@ class TestSteer:
         assert rows[0] == "waypoint,fidelity,time" and len(rows) == 3
         assert "FULL" in (out / "span.txt").read_text().splitlines()
 
+    def test_two_waypoint_sources_exit_2(self, files, tmp_path, capsys):
+        # Either source fixes the list, so the other could only be ignored.
+        wfile = tmp_path / "one.json"
+        waypoints.save_waypoints(waypoints.WaypointSet(dim=2, unitaries=[np.eye(2)], provenance="custom"), wfile)
+        with pytest.raises(SystemExit) as exc:
+            run("steer", "--system", files["pauli"], "--waypoints", wfile, "--provenance", "theorem3")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_zero_segment_time_exits_2(self, files, capsys):
         argv = ("steer", "--system", files["pauli"], "--provenance", "theorem3")
         assert run(*argv, "--segment-time", 0) == 2
@@ -360,7 +376,9 @@ class TestSteer:
         assert "not controllable" in capsys.readouterr().err
 
     def test_needs_a_waypoint_source(self, files):
-        assert run("steer", "--system", files["pauli"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("steer", "--system", files["pauli"])
+        assert exc.value.code == 2
 
 
 class TestEnergyUnit:

@@ -254,6 +254,36 @@ def test_unitarity_guard_sees_the_last_block(monkeypatch, pauli_system, factor, 
         evolve.propagate(pauli_system, ControlField(horizon=1.0, values=np.linspace(-1.0, 1.0, steps)))
 
 
+def test_propagate_stops_at_the_first_block_that_is_not_unitary(monkeypatch, pauli_system):
+    real, blocks = evolve._step_exponentials, []
+
+    def spoiled(sys_, values, dt):
+        eig, steps = real(sys_, values, dt)
+        blocks.append(len(values))
+        if len(blocks) == 2:
+            steps[-1] *= 1.0 + 1e-6
+        return eig, steps
+
+    monkeypatch.setattr(evolve, "_step_exponentials", spoiled)
+    field = ControlField(horizon=1.0, values=np.linspace(-1.0, 1.0, 3 * evolve._BLOCK))
+    # The message names the defect of the second block, the only one spoiled.
+    with pytest.raises(RuntimeError, match="lost unitarity: defect 2.828e-06"):
+        evolve.propagate(pauli_system, field)
+    assert blocks == [evolve._BLOCK] * 2
+
+
+def test_a_kept_pass_gives_back_its_step_blocks_read_only(pauli_system):
+    field = ControlField(horizon=1.0, values=np.linspace(-1.0, 1.0, 2 * evolve._BLOCK + 3))
+    traj = evolve._final_propagator(pauli_system, field)
+    kept = list(traj.blocks())
+    streamed = list(evolve._step_blocks(pauli_system, field))
+    assert [block for block, _, _ in kept] == [block for block, _, _ in streamed] == evolve._blocks(field.steps)
+    for (_, (w, v), nodes), (_, (w_s, v_s), nodes_s) in zip(kept, streamed):
+        assert np.array_equal(w, w_s) and np.array_equal(v, v_s) and np.array_equal(nodes, nodes_s)
+        assert not any(a.flags.writeable for a in (w, v, nodes))
+    assert traj.unitaries.flags.writeable
+
+
 def test_trajectory_derives_its_grid_from_the_field(pauli_system):
     field = ControlField(horizon=2.5, values=[0.3, -0.2, 0.1, 0.4, 0.0])
     traj = evolve.propagate(pauli_system, field)

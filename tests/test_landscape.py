@@ -133,11 +133,13 @@ class TestTrajectoryIndependence:
         assert (few.count, more.count) == (5, 9)
         assert more.rank >= few.rank
 
-    def test_zero_stride_is_invalid(self, pauli_system):
-        field = ControlField.constant(0.0, 1.0, 10)
+    @pytest.mark.parametrize("stride", [0, -1, -7, True, 2.5])
+    def test_a_stride_that_is_not_a_positive_integer_is_invalid(self, pauli_system, stride):
+        # A negative stride would sample backwards from U_M, and True would pass for 1.
+        field = ControlField.constant(0.0, 1.0, 40)
         traj = evolve.propagate(pauli_system, field)
-        with pytest.raises(ValueError):
-            landscape.trajectory_independence(traj, 0)
+        with pytest.raises(ValueError, match="stride must be a positive integer"):
+            landscape.trajectory_independence(traj, stride)
 
     def test_strided_samples_conjugate_only_their_nodes(self):
         sys_n, field = random_system_and_field(3, 200, 11)
@@ -148,10 +150,11 @@ class TestTrajectoryIndependence:
         assert np.array_equal(report.singular_values, ref.singular_values)
         assert np.array_equal(report.complement_basis, ref.complement_basis)
 
-    @pytest.mark.parametrize("steps", [evolve._BLOCK - 1, evolve._BLOCK, 2 * evolve._BLOCK + 3])
+    @pytest.mark.parametrize("steps", [evolve._BLOCK - 1, evolve._BLOCK, 2 * evolve._BLOCK + 3, 3 * evolve._BLOCK])
     def test_every_stride_spans_its_strided_nodes(self, steps):
-        # One block, one full block, and two blocks with a remainder; the
-        # strides run up to one past the last node, which samples node 0 only.
+        # One block, one full block, two blocks with a remainder and three
+        # full ones; the strides run up to one past the last node, which
+        # samples node 0 only.
         sys_n, field = random_system_and_field(3, steps, steps)
         traj = evolve.propagate(sys_n, field)
         for stride in range(1, steps + 2):
@@ -680,7 +683,7 @@ class TestStreamedCheck:
         rng = np.random.default_rng(stride)
         rho0 = random_density(3, rng)
         obs = random_traceless_symmetric(3, rng)
-        run = landscape._streamed_check(sys_n, field, stride, True)
+        run = landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), stride, True)
         traj = evolve.propagate(sys_n, field)
         kept = landscape.trajectory_independence(traj, stride)
         assert np.array_equal(run.endpoint, traj.unitaries[-1])
@@ -701,7 +704,7 @@ class TestStreamedCheck:
 
         spoil_last_block(monkeypatch, "_step_exponentials", field.steps, spoil)
         with pytest.raises(RuntimeError, match="propagation lost unitarity"):
-            landscape._streamed_check(sys_n, field, 1, False)
+            landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), 1)
         # Only the first group of samples, all from the first block, was added.
         assert folded == [evolve._BLOCK]
 
@@ -716,7 +719,7 @@ def test_streamed_check_memory_is_flat_in_the_step_count(jacobian):
         sys_n, field = random_system_and_field(n, steps, 5)
         tracemalloc.start()
         try:
-            landscape._streamed_check(sys_n, field, 1, jacobian)
+            landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), 1, jacobian)
             peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
