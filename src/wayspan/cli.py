@@ -186,7 +186,7 @@ def _cmd_check(args) -> int:
     print(f"independence verdict: {report.verdict} ({report.count} samples, dim {report.dim})")
 
     if with_gradient:
-        grad = run.gradient(rho0, obs)
+        grad = landscape._jacobian_gradient(run.jacobian, run.endpoint, rho0, obs)
         resid = landscape.kinematic_residual(run.endpoint, rho0, obs)
         print(f"gradient max |g_m|: {float(np.abs(grad).max()):.6g}")
         print(f"kinematic residual: {resid:.6g}")

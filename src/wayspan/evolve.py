@@ -7,10 +7,10 @@ gets one pass over its steps under its system (:class:`PropagatorTrajectory`),
 which propagation, gradients and synthesis share.  The same eigenbasis
 gives every step's exact midpoint coupling ``mid_hat_m``, with
 dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for the step S_m = U_{m+1} U_m†,
-so no other exponential is needed.  Row m of the real (M, 2 N^2) Jacobian
-J of :func:`_jacobian` is ``_real_rows(dt mid_hat_m)``; as Re Tr(A X) =
-``_real_rows(A) . _real_rows(X)`` for Hermitian A, every control derivative
-is one product ``J @ _real_rows(X)``.  Conjugated dipoles ``u† mu u`` are
+so no other exponential is needed.  Row m of the Jacobian J is dt mid_hat_m,
+and a control derivative dt Re Tr(mid_hat_m X) is one product of J with X in
+the same form: real views in ``steer`` (:func:`_jacobian`), isu(N)
+coordinates in the landscape gradient.  Conjugated dipoles ``u† mu u`` are
 formed only by :func:`conjugated_dipole`, for the nodes a span samples.
 
 The node product U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m is taken in one
@@ -24,9 +24,10 @@ read them again (``steer``, ``gradient-check``, ``propagate``), and gives
 them back in the same blocks (:meth:`PropagatorTrajectory.blocks`), so one
 reader (``landscape._read_pass``) serves both.  Every stage that reads a kept
 pass works through the blocks of :func:`_blocks`, so its temporaries are
-O(``_BLOCK`` N^2) too.  Every per-matrix operation is the same in a block as
-over the whole field; only products of stacked rows go through BLAS, which
-can round a row in a block differently in its last bit (seen from N = 16 on).
+O(``_BLOCK`` N^2) too.  Every per-matrix operation, isu(N) coordinates
+included, is the same in a block as over the whole field; BLAS can round a
+row of ``landscape.waypoint_visits``' overlaps, the one product of stacked
+rows taken per block, differently in its last bit (seen from N = 16 on).
 """
 
 from __future__ import annotations
@@ -174,9 +175,9 @@ def _blocks(count: int) -> list[slice]:
 
     No block is shorter than ``_BLOCK`` unless it is the only one.  BLAS
     takes a short product by other kernels, whose sums can run in another
-    order, and numpy a one-row product by another routine; a row of a short
-    tail block would then differ in its last bits from the same row of the
-    product over all rows.
+    order, and numpy a one-row product by another routine; a row of
+    ``landscape.waypoint_visits``' overlaps in a short tail block would then
+    differ in its last bits from the same row of the product over all rows.
     """
     cuts = list(range(_BLOCK, count - _BLOCK + 1, _BLOCK))
     return [slice(start, stop) for start, stop in zip([0, *cuts], [*cuts, count])]

@@ -15,7 +15,7 @@ import numpy as np
 from . import evolve
 from ._fmt import canonical_dumps, complex_entries, write_text
 from .evolve import ControlField, PropagatorTrajectory
-from .matspace import _real_rows, basis_zt, dagger, from_coords, hs_norm, to_coords
+from .matspace import dagger, from_coords, hs_norm, to_coords
 from .model import QuantumSystem
 from .tolerances import FD_STEP, RANK_TOL
 from .waypoints import WaypointSet
@@ -69,26 +69,25 @@ class VisitRecord:
 def spanning_rank(mats) -> SpanReport:
     """Rank of a set of traceless Hermitian matrices in isu(N) coordinates.
 
-    Stacks the coordinates of every matrix (in the orthonormal basis from
-    :func:`wayspan.matspace.basis_zt`) as rows and takes their singular
-    values (:class:`_SpanAccumulator`).  Inputs are expected Hermitian; the
-    report is invariant under permutations of the list and under appending
-    linear combinations of existing elements.
+    Stacks the coordinates of every matrix (:func:`wayspan.matspace.to_coords`)
+    as rows and takes their singular values (:class:`_SpanAccumulator`).  Only
+    the traceless Hermitian part of each matrix counts; the report is invariant
+    under permutations of the list and under appending linear combinations of
+    existing elements.
     """
     arr = np.asarray(mats, dtype=complex)
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise ValueError(f"need a nonempty stack of square matrices, got shape {arr.shape}")
-    if arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"matrices must be square, got shape {arr.shape}")
-    span = _SpanAccumulator(basis_zt(arr.shape[1]))
-    span.add(to_coords(arr, span.basis))
+    span = _SpanAccumulator(arr.shape[1])
+    span.add(to_coords(arr))
     return span.report()
 
 
-def _coords_span(coords: np.ndarray, basis: np.ndarray, count: int | None = None) -> SpanReport:
-    """Spanning report of the rows ``coords``, isu(N) coordinates in ``basis``,
-    or of any stack with the same singular values and right-singular vectors,
-    such as the R factor of the rows: ``count`` is then the number of rows.
+def _coords_span(coords: np.ndarray, count: int | None = None) -> SpanReport:
+    """Spanning report of the rows ``coords``, isu(N) coordinates of
+    :func:`to_coords` in N^2 - 1 columns, or of any stack with the same
+    singular values and right-singular vectors, such as the R factor of the
+    rows: ``count`` is then the number of rows.
 
     The rank counts the singular values above ``RANK_TOL`` times the largest
     one.  Only a deficient span has a complement, so only then is the SVD
@@ -97,7 +96,6 @@ def _coords_span(coords: np.ndarray, basis: np.ndarray, count: int | None = None
     singular values overflow or a coordinate is NaN, has no rank:
     ``RuntimeError``.
     """
-    n = basis.shape[1]
     try:
         s = np.linalg.svd(coords, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -106,16 +104,16 @@ def _coords_span(coords: np.ndarray, basis: np.ndarray, count: int | None = None
     if not np.isfinite(s).all():
         raise RuntimeError(f"singular values of the span are not finite: largest {s[0]:.3e}")
     rank = int(np.sum(s > RANK_TOL * s[0]))
-    full = rank == n * n - 1
-    vt = np.empty((0, n * n - 1))
+    full = rank == coords.shape[1]
+    vt = np.empty((0, coords.shape[1]))
     if not full:
         # The complement needs every right-singular vector; the thin SVD
         # returns them all unless there are fewer samples than dimensions.
         vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])[2]
-    complement = from_coords(vt[rank:], basis)
+    complement = from_coords(vt[rank:])
     s.setflags(write=False)
     return SpanReport(
-        dim=n,
+        dim=complement.shape[-1],
         count=int(coords.shape[0]) if count is None else count,
         singular_values=s,
         rank=rank,
@@ -137,17 +135,15 @@ class _SpanAccumulator:
     R <- qr([R; C], mode="r") (TSQR: Demmel, Grigori, Hoemmen and Langou,
     SIAM J. Sci. Comput. 34(1), 2012).  [R; C] = Q R' with Q orthonormal, so
     R has the singular values and right-singular vectors of all the rows, and
-    each fold costs about one QR of its F rows.  The report is
-    :func:`_coords_span` of R, or of the rows themselves when fewer than F
-    arrived, which is the dense SVD of the stack bit for bit.  The folds
-    depend only on the row sequence, so rows fed in any partition give the
-    same report.  Unfolded rows are held by reference: callers do not write
-    to a block once it is added.
+    each fold costs about one QR of its F rows.  The report folds what is
+    pending and is :func:`_coords_span` of R.  The folds depend only on the
+    row sequence, so rows fed in any partition give the same report.
+    Unfolded rows are held by reference: callers do not write to a block once
+    it is added.
     """
 
-    def __init__(self, basis: np.ndarray):
-        self.basis = basis
-        self.fold = max(_FOLD_ROWS, 2 * basis.shape[0])
+    def __init__(self, n: int):
+        self.fold = max(_FOLD_ROWS, 2 * (n * n - 1))
         self.r: np.ndarray | None = None
         self.pending: list[np.ndarray] = []
         self.held = 0
@@ -174,15 +170,12 @@ class _SpanAccumulator:
             # of the stack as they fail that of all the rows.
             if np.isfinite(stack).all():
                 raise RuntimeError("singular values of the span are not finite: largest inf")
-            _coords_span(stack, self.basis)
+            _coords_span(stack)
 
     def report(self) -> SpanReport:
-        if self.r is None:
-            rows = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending)
-            return _coords_span(rows, self.basis)
         if self.held:
             self._fold()
-        return _coords_span(self.r, self.basis, self.count)
+        return _coords_span(self.r, self.count)
 
 
 def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> SpanReport:
@@ -204,24 +197,15 @@ class _PassReading:
     endpoint: np.ndarray
     jacobian: np.ndarray | None
 
-    def gradient(self, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """:func:`gradient` from the kept rows: g = J_c . coords(K), with
-        K = i [rho0, O_T] the Hermitian part of 2i rho0 O_T, which is all of it
-        that :func:`to_coords` keeps.  K is traceless, so the trace of
-        dt mid_hat_m that the coordinates drop adds nothing to Re Tr(A_m K)."""
-        u = self.endpoint
-        basis = basis_zt(len(u))
-        return self.jacobian @ to_coords(2j * rho0 @ dagger(u) @ obs @ u, basis)
-
 
 def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jacobian: bool = False) -> _PassReading:
     """Read the pass of ``field`` under ``sys`` from its ``blocks``, in the shape
     and partition of ``evolve._step_blocks``, keeping no node.  The nodes at
     multiples of ``stride`` (a positive integer, else ``ValueError``) are
-    conjugated block by block; their coordinates are taken over the blocks of
-    ``evolve._blocks`` of all the samples, whatever the blocks' source, and
-    folded into one :class:`_SpanAccumulator`.  With ``jacobian``, the
-    coordinates of each step's dt mid_hat_m are kept, M (N^2 - 1) floats.
+    conjugated block by block, and their coordinates go to one
+    :class:`_SpanAccumulator` as they come; both give the same bits in any
+    partition of the rows.  With ``jacobian``, the coordinates of each step's
+    dt mid_hat_m are kept, M (N^2 - 1) floats.
 
     It checks nothing: ``evolve._unitary_blocks`` bounds ||u†u - I||_F by
     ``TRAJECTORY_TOL`` where the nodes are formed, so the trace
@@ -232,22 +216,30 @@ def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jac
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    span = _SpanAccumulator(basis_zt(sys.dim))
-    rows = np.empty((field.steps, span.basis.shape[0])) if jacobian else None
-    groups = [group.stop - group.start for group in evolve._blocks(len(range(0, field.steps + 1, stride)))]
-    dipoles = []
+    span = _SpanAccumulator(sys.dim)
+    rows = np.empty((field.steps, sys.dim * sys.dim - 1)) if jacobian else None
     for block, eig, nodes in blocks:
         # A block's first node is the last of the block before, already sampled.
         first = block.start + (block.start > 0)
         sample = -(-first // stride) * stride - block.start
-        dipoles.append(evolve.conjugated_dipole(nodes[sample::stride], sys.mu))
-        while groups and sum(map(len, dipoles)) >= groups[0]:
-            stack = np.concatenate(dipoles)
-            span.add(to_coords(stack[: groups[0]], span.basis))
-            dipoles = [stack[groups.pop(0) :]]
+        span.add(to_coords(evolve.conjugated_dipole(nodes[sample::stride], sys.mu)))
         if rows is not None:
-            rows[block] = to_coords(evolve._mid_hats(field.dt, sys.mu, eig, nodes[:-1]), span.basis)
+            rows[block] = to_coords(evolve._mid_hats(field.dt, sys.mu, eig, nodes[:-1]))
     return _PassReading(span=span.report(), endpoint=nodes[-1].copy(), jacobian=rows)
+
+
+def _jacobian_gradient(jacobian: np.ndarray, endpoint: np.ndarray, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """:func:`gradient` from J's rows as isu(N) coordinates, ``jacobian[m]`` =
+    ``to_coords(dt mid_hat_m)``, and the endpoint U_M: g = J_c . coords(K) with
+    K = i [rho0, U_M† obs U_M], the Hermitian part of 2i rho0 U_M† obs U_M and
+    all of it that :func:`to_coords` keeps.  K is traceless, so the trace of
+    dt mid_hat_m that the coordinates drop adds nothing to Re Tr(A_m K)."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    obs = np.asarray(obs, dtype=complex)
+    n = len(endpoint)
+    if rho0.shape != (n, n) or obs.shape != (n, n):
+        raise ValueError(f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}")
+    return jacobian @ to_coords(2j * rho0 @ dagger(endpoint) @ obs @ endpoint)
 
 
 def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
@@ -296,27 +288,18 @@ def waypoint_visits(traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: floa
 def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Derivative of Tr(rho(T) obs) with respect to each control step.
 
-    On the step pass ``traj`` it is ``g = J @ _real_rows(i [rho0, O_T])``, with
-    ``O_T = U_M† obs U_M`` and J = ``evolve._jacobian(traj)``, row m the real
-    view of dt mid_hat_m: g_m = dt Tr(mid_hat_m i [rho0, O_T]).  It is formed
-    as ``J @ _real_rows(2i rho0 O_T)``, equal because mid_hat_m is Hermitian,
-    one block of the pass (``traj.blocks()``) at a time.
+    On the step pass ``traj`` it is g_m = dt Tr(mid_hat_m i [rho0, O_T]), with
+    ``O_T = U_M† obs U_M``: the rows of J as isu(N) coordinates,
+    ``to_coords(dt mid_hat_m)``, are built one block of the pass
+    (``traj.blocks()``) at a time as :func:`_read_pass` builds them, and
+    :func:`_jacobian_gradient`, which ``check`` also calls, takes g from them.
     The central finite-difference check is the normative contract pinning
     sign and convention.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    obs = np.asarray(obs, dtype=complex)
-    n = traj.dim
-    if rho0.shape != (n, n) or obs.shape != (n, n):
-        raise ValueError(
-            f"dimension mismatch: rho0 {rho0.shape}, obs {obs.shape}, system {n}"
-        )
-    u = traj.unitaries[-1]
-    x = _real_rows(2j * rho0 @ dagger(u) @ obs @ u)
-    out = np.empty(traj.steps)
+    rows = np.empty((traj.steps, traj.dim * traj.dim - 1))
     for block, eig, nodes in traj.blocks():
-        out[block] = _real_rows(evolve._mid_hats(traj.dt, traj.sys.mu, eig, nodes[:-1])) @ x
-    return out
+        rows[block] = to_coords(evolve._mid_hats(traj.dt, traj.sys.mu, eig, nodes[:-1]))
+    return _jacobian_gradient(rows, traj.unitaries[-1], rho0, obs)
 
 
 def finite_difference_gradient(

@@ -14,6 +14,8 @@ freely between threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tolerances import HERMITIAN_RTOL, TRACE_RTOL, UNITARY_TOL
@@ -190,31 +192,40 @@ def _real_rows(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(*stack.shape[:-2], stack.shape[-2] * stack.shape[-1]).view(float)
 
 
-def to_coords(z, basis: np.ndarray) -> np.ndarray:
-    """Real coordinates of traceless Hermitian matrices in an orthonormal basis.
-
-    Batched: ``z`` is one matrix or a stack (..., n, n), and the result
-    has shape (..., n^2 - 1), computed as one matmul against the flattened
-    basis.  ``c_k = Tr(basis_k z)``; the reconstruction
-    ``sum c_k basis_k`` recovers ``z`` and the map is a linear isometry
-    onto R^(n^2 - 1).
+def to_coords(z) -> np.ndarray:
+    """Coordinates c_k = Re Tr(basis_k z) in the basis of :func:`basis_zt`, read
+    off the entries in its order: (Re z_ij + Re z_ji) / sqrt(2) over the pairs
+    i < j, then (Im z_ji - Im z_ij) / sqrt(2), then the diagonal levels from one
+    cumulative sum of Re z_ll.  Batched: ``z`` is one matrix or a stack
+    (..., n, n), n >= 2, and the result has shape (..., n^2 - 1).  Only the
+    traceless Hermitian part of ``z`` counts; on it the map is an isometry onto
+    R^(n^2 - 1) with inverse :func:`from_coords`.  The work is elementwise,
+    O(n^2) per matrix, so a matrix gets the same bits alone or in any stack.
     """
-    z = np.asarray(z)
-    if z.ndim < 2 or z.shape[-2:] != basis.shape[1:]:
-        raise ValueError(f"dimension mismatch: basis {basis.shape[1:]} vs z {z.shape}")
-    return _readonly(_real_rows(z) @ _real_rows(basis).T)
+    z = np.asarray(z, dtype=complex)
+    if z.ndim < 2 or z.shape[-1] != z.shape[-2] or z.shape[-1] < 2:
+        raise ValueError(f"need square matrices of dimension >= 2, got shape {z.shape}")
+    n = z.shape[-1]
+    a, b = np.triu_indices(n, 1)
+    flat = z.reshape(*z.shape[:-2], n * n)
+    upper, lower = np.take(flat, a * n + b, axis=-1), np.take(flat, b * n + a, axis=-1)
+    sym, anti = (upper.real + lower.real) / np.sqrt(2.0), (lower.imag - upper.imag) / np.sqrt(2.0)
+    d = np.diagonal(z.real, axis1=-2, axis2=-1)
+    k = np.arange(1, n)
+    levels = (np.cumsum(d, axis=-1)[..., :-1] - k * d[..., 1:]) / np.sqrt(k * (k + 1.0))
+    return _readonly(np.concatenate([sym, anti, levels], axis=-1))
 
 
-def from_coords(coords, basis: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_coords`: assemble the matrices sum c_k basis_k.
+def from_coords(coords) -> np.ndarray:
+    """Inverse of :func:`to_coords`: the matrices sum c_k basis_k.
 
-    Batched: ``coords`` has shape (..., n^2 - 1) and the result
-    (..., n, n), computed as one matmul against the flattened basis.
+    Batched: ``coords`` has shape (..., n^2 - 1) for some n >= 2 and the
+    result (..., n, n), computed as one matmul against the flattened
+    :func:`basis_zt` of that n.
     """
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim < 1 or coords.shape[-1] != basis.shape[0]:
-        raise ValueError(
-            f"coordinate vectors must have length {basis.shape[0]}, got {coords.shape}"
-        )
-    flat = coords @ _real_rows(basis)
-    return _readonly(flat.view(complex).reshape(*coords.shape[:-1], *basis.shape[1:]))
+    n = math.isqrt(coords.shape[-1] + 1) if coords.ndim else 0
+    if n < 2 or n * n != coords.shape[-1] + 1:
+        raise ValueError(f"coordinate vectors must have length n^2 - 1 for some n >= 2, got shape {coords.shape}")
+    flat = coords @ _real_rows(basis_zt(n))
+    return _readonly(flat.view(complex).reshape(*coords.shape[:-1], n, n))

@@ -46,9 +46,13 @@ def default_segment_time(sys: QuantumSystem) -> float:
 
     No a-priori bound on the needed horizon exists, so this is a knob;
     failures at a too-short horizon are reported honestly rather than
-    hidden.
+    hidden.  A zero dipole has no such horizon, and its Lie closure, span{h0},
+    is too small: ``NotControllableError``.
     """
-    return 10.0 * np.pi * sys.dim / hs_norm(sys.mu)
+    norm = hs_norm(sys.mu)
+    if norm == 0.0:
+        _require_controllable(sys)
+    return 10.0 * np.pi * sys.dim / norm
 
 
 def _segment_steps(dim: int, steps: int | None) -> int:

@@ -47,6 +47,7 @@ def files(tmp_path, rng):
         "pauli": _system(tmp_path / "pauli.json", np.real(SZ), np.real(SX)),
         "three": _system(tmp_path / "three.json", np.diag([0.0, 1.0, 2.5]), coupled_traceless_symmetric(3, rng)),
         "diag": _system(tmp_path / "diag.json", np.diag([0.0, 1.0, 3.0]), np.diag([1.0, 0.0, -1.0])),
+        "zero": _system(tmp_path / "zero.json", np.real(SZ), np.zeros((2, 2))),
         "traced": str(tmp_path / "traced.json"),
         "bad": str(tmp_path / "bad.json"),
         "field": str(tmp_path / "field.json"),
@@ -293,6 +294,21 @@ class TestGradientCheck:
         assert run(*argv) == 0
         assert run(*argv, "--tol", 1e-300) == 1
 
+    @pytest.mark.parametrize("steps", [30, 2 * evolve._BLOCK + 3])
+    def test_check_prints_the_same_gradient(self, files, tmp_path, rng, capsys, steps):
+        # One gradient formula: check's "gradient max |g_m|" is gradient-check's "max |analytic|".
+        field = tmp_path / "steps.json"
+        evolve.save_field(ControlField(horizon=0.1 * steps, values=rng.normal(size=steps)), field)
+        obs = _matrix_doc(tmp_path / "obs_3.json", np.diag([1.0, 0.5, -1.5]))
+        inputs = ("--system", files["three"], "--field", field, "--rho0", files["rho0_3"], "--obs", obs)
+        assert run("check", *inputs) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert run("gradient-check", *inputs) == 0
+        compared = capsys.readouterr().out.splitlines()
+        prefix = "gradient max |g_m|: "
+        value = next(line for line in checked if line.startswith(prefix))[len(prefix):]
+        assert f"max |analytic|: {value}" in compared
+
     def test_a_non_hermitian_obs_exits_2(self, files, tmp_path, capsys):
         # i SX: the central differences see Re Tr(rho(T) obs), the analytic
         # gradient assumes obs Hermitian, so the two would disagree.
@@ -371,9 +387,19 @@ class TestSteer:
         assert run("steer", "--system", files["pauli"], "--provenance", "theorem3", "--steps", 2) == 2
         assert "N^2 - 1 = 3" in capsys.readouterr().err
 
-    def test_uncontrollable_exits_1(self, files, capsys):
-        assert run("steer", "--system", files["diag"], "--provenance", "theorem3") == 1
-        assert "not controllable" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "system, segment",
+        [("diag", ()), ("zero", ()), ("zero", ("--segment-time", 5))],
+        ids=["diag", "zero-dipole", "zero-dipole-segment-time"],
+    )
+    def test_uncontrollable_exits_1(self, files, tmp_path, capsys, system, segment):
+        # A zero dipole gets the verdict with or without a segment time.
+        out = tmp_path / "st"
+        assert run("steer", "--system", files[system], "--provenance", "theorem3", *segment, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "FAILED: system is not controllable (Lie closure too small); synthesis guarantees do not apply\n"
+        )
+        assert not out.exists()
 
     def test_needs_a_waypoint_source(self, files):
         with pytest.raises(SystemExit) as exc:

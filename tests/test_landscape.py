@@ -519,7 +519,7 @@ def test_pass_memory_does_not_grow_with_the_step_count():
 
 def _reference_svd(mats):
     """Singular values and rank from the thin SVD with singular vectors."""
-    coords = matspace.to_coords(mats, matspace.basis_zt(mats.shape[1]))
+    coords = matspace.to_coords(mats)
     s = np.linalg.svd(coords, full_matrices=False)[1]
     return s, int(np.sum(s > landscape.RANK_TOL * s[0]))
 
@@ -567,7 +567,7 @@ def test_random_deficient_samples_rank_and_complement_match_the_full_svd():
 
 
 def _fold_rows(n):
-    return landscape._SpanAccumulator(matspace.basis_zt(n)).fold
+    return landscape._SpanAccumulator(n).fold
 
 
 def _stack_of_rank(n, count, rank, rng):
@@ -580,15 +580,15 @@ def _stack_of_rank(n, count, rank, rng):
     return (u * rng.uniform(0.1, 1.0, r)) @ v.T
 
 
-def _accumulated(rows, basis, cuts):
-    span = landscape._SpanAccumulator(basis)
+def _accumulated(rows, n, cuts):
+    span = landscape._SpanAccumulator(n)
     for part in np.split(rows, sorted(cuts)):
         span.add(part)
     return span.report()
 
 
 def _complement_projector(report):
-    coords = matspace.to_coords(report.complement_basis, matspace.basis_zt(report.dim))
+    coords = matspace.to_coords(report.complement_basis)
     return coords.T @ coords
 
 
@@ -614,19 +614,14 @@ def _stacks(draw):
 def test_accumulated_span_is_the_dense_span(case):
     n, count, rank, seed, cuts = case
     rows = _stack_of_rank(n, count, rank, np.random.default_rng(seed))
-    basis = matspace.basis_zt(n)
-    report = _accumulated(rows, basis, cuts)
+    report = _accumulated(rows, n, cuts)
     # One row sequence gives one report, however it was fed.
-    whole = _accumulated(rows, basis, [])
+    whole = _accumulated(rows, n, [])
     assert report.count == whole.count == count and report.rank == whole.rank
     assert np.array_equal(report.singular_values, whole.singular_values)
     assert np.array_equal(report.complement_basis, whole.complement_basis)
 
-    dense = landscape._coords_span(rows, basis)
-    if count < _fold_rows(n):
-        # Nothing is folded: the dense SVD, bit for bit.
-        assert np.array_equal(report.singular_values, dense.singular_values)
-        assert np.array_equal(report.complement_basis, dense.complement_basis)
+    dense = landscape._coords_span(rows)
     # Householder QR and the SVD are backward stable: each fold, the SVD of
     # R and the dense SVD are exact for rows moved by at most
     # gamma ||rows||_F, gamma = (F + N^2 - 1)(N^2 - 1) eps for a (F + N^2 - 1)
@@ -654,11 +649,10 @@ def test_a_block_that_is_not_finite_fails_as_the_dense_span(n, bad, where):
     rows = _stack_of_rank(n, count, n * n - 1, np.random.default_rng(17))
     row = {"fold": fold + 7, "tail": count - 1}.get(where, where)
     rows[row, 1] = bad
-    basis = matspace.basis_zt(n)
     with pytest.raises(RuntimeError) as dense:
-        landscape._coords_span(rows, basis)
+        landscape._coords_span(rows)
     with pytest.raises(RuntimeError) as streamed:
-        _accumulated(rows, basis, [fold // 3, fold + 1])
+        _accumulated(rows, n, [fold // 3, fold + 1])
     assert str(streamed.value) == str(dense.value)
     assert str(dense.value).startswith("singular values of the span are not finite")
 
@@ -666,11 +660,10 @@ def test_a_block_that_is_not_finite_fails_as_the_dense_span(n, bad, where):
 def test_rows_whose_spectrum_overflows_have_no_span():
     # Finite entries near 2^1021 whose 768-row stack has a norm past the float range.
     rows = np.random.default_rng(3).normal(size=(3 * _fold_rows(3), 8)) * 2.0**1021
-    basis = matspace.basis_zt(3)
     with pytest.raises(RuntimeError) as dense:
-        landscape._coords_span(rows, basis)
+        landscape._coords_span(rows)
     with pytest.raises(RuntimeError) as streamed:
-        _accumulated(rows, basis, [])
+        _accumulated(rows, 3, [])
     assert str(streamed.value) == str(dense.value) == "singular values of the span are not finite: largest inf"
 
 
@@ -690,8 +683,8 @@ class TestStreamedCheck:
         assert (run.span.count, run.span.rank) == (kept.count, kept.rank)
         assert np.array_equal(run.span.singular_values, kept.singular_values)
         assert np.array_equal(run.span.complement_basis, kept.complement_basis)
-        grad = landscape.gradient(traj, rho0, obs)
-        assert np.abs(run.gradient(rho0, obs) - grad).max() <= 1e-13 * np.abs(grad).max()
+        grad = landscape._jacobian_gradient(run.jacobian, run.endpoint, rho0, obs)
+        assert np.array_equal(grad, landscape.gradient(traj, rho0, obs))
 
     def test_a_bad_node_fails_before_its_block_is_folded(self, monkeypatch):
         sys_n, field = random_system_and_field(2, 2 * evolve._BLOCK + 3, 2)
@@ -705,8 +698,8 @@ class TestStreamedCheck:
         spoil_last_block(monkeypatch, "_step_exponentials", field.steps, spoil)
         with pytest.raises(RuntimeError, match="propagation lost unitarity"):
             landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), 1)
-        # Only the first group of samples, all from the first block, was added.
-        assert folded == [evolve._BLOCK]
+        # Only the first block's samples, its nodes 0..BLOCK, were added.
+        assert folded == [evolve._BLOCK + 1]
 
 
 @pytest.mark.parametrize("jacobian", [False, True])

@@ -106,23 +106,20 @@ def test_basis_rejects_trivial_dimension():
 
 
 def test_to_coords_single_component():
-    basis = matspace.basis_zt(2)
-    coords = matspace.to_coords(SZ, basis)
+    coords = matspace.to_coords(SZ)
     assert np.allclose(coords, [0.0, 0.0, np.sqrt(2.0)])
 
 
 def test_to_coords_zero_matrix():
-    basis = matspace.basis_zt(3)
-    assert np.allclose(matspace.to_coords(np.zeros((3, 3)), basis), 0.0)
+    assert np.allclose(matspace.to_coords(np.zeros((3, 3))), 0.0)
 
 
 def test_coords_roundtrip_and_isometry(rng):
     for n in (2, 3, 4, 5):
-        basis = matspace.basis_zt(n)
         for _ in range(5):
             z = random_traceless_hermitian(n, rng)
-            coords = matspace.to_coords(z, basis)
-            back = matspace.from_coords(coords, basis)
+            coords = matspace.to_coords(z)
+            back = matspace.from_coords(coords)
             assert np.linalg.norm(back - z) < 1e-10
             assert np.linalg.norm(coords) == pytest.approx(matspace.hs_norm(z), rel=1e-10)
 
@@ -170,27 +167,26 @@ def _hermitian_stack(n, count, seed):
 def test_batched_coords_match_per_matrix(n, count, seed):
     basis = matspace.basis_zt(n)
     z = _hermitian_stack(n, count, seed)
-    coords = matspace.to_coords(z, basis)
+    coords = matspace.to_coords(z)
     assert coords.shape == (count, n * n - 1)
     for m in range(count):
         ref = [hs_inner(b, z[m]) for b in basis]
         assert np.abs(coords[m] - ref).max() < 1e-13
-        assert np.abs(coords[m] - matspace.to_coords(z[m], basis)).max() < 1e-13
-    back = matspace.from_coords(coords, basis)
+        assert np.array_equal(coords[m], matspace.to_coords(z[m]))
+    back = matspace.from_coords(coords)
     assert back.shape == z.shape
     for m in range(count):
         ref = sum(c * b for c, b in zip(coords[m], basis))
         assert np.abs(back[m] - ref).max() < 1e-13
-        assert np.abs(back[m] - matspace.from_coords(coords[m], basis)).max() < 1e-13
+        assert np.abs(back[m] - matspace.from_coords(coords[m])).max() < 1e-13
 
 
 @settings(max_examples=30)
 @given(n=st.integers(min_value=2, max_value=8), count=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_batched_coords_roundtrip_is_isometry(n, count, seed):
-    basis = matspace.basis_zt(n)
     z = _hermitian_stack(n, count, seed)
-    coords = matspace.to_coords(z, basis)
-    assert np.abs(matspace.from_coords(coords, basis) - z).max() < 1e-12
+    coords = matspace.to_coords(z)
+    assert np.abs(matspace.from_coords(coords) - z).max() < 1e-12
     norms = np.linalg.norm(z, axis=(1, 2))
     assert np.allclose(np.linalg.norm(coords, axis=1), norms, rtol=1e-12, atol=0.0)
     # inner products are preserved too, not just norms
@@ -198,12 +194,49 @@ def test_batched_coords_roundtrip_is_isometry(n, count, seed):
     assert np.allclose(coords @ coords.T, gram, rtol=0.0, atol=1e-12 * norms.max() ** 2)
 
 
+@settings(max_examples=40)
+@given(
+    n=st.integers(min_value=2, max_value=32),
+    count=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    cuts=st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+)
+def test_coords_are_the_dense_inner_products_with_the_same_bits_in_any_stack(n, count, seed, cuts):
+    # z = h + i g + c I with h traceless Hermitian and g Hermitian: only h
+    # counts, as Re Tr(basis_k z) = Re Tr(basis_k h) for each Hermitian
+    # traceless basis_k.
+    rng = np.random.default_rng(seed)
+    h = _hermitian_stack(n, count, seed)
+    g = np.array([random_traceless_hermitian(n, rng) for _ in range(count)])
+    z = h + 1j * g + rng.normal(scale=10.0, size=(count, 1, 1)) * np.eye(n)
+    coords = matspace.to_coords(z)
+    # Round-off model (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, Sec. 3.1), u = eps / 2 and gamma_k = k u / (1 - k u), per matrix
+    # of norm ||z||_F: a dense dot product of 2 n^2 terms with a unit-norm
+    # basis row errs by at most gamma_{2n^2} ||z||_F, a pair coordinate by
+    # gamma_3 ||z||_F, and a level, a cumulative sum of at most n - 1 terms
+    # then a product, a difference, a square root and a quotient, by
+    # gamma_{n+2} ||z||_F; rounding z = h + i g + c I moves each coordinate by
+    # at most u ||z||_F.  The bound is twice their sum.
+    u = np.finfo(float).eps / 2
+    bound = 2 * (2 * n * n + n + 3) * u * np.linalg.norm(z, axis=(1, 2))
+    basis_rows = matspace._real_rows(matspace.basis_zt(n))
+    for dense in (matspace._real_rows(z) @ basis_rows.T, matspace._real_rows(h) @ basis_rows.T):
+        assert np.all(np.abs(coords - dense).max(axis=1) <= bound)
+    for m in range(count):
+        assert np.array_equal(coords[m], matspace.to_coords(z[m]))
+    parts = np.split(z, sorted(c for c in cuts if c <= count))
+    assert np.array_equal(np.concatenate([matspace.to_coords(p) for p in parts]), coords)
+
+
 def test_coords_reject_mismatched_shapes():
-    basis = matspace.basis_zt(3)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matspace.to_coords(np.zeros((4, 2, 2)), basis)
-    with pytest.raises(ValueError, match="length 8"):
-        matspace.from_coords(np.zeros((4, 3)), basis)
+    with pytest.raises(ValueError, match="need square matrices"):
+        matspace.to_coords(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        matspace.to_coords(np.zeros((1, 1)))
+    for bad in (np.zeros((4, 7)), np.zeros(0), np.array(1.0)):
+        with pytest.raises(ValueError, match=r"length n\^2 - 1"):
+            matspace.from_coords(bad)
 
 
 def test_unitarity_defect_of_a_stack_equals_per_matrix_values(rng):
