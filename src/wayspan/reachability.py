@@ -9,16 +9,26 @@ of h0 and mu, symmetric for odd p and antisymmetric for even p, and these
 HS-orthogonal classes are the Cartan decomposition su(N) = so(N) + i Sym_0
 (Altafini, J. Math. Phys. 43, 2051 (2002)).  The closure is computed on
 real matrices and mapped back to skew-Hermitian ones.
+
+Candidates are orthogonalized by block classical Gram-Schmidt with
+reorthogonalization (Barlow and Smoktunowicz, Numer. Math. 123, 395
+(2013)): the commutators of one new element with its predecessors are
+projected together, by matrix products, against their class as it stood
+before them, and then one at a time against the elements accepted among
+them.  A candidate that loses most of its norm in that second step is
+projected again against its whole class (Daniel, Gragg, Kaufman and
+Stewart, Math. Comp. 30, 772 (1976)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matspace import hs_norm
-from .tolerances import ABS_FLOOR, CLOSURE_TRACE_TOL, RANK_RTOL
+from .tolerances import ABS_FLOOR, CLOSURE_TRACE_TOL, RANK_RTOL, REORTH_FRACTION
 
 __all__ = [
     "VERDICT_SU",
@@ -57,16 +67,25 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     element B_k standing for (-i)^p_k B_k with p_k mod 4: a generator,
     normalized to unit HS norm, has p = 1, a commutator p = p_a + p_b.
     Odd p (symmetric) and even p (antisymmetric) elements fill separate
-    row blocks, and a candidate is projected against its own block only.
-    Only an exactly zero generator is left out, so the verdict does not
-    depend on the scale of h0 and mu: every later candidate is formed from
-    unit-norm basis elements.  Commutators are taken breadth first: every
-    element pairs with all its predecessors in the round after it was
-    added, in one matmul X = H E (E H = +-(H E)^T), so each unordered pair
-    is visited once.  A commutator above ``ABS_FLOOR`` is projected by two
-    passes ``r -= B.T @ (B @ r)`` and accepted, in schedule order, when its
-    residual exceeds ``RANK_RTOL``: basis elements have unit norm, so the
-    residual is measured at the scale of their products, not against the
+    row blocks of N(N+1)/2 and N(N-1)/2 rows, and a candidate is projected
+    against its own class only, in the class's isometric coordinates: its
+    upper triangle (with the diagonal for the symmetric class), off-diagonal
+    entries times sqrt(2).  A class has as many coordinates as its
+    dimension, and once full it takes no candidate.  Only an exactly zero
+    generator is left out, so the verdict does not depend on the scale of
+    h0 and mu: every later candidate is formed from unit-norm basis
+    elements.  Commutators are taken breadth first: every element pairs with
+    all its predecessors in the round after it was added, in one matmul
+    X = H E (E H = +-(H E)^T), so each unordered pair is visited once.
+    These pairs are the element's batch.  Its commutators above
+    ``ABS_FLOOR`` are projected against their class as it stood when the
+    batch started, by two passes ``C -= (C @ B.T) @ B``.  Then, in schedule
+    order, each residual above ``RANK_RTOL`` is projected twice against the
+    elements of its class accepted earlier in the batch; when that leaves
+    less than 1/sqrt(2) of its norm (``REORTH_FRACTION`` of its square),
+    twice more against its whole class.  It is accepted when its residual
+    exceeds ``RANK_RTOL``: basis elements have unit norm, so the residual
+    is measured at the scale of their products, not against the
     commutator's own norm, which cancellation can make small.  Stops at
     closure or at dimension N^2.  The basis comes back complex and
     skew-Hermitian in acceptance order, element k as (-i)^p_k B_k.
@@ -79,43 +98,88 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
     n, full = h0.shape[0], h0.size
     rows = np.zeros((full, full))
     offset = (n * (n + 1) // 2, 0)  # first row of each p % 2 class: symmetric rows first
+    # Isometric coordinates of each class, [antisymmetric, symmetric]: in
+    # them Re Tr(A^T B) is a dot product of half the length of a row.
+    i, j = np.triu_indices(n)
+    strict = i < j
+    pick = [(i * n + j)[strict], i * n + j]
+    mirror = [(j * n + i)[strict], j * n + i]
+    weight = [math.sqrt(2.0), np.where(strict, math.sqrt(2.0), 1.0)]
+    size = [len(k) for k in pick]
+    coords = [np.zeros((d, d)) for d in size]
     count = [0, 0]
     powers: list[int] = []  # p_k mod 4, in acceptance order
     slots: list[int] = []  # row of element k
 
-    def try_add(cand: np.ndarray, p: int) -> bool:
-        cls = p % 2
-        basis = rows[offset[cls] : offset[cls] + count[cls]]
-        # Two projection passes keep the basis orthonormal to round-off;
-        # every candidate is a temporary, so it is projected in place.
+    def project(cand: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        # Two passes keep the basis orthonormal to round-off; a 1-D candidate
+        # is a row of its batch and is projected in place.
         for _ in range(2):
-            cand -= basis.T @ (basis @ cand)
-        norm = float(np.linalg.norm(cand))
+            cand -= (cand @ basis.T) @ basis
+        return cand
+
+    def accept(cand: np.ndarray, p: int) -> bool:
+        # The unit element joins its class's coordinates and, unpacked, its row.
+        norm = math.sqrt(cand @ cand)
         if norm <= RANK_RTOL:
             return False
+        cls = p % 2
+        upper = np.divide(cand, norm, out=coords[cls][count[cls]]) / weight[cls]
         slots.append(offset[cls] + count[cls])
         powers.append(p % 4)
-        rows[slots[-1]] = cand / norm
+        rows[slots[-1], pick[cls]] = upper
+        rows[slots[-1], mirror[cls]] = upper if cls else -upper
         count[cls] += 1
         return True
 
     new: list[int] = []
     for gen in (h0, mu):
         norm = hs_norm(gen)
-        if norm > 0.0 and try_add((gen / norm).reshape(full), 1):
-            new.append(len(slots) - 1)
+        if norm > 0.0:
+            cand = (gen / norm).reshape(full)[pick[1]] * weight[1]
+            if accept(project(cand, coords[1][: count[1]]), 1):
+                new.append(len(slots) - 1)
 
     stack = rows.reshape(full, n, n)
     while new and len(slots) < full:
         next_new: list[int] = []
         for b in new:
-            x = stack[slots[:b]] @ stack[slots[b]]
-            # E H = +-(H E)^T, with + inside a class and - across the two.
-            signs = np.where((np.array(powers[:b]) - powers[b]) % 2, -1.0, 1.0)
-            cands = (x - signs[:, None, None] * np.swapaxes(x, 1, 2)).reshape(b, full)
-            # A commutator below ABS_FLOOR cannot clear RANK_RTOL; skip its projection.
-            for p, cand, pre_norm in zip(powers[:b], cands, np.linalg.norm(cands, axis=1)):
-                if pre_norm > ABS_FLOOR and try_add(cand, p + powers[b]):
+            x = (stack[slots[:b]] @ stack[slots[b]]).reshape(b, full)
+            p = np.array(powers[:b]) + powers[b]
+            start = tuple(count)
+            # Block step: every commutator of the batch against its class as
+            # it stood when the batch started, in isometric coordinates.
+            cands: dict[int, np.ndarray] = {}
+            norms = np.zeros(b)
+            for cls in (0, 1):
+                ks = np.flatnonzero(p % 2 == cls)
+                if count[cls] == size[cls]:
+                    continue
+                # H E - E H on the upper triangle, X_ij -+ X_ji: E H = +-(H E)^T,
+                # with + inside a class and - across the two.
+                c = (x[ks[:, None], pick[cls]] + (1.0 if cls else -1.0) * x[ks[:, None], mirror[cls]]) * weight[cls]
+                # A commutator below ABS_FLOOR cannot clear RANK_RTOL; skip its projection.
+                live = np.linalg.norm(c, axis=1) > ABS_FLOOR
+                ks, c = ks[live], project(c[live], coords[cls][: count[cls]])
+                norms[ks] = np.linalg.norm(c, axis=1)
+                cands.update(zip(ks.tolist(), c))
+            # Projection only shrinks a residual, so one at or below RANK_RTOL
+            # after the block step is rejected as it stands.  The others are
+            # taken in schedule order against the elements accepted earlier in
+            # the batch.
+            for k in np.flatnonzero(norms > RANK_RTOL):
+                cls, cand = p[k] % 2, cands[k]
+                if count[cls] == size[cls]:
+                    continue
+                if count[cls] > start[cls]:
+                    project(cand, coords[cls][start[cls] : count[cls]])
+                    # DGKS: when the in-batch step removes most of the norm, the
+                    # residual's round-off along the batch-start block is no
+                    # longer small against it; project against the whole class,
+                    # unless the residual is rejected as it stands.
+                    if RANK_RTOL**2 < float(cand @ cand) < REORTH_FRACTION * norms[k] ** 2:
+                        project(cand, coords[cls][: count[cls]])
+                if accept(cand, int(p[k])):
                     next_new.append(len(slots) - 1)
             if len(slots) >= full:
                 break

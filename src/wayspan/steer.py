@@ -47,12 +47,20 @@ def default_segment_time(sys: QuantumSystem) -> float:
     No a-priori bound on the needed horizon exists, so this is a knob;
     failures at a too-short horizon are reported honestly rather than
     hidden.  A zero dipole has no such horizon, and its Lie closure, span{h0},
-    is too small: ``NotControllableError``.
+    is too small: ``NotControllableError``.  A dipole so small that the
+    quotient overflows has none either: ``ValueError``, which names the
+    horizon and ``--segment-time``.
     """
     norm = hs_norm(sys.mu)
     if norm == 0.0:
         _require_controllable(sys)
-    return 10.0 * np.pi * sys.dim / norm
+    horizon = 10.0 * np.pi * sys.dim / norm
+    if not np.isfinite(horizon):
+        raise ValueError(
+            f"the default horizon per segment, 10 pi N / ||mu||_HS with ||mu||_HS = {norm:.3g}, "
+            "is not finite; give one with --segment-time"
+        )
+    return horizon
 
 
 def _segment_steps(dim: int, steps: int | None) -> int:

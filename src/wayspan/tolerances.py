@@ -36,6 +36,13 @@ RANK_RTOL            1e-10   a Lie-closure candidate joins the basis when
                              (reachability)
 ABS_FLOOR            1e-13   a commutator of unit-norm closure elements
                              with a smaller HS norm is zero (reachability)
+REORTH_FRACTION      0.5     a Lie-closure candidate whose projection against
+                             the elements accepted earlier in its batch
+                             leaves less than this fraction of its squared
+                             norm is projected again against its whole
+                             class: the ||r|| < ||c||/sqrt(2) test of
+                             Daniel, Gragg, Kaufman and Stewart, Math.
+                             Comp. 30, 772 (1976) (reachability)
 CLOSURE_TRACE_TOL    1e-10   |Tr e| of every closure basis element for the
                              "SU" verdict (reachability)
 EIGH_RESIDUAL_RTOL   1e-10   max entry of |Q† mu Q - diag(w)| over ||mu||_2
@@ -76,6 +83,7 @@ GRID_RTOL = 1e-12
 RANK_TOL = 1e-8
 RANK_RTOL = 1e-10
 ABS_FLOOR = 1e-13
+REORTH_FRACTION = 0.5
 CLOSURE_TRACE_TOL = 1e-10
 EIGH_RESIDUAL_RTOL = 1e-10
 LEMMA1_DET_THRESHOLD = 1e-6

@@ -387,6 +387,20 @@ class TestSteer:
         assert run("steer", "--system", files["pauli"], "--provenance", "theorem3", "--steps", 2) == 2
         assert "N^2 - 1 = 3" in capsys.readouterr().err
 
+    def test_tiny_dipole_names_the_default_horizon_and_writes_nothing(self, tmp_path, capsys):
+        # 10 pi N / ||mu||_HS overflows, so no default horizon exists; the
+        # message names it and the option that sets one, not an option the
+        # user did not give.
+        system = tmp_path / "tiny.json"
+        system.write_text('{"n": 2, "h0": [[1, 0], [0, -1]], "mu": [[0, 1e-310], [1e-310, 0]]}')
+        out = tmp_path / "st"
+        assert run("steer", "--system", system, "--provenance", "theorem3", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR: the default horizon per segment")
+        assert "--segment-time" in captured.err and "segment_time must be" not in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "system, segment",
         [("diag", ()), ("zero", ()), ("zero", ("--segment-time", 5))],

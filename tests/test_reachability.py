@@ -270,6 +270,32 @@ def test_real_closure_matches_the_complex_oracle_on_spin_chains(n):
     _assert_matches_oracle(h0, mu)
 
 
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_real_closure_matches_the_complex_oracle_on_large_batches(n):
+    # From N = 10 on, the bracket batches of a generic pair hold tens of
+    # candidates, so most of the projection work is the block step.
+    rng = np.random.default_rng(n)
+    _assert_matches_oracle(random_real_symmetric(n, rng), random_real_symmetric(n, rng))
+
+
+@pytest.mark.parametrize("n", [14, 16, 24])
+def test_ill_conditioned_spin_chain_keeps_an_orthonormal_basis_within_its_classes(n):
+    # From N = 14 on the spin chain's closure takes round-off directions
+    # (its dimension is over-counted), and an in-batch projection can remove
+    # most of a candidate's norm: the basis must stay orthonormal, and no
+    # parity class may hold more elements than its dimension.
+    h0 = np.diag(np.arange(n) - (n - 1) / 2)
+    mu = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    result = reachability.lie_closure(h0, mu)
+    _assert_orthonormal_skew(result)
+    basis = result.basis
+    imaginary_symmetric = int(np.sum(np.abs(basis.real).max(axis=(1, 2)) == 0.0))
+    real_antisymmetric = int(np.sum(np.abs(basis.imag).max(axis=(1, 2)) == 0.0))
+    assert imaginary_symmetric + real_antisymmetric == result.dimension
+    assert imaginary_symmetric <= n * (n + 1) // 2
+    assert real_antisymmetric <= n * (n - 1) // 2
+
+
 def test_generic_system_at_the_dimension_cap_is_u():
     # Drawn like perfbench/gen.py's systems: positive non-degenerate levels
     # and a traceless dipole with every |mu_ij| >= 0.1.
