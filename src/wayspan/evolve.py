@@ -7,11 +7,10 @@ gets one pass over its steps under its system (:class:`PropagatorTrajectory`),
 which propagation, gradients and synthesis share.  The same eigenbasis
 gives every step's exact midpoint coupling ``mid_hat_m``, with
 dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for the step S_m = U_{m+1} U_m†,
-so no other exponential is needed.  Row m of the Jacobian J is dt mid_hat_m,
-and a control derivative dt Re Tr(mid_hat_m X) is one product of J with X in
-the same form: real views in ``steer`` (:func:`_jacobian`), isu(N)
-coordinates in the landscape gradient.  Conjugated dipoles ``u† mu u`` are
-formed only by :func:`conjugated_dipole`, for the nodes a span samples.
+so no other exponential is needed.  Row m of the Jacobian J is dt mid_hat_m
+(:func:`_mid_hats`), which ``landscape._jacobian_rows`` reads in isu(N)
+coordinates for every consumer.  Conjugated dipoles ``u† mu u`` are formed
+only by :func:`conjugated_dipole`, for the nodes a span samples.
 
 The node product U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m is taken in one
 place, the block generator :func:`_step_blocks`: it diagonalises and
@@ -252,26 +251,13 @@ def _step_frames(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> tu
 
 
 def _mid_hats(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> np.ndarray:
-    """dt mid_hat_m of every step m with eigenpairs ``eig`` and start node
-    ``nodes[m]`` = U_m (:func:`_step_frames`): the complex matrices whose real
-    views are the rows of the Jacobian J (:func:`_jacobian`)."""
+    """dt mid_hat_m, the mean of U(s)† mu U(s) over step m, for every step m with
+    eigenpairs ``eig`` and start node ``nodes[m]`` = U_m: frame_m† coupling_m
+    frame_m (:func:`_step_frames`), and dU_M/d(eps_m) = i dt U_M mid_hat_m exactly."""
     frames, coupling = _step_frames(dt, mu, eig, nodes)
     mid = dagger(frames) @ coupling @ frames
     mid *= dt
     return mid
-
-
-def _jacobian(traj: PropagatorTrajectory) -> np.ndarray:
-    """The real (M, 2 N^2) Jacobian J of the pass ``traj``: row m is
-    ``_real_rows(dt mid_hat_m)``, Re and Im of each entry in row-major order.
-
-    ``mid_hat_m = frame_m† coupling_m frame_m`` (:func:`_step_frames`) is the
-    mean of U(s)† mu U(s) over step m, and dU_M/d(eps_m) = i dt U_M mid_hat_m
-    with no discretisation error.  It is Hermitian, so Re Tr(A X) =
-    ``_real_rows(A) . _real_rows(X)`` for A = dt mid_hat_m, and
-    ``J @ _real_rows(X)`` is dt Re Tr(mid_hat_m X) for every step m.
-    """
-    return _real_rows(_mid_hats(traj.dt, traj.sys.mu, traj.eig, traj.unitaries[:-1]))
 
 
 def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:

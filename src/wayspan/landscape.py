@@ -187,11 +187,24 @@ def trajectory_independence(traj: PropagatorTrajectory, stride: int = 1) -> Span
     return _read_pass(traj.sys, traj.field, traj.blocks(), stride).span
 
 
+def _jacobian_rows(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> np.ndarray:
+    """The rows ``to_coords(dt mid_hat_m)`` (``evolve._mid_hats``) of the Jacobian
+    J of eps -> U_M for the steps of one block of a pass, from their eigenpairs
+    ``eig`` and the block's ``nodes``: every form of J in the package.  For X
+    with a traceless Hermitian part, dt Re Tr(mid_hat_m X) is row m times
+    ``to_coords(X)``: the trace the coordinates drop meets nothing of X."""
+    return to_coords(evolve._mid_hats(dt, mu, eig, nodes[:-1]))
+
+
+def _jacobian(traj: PropagatorTrajectory) -> np.ndarray:
+    """J of the kept pass ``traj``, (M, N^2 - 1): :func:`_jacobian_rows` of each block."""
+    return np.concatenate([_jacobian_rows(traj.dt, traj.sys.mu, eig, nodes) for _, eig, nodes in traj.blocks()])
+
+
 @dataclass(frozen=True)
 class _PassReading:
     """What :func:`_read_pass` keeps of a step pass: the span of its sampled
-    nodes, the endpoint U_M and, if asked for, the rows of the Jacobian J as
-    isu(N) coordinates, ``jacobian[m]`` = ``to_coords(dt mid_hat_m)``."""
+    nodes, the endpoint U_M and, if asked for, J (:func:`_jacobian_rows`)."""
 
     span: SpanReport
     endpoint: np.ndarray
@@ -204,8 +217,8 @@ def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jac
     multiples of ``stride`` (a positive integer, else ``ValueError``) are
     conjugated block by block, and their coordinates go to one
     :class:`_SpanAccumulator` as they come; both give the same bits in any
-    partition of the rows.  With ``jacobian``, the coordinates of each step's
-    dt mid_hat_m are kept, M (N^2 - 1) floats.
+    partition of the rows.  With ``jacobian``, J's rows are kept, M (N^2 - 1)
+    floats.
 
     It checks nothing: ``evolve._unitary_blocks`` bounds ||u†u - I||_F by
     ``TRAJECTORY_TOL`` where the nodes are formed, so the trace
@@ -224,16 +237,14 @@ def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jac
         sample = -(-first // stride) * stride - block.start
         span.add(to_coords(evolve.conjugated_dipole(nodes[sample::stride], sys.mu)))
         if rows is not None:
-            rows[block] = to_coords(evolve._mid_hats(field.dt, sys.mu, eig, nodes[:-1]))
+            rows[block] = _jacobian_rows(field.dt, sys.mu, eig, nodes)
     return _PassReading(span=span.report(), endpoint=nodes[-1].copy(), jacobian=rows)
 
 
 def _jacobian_gradient(jacobian: np.ndarray, endpoint: np.ndarray, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """:func:`gradient` from J's rows as isu(N) coordinates, ``jacobian[m]`` =
-    ``to_coords(dt mid_hat_m)``, and the endpoint U_M: g = J_c . coords(K) with
-    K = i [rho0, U_M† obs U_M], the Hermitian part of 2i rho0 U_M† obs U_M and
-    all of it that :func:`to_coords` keeps.  K is traceless, so the trace of
-    dt mid_hat_m that the coordinates drop adds nothing to Re Tr(A_m K)."""
+    """:func:`gradient` from J (:func:`_jacobian_rows`) and the endpoint U_M:
+    g = J . to_coords(K), K = i [rho0, U_M† obs U_M] the Hermitian part of
+    2i rho0 U_M† obs U_M, traceless, and all of it that ``to_coords`` keeps."""
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
     n = len(endpoint)
@@ -289,17 +300,11 @@ def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> n
     """Derivative of Tr(rho(T) obs) with respect to each control step.
 
     On the step pass ``traj`` it is g_m = dt Tr(mid_hat_m i [rho0, O_T]), with
-    ``O_T = U_M† obs U_M``: the rows of J as isu(N) coordinates,
-    ``to_coords(dt mid_hat_m)``, are built one block of the pass
-    (``traj.blocks()``) at a time as :func:`_read_pass` builds them, and
-    :func:`_jacobian_gradient`, which ``check`` also calls, takes g from them.
+    ``O_T = U_M† obs U_M``: :func:`_jacobian_gradient` of J (:func:`_jacobian`).
     The central finite-difference check is the normative contract pinning
     sign and convention.
     """
-    rows = np.empty((traj.steps, traj.dim * traj.dim - 1))
-    for block, eig, nodes in traj.blocks():
-        rows[block] = to_coords(evolve._mid_hats(traj.dt, traj.sys.mu, eig, nodes[:-1]))
-    return _jacobian_gradient(rows, traj.unitaries[-1], rho0, obs)
+    return _jacobian_gradient(_jacobian(traj), traj.unitaries[-1], rho0, obs)
 
 
 def finite_difference_gradient(

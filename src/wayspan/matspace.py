@@ -14,6 +14,7 @@ freely between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -192,6 +193,14 @@ def _real_rows(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(*stack.shape[:-2], stack.shape[-2] * stack.shape[-1]).view(float)
 
 
+@functools.cache
+def _coord_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of z_ij and z_ji (i < j), levels k and sqrt(k (k + 1)) for n."""
+    a, b = np.triu_indices(n, 1)
+    k = np.arange(1, n)
+    return tuple(_readonly(t) for t in (a * n + b, b * n + a, k, np.sqrt(k * (k + 1.0))))
+
+
 def to_coords(z) -> np.ndarray:
     """Coordinates c_k = Re Tr(basis_k z) in the basis of :func:`basis_zt`, read
     off the entries in its order: (Re z_ij + Re z_ji) / sqrt(2) over the pairs
@@ -200,19 +209,19 @@ def to_coords(z) -> np.ndarray:
     (..., n, n), n >= 2, and the result has shape (..., n^2 - 1).  Only the
     traceless Hermitian part of ``z`` counts; on it the map is an isometry onto
     R^(n^2 - 1) with inverse :func:`from_coords`.  The work is elementwise,
-    O(n^2) per matrix, so a matrix gets the same bits alone or in any stack.
+    O(n^2) per matrix on tables cached per n (:func:`_coord_tables`), so a
+    matrix gets the same bits alone or in any stack.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim < 2 or z.shape[-1] != z.shape[-2] or z.shape[-1] < 2:
         raise ValueError(f"need square matrices of dimension >= 2, got shape {z.shape}")
     n = z.shape[-1]
-    a, b = np.triu_indices(n, 1)
+    upper_at, lower_at, k, norms = _coord_tables(n)
     flat = z.reshape(*z.shape[:-2], n * n)
-    upper, lower = np.take(flat, a * n + b, axis=-1), np.take(flat, b * n + a, axis=-1)
+    upper, lower = np.take(flat, upper_at, axis=-1), np.take(flat, lower_at, axis=-1)
     sym, anti = (upper.real + lower.real) / np.sqrt(2.0), (lower.imag - upper.imag) / np.sqrt(2.0)
     d = np.diagonal(z.real, axis1=-2, axis2=-1)
-    k = np.arange(1, n)
-    levels = (np.cumsum(d, axis=-1)[..., :-1] - k * d[..., 1:]) / np.sqrt(k * (k + 1.0))
+    levels = (np.cumsum(d, axis=-1)[..., :-1] - k * d[..., 1:]) / norms
     return _readonly(np.concatenate([sym, anti, levels], axis=-1))
 
 

@@ -3,11 +3,11 @@
 Newton steps on the propagator (de Fouquières et al., J. Magn. Reson. 212,
 412, 2011), with an Armijo backtracking line search on the squared
 phase-invariant gate fidelity.  The Jacobian of the M-step map eps -> U_M
-has the columns i dt U_M mid_hat_m; ``jac`` = ``evolve._jacobian`` holds
-the real rows of dt mid_hat_m, and where they span isu(N), the control is
-regular and the Newton step converges quadratically.  There it ascends
-unless the gradient is 0, so a step that does not ascend ends the segment.
-The iterates are deterministic given the seed.
+has the columns i dt U_M mid_hat_m; ``jac`` = ``landscape._jacobian`` holds
+dt mid_hat_m in isu(N) coordinates, and where its N^2 - 1 columns have full
+rank, the control is regular and the Newton step converges quadratically.
+There it ascends unless the gradient is 0, so a step that does not ascend
+ends the segment.  The iterates are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import evolve, reachability
 from .evolve import ControlField, PropagatorTrajectory, concat_fields
-from .landscape import VisitRecord, gate_fidelity, waypoint_visits
-from .matspace import _real_rows, assert_unitary, dagger, hs_norm
+from .landscape import VisitRecord, _jacobian, gate_fidelity, waypoint_visits
+from .matspace import assert_unitary, dagger, hs_norm, to_coords
 from .model import QuantumSystem
 from .tolerances import ARMIJO, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
 from .waypoints import WaypointSet
@@ -135,20 +135,19 @@ def _fidelity_state(sys: QuantumSystem, field: ControlField, target: np.ndarray)
 
 def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """The exact gradient of the squared fidelity and the Newton step, each wrt
-    every step amplitude, from one Jacobian ``jac`` = ``evolve._jacobian(traj)``.
+    every step amplitude, from one Jacobian ``jac`` = ``landscape._jacobian(traj)``.
 
     With z = Tr(target† U_M), the objective is |z|^2 / N^2 and
     dz/d(eps_m) = i dt Tr(mid_hat_m target† U_M), so the gradient is
-    ``jac @ _real_rows(2i conj(z) target† U_M) / N^2``; the same ``jac``
-    gives the Newton step (:func:`_newton_direction`).  ``traj`` is the
+    ``jac @ to_coords(2i conj(z) target† U_M) / N^2`` (real trace 0); the same
+    ``jac`` gives the Newton step (:func:`_newton_direction`).  ``traj`` is the
     field's step pass, as ``_fidelity_state`` returns it; U_M is its last node.
     """
-    n = traj.dim
     u = traj.unitaries[-1]
     z = complex(np.vdot(target, u))
     gap = dagger(target) @ u
-    jac = evolve._jacobian(traj)
-    grad = jac @ _real_rows(2j * np.conj(z) * gap) / (n * n)
+    jac = _jacobian(traj)
+    grad = jac @ to_coords(2j * np.conj(z) * gap) / traj.dim**2
     return grad, _newton_direction(np.exp(-1j * np.angle(z)) * gap, jac)
 
 
@@ -156,17 +155,17 @@ def _newton_direction(gap: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """The Newton step on the propagator toward the phase-normalised ``gap``.
 
     U_M(eps + delta) = U_M exp(i sum_m delta_m A_m) to first order, with
-    A_m = dt mid_hat_m the rows of ``jac`` (``evolve._jacobian``), and
+    A_m = dt mid_hat_m, whose isu(N) coordinates are the rows of ``jac``, and
     ``gap`` = e^{-i arg z} target† U_M = exp(iK), K the Hermitian log of
     ``gap`` with eigenphases in (-pi, pi].  The step is the minimum-norm
-    least-squares delta with ``jac.T @ delta = -_real_rows(K)``, cutting
+    least-squares delta with ``jac.T @ delta = -to_coords(K)``, cutting
     singular values below ``RANK_TOL`` of the largest so that a singular
     control still gets a step.  The trace of K and the anti-Hermitian
-    round-off of the log are orthogonal to the traceless Hermitian rows.
+    round-off of the log are dropped by ``to_coords``.
     """
     w, v = np.linalg.eig(gap)
     k = (v * np.angle(w)) @ np.linalg.inv(v)
-    return np.linalg.lstsq(jac.T, -_real_rows(k), rcond=RANK_TOL)[0]
+    return np.linalg.lstsq(jac.T, -to_coords(k), rcond=RANK_TOL)[0]
 
 
 def _synthesize(

@@ -91,8 +91,9 @@ def coupled_traceless_symmetric(n, rng, min_offdiag=0.1):
 
 
 def jacobian_matrices(traj):
-    """The rows of ``evolve._jacobian`` as the complex matrices dt mid_hat_m."""
-    return evolve._jacobian(traj).view(complex).reshape(traj.steps, traj.dim, traj.dim)
+    """The rows of the Jacobian of the pass ``traj`` as the complex matrices
+    dt mid_hat_m."""
+    return evolve._mid_hats(traj.dt, traj.sys.mu, traj.eig, traj.unitaries[:-1])
 
 
 def spoil_last_block(monkeypatch, name, count, spoil):

@@ -376,19 +376,21 @@ def test_gradient_matches_central_differences_on_random_systems(n, steps, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_gradient_is_the_jacobian_applied_to_the_kinematic_commutator(n, extra, seed):
-    # The paper's landscape claim for the M-step map.  Row m of J is the real
-    # view of dt mid_hat_m, and g = J @ _real_rows(K) with K = i [rho0, O_T],
-    # whose Frobenius norm is the kinematic residual.  Where J has rank
-    # N^2 - 1, ||g|| >= sigma_{N^2-1}(J) ||K||, so a critical point is kinematic.
+    # The paper's landscape claim for the M-step map.  Row m of J is the isu(N)
+    # coordinates of dt mid_hat_m, and g = J @ to_coords(K) with
+    # K = i [rho0, O_T], whose Frobenius norm is the kinematic residual.  Where
+    # J has rank N^2 - 1, ||g|| >= sigma_{N^2-1}(J) ||K||, so a critical point
+    # is kinematic.
     sys_n, field = random_system_and_field(n, n * n + extra, seed)
     rng = np.random.default_rng(seed)
     rho0 = random_density(n, rng)
     obs = random_traceless_hermitian(n, rng) + rng.normal() * np.eye(n)
     traj = evolve.propagate(sys_n, field)
-    jac = evolve._jacobian(traj)
-    assert jac.shape == (field.steps, 2 * n * n)
+    jac = landscape._jacobian(traj)
+    assert jac.shape == (field.steps, n * n - 1)
     rows = jacobian_matrices(traj)
-    norms = np.linalg.norm(jac, axis=1)
+    assert np.array_equal(jac, matspace.to_coords(rows))
+    norms = np.linalg.norm(rows, axis=(1, 2))
     assert np.all(np.abs(rows - rows.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-12 * norms)
     assert np.all(np.abs(np.trace(rows, axis1=1, axis2=2)) <= 1e-12 * norms)
 
@@ -396,7 +398,7 @@ def test_gradient_is_the_jacobian_applied_to_the_kinematic_commutator(n, extra, 
     o_t = u.conj().T @ obs @ u
     k = 1j * (rho0 @ o_t - o_t @ rho0)
     g = landscape.gradient(traj, rho0, obs)
-    expected = jac @ matspace._real_rows(k)
+    expected = jac @ matspace.to_coords(k)
     assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
 
     s = np.linalg.svd(jac, compute_uv=False)
