@@ -2,7 +2,8 @@
 
 Exit codes are a stable scripting contract: 0 for success or a passing
 verdict, 1 for a failed verdict or non-convergence, 2 for usage, parse or
-shape errors and for a numerical failure: a guard (node unitarity, the
+shape errors, for a file that cannot be read or written (any ``OSError``)
+and for a numerical failure: a guard (node unitarity, the
 eigendecomposition of mu, a span that is not finite) raised
 ``RuntimeError``, so no verdict exists.
 """
@@ -177,7 +178,8 @@ def _cmd_check(args) -> int:
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     with_gradient = args.rho0 is not None
-    run = landscape._read_pass(sys_obj, field, evolve._unitary_blocks(sys_obj, field), args.stride, with_gradient)
+    blocks = evolve._unitary_blocks(evolve._step_blocks(sys_obj, field))
+    run = landscape._read_pass(sys_obj, field, blocks, args.stride, with_gradient)
     report = run.span
     # The inputs load after the pass, which keeps them out of its peak
     # memory, but before the verdict line: exit 2 prints no verdict.
@@ -319,7 +321,7 @@ def main(argv=None) -> int:
     except steer.NotControllableError as exc:
         print(f"FAILED: {exc}", file=_sys.stderr)
         return EXIT_VERDICT
-    except (FormatError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"ERROR: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

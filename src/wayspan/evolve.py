@@ -12,12 +12,21 @@ so no other exponential is needed.  Row m of the Jacobian J is dt mid_hat_m
 coordinates for every consumer.  Conjugated dipoles ``u† mu u`` are formed
 only by :func:`conjugated_dipole`, for the nodes a span samples.
 
-The node product U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m is taken in one
-place, the block generator :func:`_step_blocks`: it diagonalises and
-exponentiates ``_BLOCK`` steps at a time and continues the product from the
-last node, so a consumer that keeps nothing of a block holds
-O(``_BLOCK`` N^2) whatever M.  :func:`_unitary_blocks` is the one guard on
-its nodes.  ``check`` reads the guarded blocks as they come and keeps neither
+Nodes are multiplied out in this module only, in two places.  The block
+generator :func:`_step_blocks` takes the node product
+U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m: it diagonalises and exponentiates
+``_BLOCK`` steps at a time and continues the product from the last node, so
+a consumer that keeps nothing of a block holds O(``_BLOCK`` N^2) whatever M.
+:func:`_chain` composes a steered chain from its segments' passes,
+U(t, 0) = U(t, t_k) W_k, and takes no step again.  :func:`_unitary_blocks` is
+the one guard on the nodes of either.  The generators h0 - eps mu are real
+symmetric, so the step eigenvectors are real, and the products of the step
+exponentials and of the frames v_m† U_m are taken in real arithmetic
+(``matspace._real_matmul``).  In a sweep over N = 2..32 the frames kept
+the bits of the complex products at every N, and the exponentials at every
+N up to 16.  At N = 17, 18, 21, 22, 25, 26, 29 and 30, BLAS sums the
+exponentials in another order, and their last bit can move.
+``check`` reads the guarded blocks as they come and keeps neither
 nodes nor eigenpairs; :func:`propagate` keeps them, for the commands that
 read them again (``steer``, ``gradient-check``, ``propagate``), and gives
 them back in the same blocks (:meth:`PropagatorTrajectory.blocks`), so one
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import FormatError, float_array, int_field, parse_json, require_key, write_document, write_float_table
-from .matspace import _real_rows, dagger, unitarity_defect
+from .matspace import _real_matmul, _real_rows, dagger, unitarity_defect
 from .model import QuantumSystem
 from .tolerances import GRID_RTOL, TRAJECTORY_TOL
 
@@ -150,11 +159,17 @@ def density_matrix(entries) -> np.ndarray:
 
 def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float) -> tuple[tuple, np.ndarray]:
     """``eig = (w, v)`` of h0 - eps mu for every amplitude of ``values``, and each
-    step's exponential exp(-i dt (h0 - eps mu)) = V diag(exp(-i dt w)) V†.  Every
+    step's exponential exp(-i dt (h0 - eps mu)) = V diag(exp(-i dt w)) Vᵀ.  Every
     step exponential of the package is taken here.
 
-    A generator or a spectrum that is not finite, as when h0 - eps mu
-    overflows, raises ``RuntimeError`` before any step is exponentiated.
+    h0 - eps mu is real symmetric, so V is real, and the product is taken in
+    real arithmetic (``matspace._real_matmul``): as the transpose of
+    V (V diag(e))ᵀ, whose terms v_jk (v_ik e_k) are those of the complex
+    product (V diag(e)) Vᵀ, though BLAS can sum them in another order above
+    N = 16 (see the module docstring).  The exponentials come back as that
+    transposed view.  A generator or a spectrum that is not finite, as when
+    h0 - eps mu overflows, raises ``RuntimeError`` before any step is
+    exponentiated.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gen = sys.h0[None, :, :] - values[:, None, None] * sys.mu[None, :, :]
@@ -164,7 +179,8 @@ def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float) -> tup
     w, v = eig
     if not np.isfinite(w).all():
         raise RuntimeError("step eigenvalues are not finite")
-    return eig, (v * np.exp(-1j * dt * w)[:, None, :]) @ dagger(v)
+    scaled = v * np.exp(-1j * dt * w)[:, None, :]
+    return eig, np.swapaxes(_real_matmul(v, np.swapaxes(scaled, -1, -2)), -1, -2)
 
 
 def _blocks(count: int) -> list[slice]:
@@ -188,47 +204,52 @@ def _step_blocks(sys: QuantumSystem, field: ControlField):
     ``block`` and the nodes U_{block.start} .. U_{block.stop}, U_0 = I exactly.
 
     Each block continues the product from the last node of the one before,
-    U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m; no other code of the package
-    multiplies out nodes.  Nothing is validated.
+    U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m, one ``np.dot`` into each node of
+    the block (a ``matmul`` per step costs more at small N, same bits).
+    Nothing is validated.
     """
     node = np.eye(sys.dim, dtype=complex)
     for block in _blocks(field.steps):
         eig, steps = _step_exponentials(sys, field.values[block], field.dt)
         nodes = np.empty((len(steps) + 1, *node.shape), dtype=complex)
         nodes[0] = node
-        for k, step in enumerate(steps):
-            np.matmul(step, nodes[k], out=nodes[k + 1])
+        views = list(nodes)
+        for step, prev, nxt in zip(steps, views, views[1:]):
+            np.dot(step, prev, out=nxt)
         node = nodes[-1]
         yield block, eig, nodes
 
 
-def _unitary_blocks(sys: QuantumSystem, field: ControlField):
-    """The blocks of :func:`_step_blocks`, each yielded once its new nodes are
-    unitary within ``TRAJECTORY_TOL`` (U_0 = I exactly)."""
-    for block, eig, nodes in _step_blocks(sys, field):
+def _unitary_blocks(blocks):
+    """The blocks of a pass (as :func:`_step_blocks` or :func:`_chain` yields
+    them), each yielded once its new nodes are unitary within
+    ``TRAJECTORY_TOL``: the one unitarity guard of the package."""
+    for block, eig, nodes in blocks:
         defect = float(unitarity_defect(nodes[1:]).max())
         if not defect <= TRAJECTORY_TOL:
             raise RuntimeError(f"propagation lost unitarity: defect {defect:.3e}")
         yield block, eig, nodes
 
 
-def _collect(sys: QuantumSystem, field: ControlField, blocks) -> PropagatorTrajectory:
-    """The pass of ``blocks`` (:func:`_step_blocks`) in whole-field arrays: the
-    M + 1 nodes and the eigenpairs ``(w, v)`` of the M steps."""
+def _collect(sys: QuantumSystem, steps: int, blocks) -> tuple[tuple, np.ndarray]:
+    """The pass of ``blocks`` (:func:`_step_blocks`) over ``steps`` steps in
+    whole-pass arrays: the eigenpairs ``(w, v)`` of the steps and the
+    steps + 1 nodes, U_0 = I exactly."""
     n = sys.dim
-    nodes = np.empty((field.steps + 1, n, n), dtype=complex)
+    nodes = np.empty((steps + 1, n, n), dtype=complex)
     nodes[0] = np.eye(n)
-    w, v = np.empty((field.steps, n)), np.empty((field.steps, n, n))
+    w, v = np.empty((steps, n)), np.empty((steps, n, n))
     for block, eig, block_nodes in blocks:
         w[block], v[block] = eig
         nodes[block.start + 1 : block.stop + 1] = block_nodes[1:]
-    return PropagatorTrajectory(sys=sys, field=field, eig=(w, v), unitaries=nodes)
+    return (w, v), nodes
 
 
 def _final_propagator(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     """The field's step pass under ``sys``, unchecked, whose last node is the
     endpoint U_M: the pass of each line-search trial of ``steer``."""
-    return _collect(sys, field, _step_blocks(sys, field))
+    eig, nodes = _collect(sys, field.steps, _step_blocks(sys, field))
+    return PropagatorTrajectory(sys=sys, field=field, eig=eig, unitaries=nodes)
 
 
 def _step_frames(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,6 +261,10 @@ def _step_frames(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> tu
     1 on the diagonal and at degenerate levels: the mean of e^{i s dt (w_a - w_b)}
     over s in [0, 1].  e^{ix} is the outer product p_a conj(p_b) of the
     per-level phases p = e^{i dt w / 2}, so only M N exponentials are taken.
+    ``v`` and ``mu`` are real, so the coupling is real until Phi, and the
+    frames are taken in real arithmetic (``matspace._real_matmul``), bit for
+    bit the complex product.  ``nodes`` may be any stack, read-only or
+    strided.
     """
     w, v = eig
     vh = dagger(v)
@@ -247,7 +272,7 @@ def _step_frames(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> tu
     p = np.exp(0.5j * dt * w)
     # Phi before the frames, so that its temporaries are gone at the peak.
     phi = np.sinc(x / np.pi) * (p[:, :, None] * p.conj()[:, None, :])
-    return vh @ nodes, (vh @ mu @ v) * phi
+    return _real_matmul(vh, nodes), (vh @ mu @ v) * phi
 
 
 def _mid_hats(dt: float, mu: np.ndarray, eig: tuple, nodes: np.ndarray) -> np.ndarray:
@@ -266,9 +291,40 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     (:func:`_unitary_blocks`) raises ``RuntimeError`` naming that block's
     largest defect, before any later step is taken.
     """
-    traj = _collect(sys, field, _unitary_blocks(sys, field))
-    traj.unitaries.setflags(write=False)
-    return traj
+    eig, nodes = _collect(sys, field.steps, _unitary_blocks(_step_blocks(sys, field)))
+    nodes.setflags(write=False)
+    return PropagatorTrajectory(sys=sys, field=field, eig=eig, unitaries=nodes)
+
+
+def _chain(sys: QuantumSystem, passes, steps: int) -> PropagatorTrajectory:
+    """The trajectory of the step passes ``passes``, ``steps`` steps in all,
+    taken one after the other from U_0 = I: the pass of their concatenated
+    fields, composed from them and guarded (:func:`_unitary_blocks`) as
+    :func:`propagate` guards a pass, with read-only nodes.
+
+    Segment k keeps its eigenpairs, and its nodes are its own times W_k, the
+    chain node where it starts: U(t, 0) = U(t, t_k) W_k.  So the chain node
+    where segment k ends is ``passes[k].unitaries[-1] @ W_k`` bit for bit.
+    No step is taken again; the chain's dt, from the concatenated horizon, can
+    differ from the segments' in its last bits.  Each pass is composed as it
+    comes, so ``passes`` can be a generator that makes the next pass only once
+    the last is composed, and no more than one pass need be held beside the
+    chain's arrays.
+    """
+    fields = []
+
+    def blocks():
+        start, offset = np.eye(sys.dim, dtype=complex), 0
+        for traj in passes:
+            fields.append(traj.field)
+            for block, eig, nodes in traj.blocks():
+                composed = nodes @ start
+                yield slice(offset + block.start, offset + block.stop), eig, composed
+            start, offset = composed[-1], offset + traj.steps
+
+    eig, nodes = _collect(sys, steps, _unitary_blocks(blocks()))
+    nodes.setflags(write=False)
+    return PropagatorTrajectory(sys=sys, field=concat_fields(fields), eig=eig, unitaries=nodes)
 
 
 def conjugated_dipole(u: np.ndarray, mu: np.ndarray) -> np.ndarray:

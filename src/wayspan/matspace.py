@@ -51,6 +51,17 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
+def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a real ``a`` and a complex ``b``, in real arithmetic.
+
+    numpy would cast ``a`` to complex and take a complex product.  Here ``a``
+    multiplies the interleaved [re, im] float view of ``b`` (made contiguous
+    first if it is not), so each entry's real and imaginary parts are the real
+    sums of the complex product without its products by a zero imaginary part.
+    """
+    return (a @ np.ascontiguousarray(b, dtype=complex).view(float)).view(complex)
+
+
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius norm, i.e. the norm induced by the HS inner product.
 

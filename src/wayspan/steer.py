@@ -12,12 +12,12 @@ ends the segment.  The iterates are deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import evolve, reachability
-from .evolve import ControlField, PropagatorTrajectory, concat_fields
+from .evolve import ControlField, PropagatorTrajectory
 from .landscape import VisitRecord, _jacobian, gate_fidelity, waypoint_visits
 from .matspace import assert_unitary, dagger, hs_norm, to_coords
 from .model import QuantumSystem
@@ -96,19 +96,22 @@ class SteerOptions:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """The synthesized field, its fidelity and its endpoint propagator U_M."""
+    """The synthesized field, its fidelity, its endpoint propagator U_M and its
+    step pass ``trajectory``, the last accepted one.  A chain's segments hold
+    None there: the chain's trajectory is composed from their passes."""
 
     field: ControlField
     achieved_fidelity: float
     iterations: int
     converged: bool
     endpoint: np.ndarray
+    trajectory: PropagatorTrajectory | None
 
 
 @dataclass(frozen=True)
 class WaypointSynthesis:
-    """Concatenated field, its propagated trajectory, per-segment results and
-    the visit verification."""
+    """Concatenated field, its trajectory composed from the segments' passes,
+    per-segment results and the visit verification."""
 
     field: ControlField
     trajectory: PropagatorTrajectory
@@ -223,13 +226,14 @@ def _synthesize(
         iterations += 1
         traj, fid = trial_traj, trial_fid
 
-    # A copy, so that a chain's results do not keep every segment's nodes alive.
+    # A copy, so that the endpoint outlives a pass that a chain drops.
     return SynthesisResult(
         field=traj.field,
         achieved_fidelity=fid,
         iterations=iterations,
         converged=fid >= opts.fid_target,
         endpoint=traj.unitaries[-1].copy(),
+        trajectory=traj,
     )
 
 
@@ -275,23 +279,32 @@ def synthesize_through_waypoints(
     first), per the composition U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0);
     anchoring each target to the achieved endpoint keeps per-segment errors
     from compounding across the chain.  The segment fields share one grid
-    and concatenate into a single control whose re-propagated trajectory is
-    verified against the set with phase-invariant visit fidelities.
+    and concatenate into a single control.  Its trajectory is composed from
+    the segments' own passes as they are steered (``evolve._chain``), so it
+    is the trajectory that was steered, with no step taken again.  It passes
+    the unitarity guard of ``evolve.propagate``, which stops the chain at the
+    first segment that fails it, and is verified against the set with
+    phase-invariant visit fidelities.
     """
     _require_controllable(sys)
     if wset.dim != sys.dim:
         raise ValueError(f"dimension mismatch: set {wset.dim} vs system {sys.dim}")
 
     rng = np.random.default_rng(opts.seed)
-    reached = np.eye(sys.dim, dtype=complex)
     segments = []
-    for w in wset.unitaries:
-        target = w @ dagger(reached)
-        result = _synthesize(sys, target, opts, rng, None)
-        segments.append(result)
-        reached = result.endpoint @ reached
 
-    field = concat_fields([s.field for s in segments])
-    traj = evolve.propagate(sys, field)
+    def passes():
+        # Each segment is steered once the chain has composed the one before,
+        # so no more than two segments' passes are alive at a time.
+        reached = np.eye(sys.dim, dtype=complex)
+        for w in wset.unitaries:
+            target = w @ dagger(reached)
+            result = _synthesize(sys, target, opts, rng, None)
+            segments.append(replace(result, trajectory=None))
+            reached = result.endpoint @ reached
+            yield result.trajectory
+
+    steps = len(wset.unitaries) * _segment_steps(sys.dim, opts.steps_per_segment)
+    traj = evolve._chain(sys, passes(), steps)
     visits = waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target)
-    return WaypointSynthesis(field=field, trajectory=traj, segments=tuple(segments), visits=tuple(visits))
+    return WaypointSynthesis(field=traj.field, trajectory=traj, segments=tuple(segments), visits=tuple(visits))

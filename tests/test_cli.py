@@ -106,6 +106,14 @@ class TestValidate:
 
 
 class TestControllability:
+    def test_a_directory_as_the_system_exits_2(self, tmp_path, capsys):
+        # An OSError other than a missing file is reported, not raised: exit 1
+        # is kept for verdicts.
+        assert run("controllability", "--system", tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ERROR: [Errno") and "Is a directory" in captured.err
+        assert captured.out == ""
+
     def test_basis_csv_matches_per_entry_text(self, files, tmp_path):
         csv = tmp_path / "basis.csv"
         assert run("controllability", "--system", files["three"], "--basis-csv", csv) == 0
@@ -173,6 +181,13 @@ class TestWaypoints:
         (tmp_path / "asym.json").write_text(json.dumps({"n": 2, "h0": h0, "mu": np.real(SX).tolist()}))
         assert run("waypoints", "--provenance", "theorem1", "--system", tmp_path / "asym.json", "--out", tmp_path) == 1
         assert capsys.readouterr().err.startswith("INVALID: h0 is not symmetric")
+
+    def test_an_existing_file_as_the_output_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("kept\n")
+        assert run("waypoints", "--n", 3, "--provenance", "theorem3", "--out", tmp_path / "taken") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ERROR: [Errno") and "File exists" in captured.err
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert run("waypoints", "--provenance", "theorem1", "--out", tmp_path) == 2

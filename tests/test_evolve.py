@@ -154,6 +154,46 @@ def test_trajectory_csv(tmp_path, pauli_system):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 24, 32])
+def test_real_products_match_the_complex_formulas(n):
+    # The step eigenvectors are real, and the step exponentials and frames are
+    # taken in real arithmetic.  They agree with the complex formulas within a
+    # few ulps per term of each N-term sum (unitary entries are at most 1).
+    sys_n, field = random_system_and_field(n, 2 * evolve._BLOCK + 5, seed=n)
+    (w, v), steps = evolve._step_exponentials(sys_n, field.values, field.dt)
+    assert v.dtype == np.float64
+    tol = 4 * n * np.finfo(float).eps
+    exact = (v * np.exp(-1j * field.dt * w)[:, None, :]) @ matspace.dagger(v)
+    assert steps.shape == exact.shape and np.abs(steps - exact).max() <= tol
+
+    traj = evolve.propagate(sys_n, field)
+    _, eig, nodes = next(traj.blocks())
+    starts = np.array(traj.unitaries[:-1])
+    stacks = {
+        "contiguous": ((w, v), starts),
+        "read-only": (eig, nodes[:-1]),
+        "strided": ((w[::3], v[::3]), traj.unitaries[:-1:3]),
+        "transposed": ((w, v), np.swapaxes(np.swapaxes(starts, 1, 2).copy(), 1, 2)),
+    }
+    for name, (eig_s, nodes_s) in stacks.items():
+        frames, coupling = evolve._step_frames(field.dt, sys_n.mu, eig_s, nodes_s)
+        exact = matspace.dagger(eig_s[1]) @ nodes_s
+        assert frames.shape == exact.shape and np.abs(frames - exact).max() <= tol, name
+        assert frames.flags.writeable and coupling.shape == exact.shape
+
+
+def test_each_node_is_its_step_times_the_node_before(pauli_system):
+    # The streamed blocks hold the kept nodes, and each node is the product of
+    # its step exponential with the node before it, bit for bit.
+    field = ControlField(horizon=3.0, values=np.linspace(-1.0, 1.0, 2 * evolve._BLOCK + 3))
+    nodes = evolve.propagate(pauli_system, field).unitaries
+    for block, _, block_nodes in evolve._step_blocks(pauli_system, field):
+        steps = evolve._step_exponentials(pauli_system, field.values[block], field.dt)[1]
+        assert np.array_equal(block_nodes, nodes[block.start : block.stop + 1])
+        for k, step in enumerate(steps):
+            assert np.array_equal(block_nodes[k + 1], np.ascontiguousarray(step) @ block_nodes[k])
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 50, 51])
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))

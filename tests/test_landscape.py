@@ -678,7 +678,7 @@ class TestStreamedCheck:
         rng = np.random.default_rng(stride)
         rho0 = random_density(3, rng)
         obs = random_traceless_symmetric(3, rng)
-        run = landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), stride, True)
+        run = landscape._read_pass(sys_n, field, evolve._unitary_blocks(evolve._step_blocks(sys_n, field)), stride, True)
         traj = evolve.propagate(sys_n, field)
         kept = landscape.trajectory_independence(traj, stride)
         assert np.array_equal(run.endpoint, traj.unitaries[-1])
@@ -699,7 +699,7 @@ class TestStreamedCheck:
 
         spoil_last_block(monkeypatch, "_step_exponentials", field.steps, spoil)
         with pytest.raises(RuntimeError, match="propagation lost unitarity"):
-            landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), 1)
+            landscape._read_pass(sys_n, field, evolve._unitary_blocks(evolve._step_blocks(sys_n, field)), 1)
         # Only the first block's samples, its nodes 0..BLOCK, were added.
         assert folded == [evolve._BLOCK + 1]
 
@@ -714,7 +714,7 @@ def test_streamed_check_memory_is_flat_in_the_step_count(jacobian):
         sys_n, field = random_system_and_field(n, steps, 5)
         tracemalloc.start()
         try:
-            landscape._read_pass(sys_n, field, evolve._unitary_blocks(sys_n, field), 1, jacobian)
+            landscape._read_pass(sys_n, field, evolve._unitary_blocks(evolve._step_blocks(sys_n, field)), 1, jacobian)
             peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

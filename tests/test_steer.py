@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,9 +16,12 @@ from conftest import (
 )
 from wayspan import evolve, landscape, reachability, steer, waypoints
 from wayspan.evolve import ControlField
+from wayspan.matspace import dagger
 from wayspan.model import QuantumSystem
 from wayspan.steer import NotControllableError, SteerOptions
 from wayspan.tolerances import ARMIJO, RANK_TOL
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -135,13 +140,58 @@ def test_chain_through_quadruple_set(pauli_system, opts):
     assert landscape.trajectory_independence(traj).full
 
 
-def test_synthesis_carries_the_propagated_trajectory(pauli_system, opts):
-    wset = waypoints.theorem1_waypoints(pauli_system.mu)
+@pytest.mark.parametrize("provenance, segment_time", [("theorem1", 5.0), ("theorem3", 2.9)])
+def test_synthesis_carries_its_composed_segment_passes(pauli_system, opts, monkeypatch, tmp_path, provenance, segment_time):
+    # The chain's trajectory is composed from the segments' own passes, not
+    # propagated again.  Over the 10 segments of 2.9 the concatenated field's
+    # dt is off the segments' dt in its last bits; over the 4 of 5.0 it is not.
+    opts = dataclasses.replace(opts, segment_time=segment_time)
+    targets, real_synthesize = [], steer._synthesize
+
+    def recorded(sys_, target, *args):
+        targets.append(target)
+        return real_synthesize(sys_, target, *args)
+
+    monkeypatch.setattr(steer, "_synthesize", recorded)
+    wset = waypoints.theorem1_waypoints(pauli_system.mu) if provenance == "theorem1" else waypoints.theorem3_waypoints(2)
     synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
-    traj = evolve.propagate(pauli_system, synthesis.field)
-    assert np.array_equal(synthesis.trajectory.unitaries, traj.unitaries)
-    assert synthesis.trajectory.sys is pauli_system and synthesis.trajectory.field is synthesis.field
-    assert synthesis.visits == tuple(landscape.waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target))
+    assert synthesis.all_visited
+    chain, segments, steps = synthesis.trajectory, synthesis.segments, opts.steps_per_segment
+    assert chain.sys is pauli_system and chain.field is synthesis.field
+    assert not chain.unitaries.flags.writeable
+
+    # The targets, and so the segment fields and field.json, are those of the
+    # running product of the endpoints; the chain's boundary nodes are that
+    # product bit for bit.
+    evolve.save_field(synthesis.field, tmp_path / "chain.json")
+    evolve.save_field(evolve.concat_fields([s.field for s in segments]), tmp_path / "segments.json")
+    assert (tmp_path / "chain.json").read_bytes() == (tmp_path / "segments.json").read_bytes()
+    reached = np.eye(2, dtype=complex)
+    for k, (w, target, seg) in enumerate(zip(wset.unitaries, targets, segments, strict=True)):
+        assert target.tobytes() == (w @ dagger(reached)).tobytes()
+        assert chain.unitaries[k * steps].tobytes() == reached.tobytes()
+        assert seg.trajectory is None
+        reached = seg.endpoint @ reached
+    assert chain.unitaries[-1].tobytes() == reached.tobytes()
+
+    # A fresh pass of the concatenated field differs by round-off: about N eps
+    # per node product, and the phase error of its dt against the segments' dt,
+    # |ddt| max|w| per step.
+    fresh = evolve.propagate(pauli_system, synthesis.field)
+    assert all(np.array_equal(a, b) for a, b in zip(chain.eig, fresh.eig))
+    ddt = abs(synthesis.field.dt - segments[0].field.dt)
+    assert (ddt > 0.0) == (provenance == "theorem3")
+    w_max = float(np.abs(chain.eig[0]).max())
+    bound = chain.steps * (8 * chain.dim * EPS + ddt * w_max)
+    assert np.abs(chain.unitaries - fresh.unitaries).max() <= bound
+
+    fid_tol = 1.0 - opts.fid_target
+    assert synthesis.visits == tuple(landscape.waypoint_visits(chain, wset, fid_tol=fid_tol))
+    again = landscape.waypoint_visits(fresh, wset, fid_tol=fid_tol)
+    assert [(v.index, v.step, v.visited) for v in synthesis.visits] == [(v.index, v.step, v.visited) for v in again]
+    # For f = |Tr(W† U)|^2 / N^2, |f(U) - f(U')| <= 2 ||U - U'||_F / sqrt(N),
+    # at most 2 N max|U - U'|.
+    assert max(abs(a.fidelity - b.fidelity) for a, b in zip(synthesis.visits, again)) <= 2.0 * chain.dim * bound
 
 
 def test_concatenated_field_reproduces_segment_boundaries(pauli_system, opts):
@@ -227,7 +277,10 @@ def test_result_endpoint_is_the_final_propagator_of_its_field(pauli_system, opts
     iterated = steer.synthesize_to_target(pauli_system, swap, opts)
     assert iterated.iterations > 0
     for result in (converged_at_start, iterated):
-        assert np.array_equal(result.endpoint, evolve._final_propagator(pauli_system, result.field).unitaries[-1])
+        fresh = evolve._final_propagator(pauli_system, result.field)
+        assert np.array_equal(result.endpoint, fresh.unitaries[-1])
+        assert result.trajectory.field is result.field
+        assert np.array_equal(result.trajectory.unitaries, fresh.unitaries)
 
 
 def test_chain_computes_no_endpoint_twice(pauli_system, opts, monkeypatch):
