@@ -12,7 +12,7 @@ ends the segment.  The iterates are deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,16 +96,13 @@ class SteerOptions:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """The synthesized field, its fidelity, its endpoint propagator U_M and its
-    step pass ``trajectory``, the last accepted one.  A chain's segments hold
-    None there: the chain's trajectory is composed from their passes."""
+    """The synthesized field, its fidelity and its endpoint propagator U_M."""
 
     field: ControlField
     achieved_fidelity: float
     iterations: int
     converged: bool
     endpoint: np.ndarray
-    trajectory: PropagatorTrajectory | None
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,10 @@ def _synthesize(
     opts: SteerOptions,
     rng: np.random.Generator,
     initial: ControlField | None,
+    keep: list[PropagatorTrajectory] | None = None,
 ) -> SynthesisResult:
+    """One segment's synthesis; ``keep``, when given, receives its last
+    accepted step pass, from which a chain composes its trajectory."""
     # Canonical phase representative, so that phase-shifted copies of one target
     # give bit-identical iterates: the first row-major entry within PIVOT_RTOL of
     # the largest magnitude (near-ties pick the same pivot) is made real and
@@ -226,6 +226,8 @@ def _synthesize(
         iterations += 1
         traj, fid = trial_traj, trial_fid
 
+    if keep is not None:
+        keep.append(traj)
     # A copy, so that the endpoint outlives a pass that a chain drops.
     return SynthesisResult(
         field=traj.field,
@@ -233,7 +235,6 @@ def _synthesize(
         iterations=iterations,
         converged=fid >= opts.fid_target,
         endpoint=traj.unitaries[-1].copy(),
-        trajectory=traj,
     )
 
 
@@ -297,12 +298,13 @@ def synthesize_through_waypoints(
         # Each segment is steered once the chain has composed the one before,
         # so no more than two segments' passes are alive at a time.
         reached = np.eye(sys.dim, dtype=complex)
+        kept = []
         for w in wset.unitaries:
             target = w @ dagger(reached)
-            result = _synthesize(sys, target, opts, rng, None)
-            segments.append(replace(result, trajectory=None))
+            result = _synthesize(sys, target, opts, rng, None, kept)
+            segments.append(result)
             reached = result.endpoint @ reached
-            yield result.trajectory
+            yield kept.pop()
 
     steps = len(wset.unitaries) * _segment_steps(sys.dim, opts.steps_per_segment)
     traj = evolve._chain(sys, passes(), steps)

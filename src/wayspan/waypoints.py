@@ -42,7 +42,7 @@ from ._fmt import (
     require_key,
     write_document,
 )
-from .matspace import _real_matmul, assert_hermitian_zt, dagger, embed_2x2, hs_norm, unitarity_defect
+from .matspace import assert_hermitian_zt, dagger, embed_2x2, hs_norm, unitarity_defect
 from .tolerances import (
     EIGH_RESIDUAL_RTOL,
     LEMMA1_DET_THRESHOLD,
@@ -215,16 +215,9 @@ def theorem1_waypoints(mu: np.ndarray) -> WaypointSet:
     col = np.arange(1, n + 1)
     perm = np.where(col == i, 0, np.where(col == j, n - 1, col - (col > i) - (col > j)))
     base = np.moveaxis(q[:, perm], 1, 0)[:, None]
-    factors = embed_2x2(np.array([_SWAP, _ROTATE, _PHASE]), i, j, n)
-    # A real mu gets real eigenvectors (zero imaginary parts), and then the
-    # products are taken in real arithmetic, bit for bit the complex ones.
-    if not q.imag.any():
-        products = _real_matmul(np.moveaxis(q.real[:, perm], 1, 0)[:, None], factors)
-    else:
-        products = base @ factors
     # The identity factor is the base itself: a product with it could turn a
     # -0.0 of the base into +0.0.
-    quads = np.concatenate([base, products], axis=1)
+    quads = np.concatenate([base, base @ embed_2x2(np.array([_SWAP, _ROTATE, _PHASE]), i, j, n)], axis=1)
 
     return WaypointSet(
         dim=n,

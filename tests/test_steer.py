@@ -170,7 +170,6 @@ def test_synthesis_carries_its_composed_segment_passes(pauli_system, opts, monke
     for k, (w, target, seg) in enumerate(zip(wset.unitaries, targets, segments, strict=True)):
         assert target.tobytes() == (w @ dagger(reached)).tobytes()
         assert chain.unitaries[k * steps].tobytes() == reached.tobytes()
-        assert seg.trajectory is None
         reached = seg.endpoint @ reached
     assert chain.unitaries[-1].tobytes() == reached.tobytes()
 
@@ -279,8 +278,13 @@ def test_result_endpoint_is_the_final_propagator_of_its_field(pauli_system, opts
     for result in (converged_at_start, iterated):
         fresh = evolve._final_propagator(pauli_system, result.field)
         assert np.array_equal(result.endpoint, fresh.unitaries[-1])
-        assert result.trajectory.field is result.field
-        assert np.array_equal(result.trajectory.unitaries, fresh.unitaries)
+    # The pass a segment hands to a chain is the last accepted one, of its field.
+    kept = []
+    result = steer._synthesize(pauli_system, swap, opts, np.random.default_rng(opts.seed), None, kept)
+    (traj,) = kept
+    assert traj.field is result.field
+    assert np.array_equal(traj.unitaries, evolve._final_propagator(pauli_system, result.field).unitaries)
+    assert np.array_equal(result.endpoint, iterated.endpoint)
 
 
 def test_chain_computes_no_endpoint_twice(pauli_system, opts, monkeypatch):

@@ -94,19 +94,6 @@ def test_batched_theorem1_matches_the_per_pair_loop(n, make, rng):
     assert wset.pair_index == index
 
 
-@pytest.mark.parametrize("n", [2, 5, 24])
-@pytest.mark.parametrize("make", [random_traceless_symmetric, random_traceless_hermitian])
-def test_theorem1_keeps_the_bits_of_the_complex_products(n, make, rng):
-    # A real mu gets real eigenvectors, whose products with the factors are
-    # taken in real arithmetic: the same bits, signed zeros included, as the
-    # complex products of the per-pair loop.  A complex mu takes those.
-    mu = make(n, rng)
-    q = np.linalg.eigh(np.asarray(mu, dtype=complex))[1]
-    assert (not q.imag.any()) == (make is random_traceless_symmetric)
-    unitaries, _ = reference_theorem1(mu)
-    assert np.array_equal(_bits(waypoints.theorem1_waypoints(mu).unitaries), _bits(unitaries))
-
-
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("grid", [None, ThetaGrid(np.array([0.1, 0.9, 2.0, 3.3, 4.7]))])
 def test_batched_theorem3_matches_the_per_pair_loop_bit_for_bit(n, grid):
