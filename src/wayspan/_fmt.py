@@ -69,6 +69,10 @@ def write_text(target, text: str) -> None:
 INDENT = "  "
 # Values per streamed block; a block holds whole rows of the leading axis.
 BLOCK_FLOATS = 1 << 16
+# 2^64 over the golden ratio, made odd (Knuth's multiplicative hashing): a
+# product with an odd multiple of it carries low-bit differences into the
+# high bits of a sort key (:func:`_leaf_texts`).
+_SPREAD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def canonical_dumps(doc) -> str:
@@ -79,10 +83,18 @@ def canonical_dumps(doc) -> str:
 
 
 def write_document(target, doc) -> None:
-    """Write ``doc`` as canonical JSON to a path or a file-like object."""
-    plan = _plan(doc)
-    with _opened(target) as fh:
-        _emit(fh, plan)
+    """Write ``doc`` as canonical JSON to a path or a file-like object.
+
+    A path is opened in binary and takes the same chunks, encoded.
+    """
+    chunks = _chunks(_plan(doc), 0)
+    if hasattr(target, "write"):
+        target.writelines(chunks)
+        target.write("\n")
+        return
+    with open(target, "wb") as fh:
+        fh.writelines(chunk.encode() for chunk in chunks)
+        fh.write(b"\n")
 
 
 def write_float_table(target, table, header=None) -> None:
@@ -112,30 +124,39 @@ def write_float_table(target, table, header=None) -> None:
         fh.write("\n")
 
 
-def _emit(fh, plan) -> None:
-    fh.writelines(_chunks(plan, 0))
-    fh.write("\n")
+def _plan(obj, level: int = 0):
+    """Validate ``obj``, whose opening bracket is at indent ``level``, and
+    write every part of it that holds no streamed array.
 
-
-def _plan(obj):
-    """Validate ``obj`` and encode its scalars; streamed arrays are kept as is.
-
-    An object or a list becomes ``(brackets, [(prefix, child), ...])``, with
-    an object's keys encoded into the prefixes in sorted order, and every
-    other leaf becomes its final text, so writing the plan cannot fail.
+    Scalars become their final text.  An object or a list becomes its text
+    too unless a streamed array lies below it; then it stays a node
+    ``(brackets, [(prefix, child), ...])``, with an object's keys encoded
+    into the prefixes in sorted order.  Writing the plan cannot fail.
     """
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be str, not {type(key).__name__}")
-        return "{}", [(json.dumps(key) + ": ", _plan(obj[key])) for key in sorted(obj)]
+        return _node("{}", [(json.dumps(key) + ": ", _plan(obj[key], level + 1)) for key in sorted(obj)], level)
     if isinstance(obj, (list, tuple)):
-        return "[]", [("", _plan(item)) for item in obj]
+        return _node("[]", [("", _plan(item, level + 1)) for item in obj], level)
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
             return obj
-        return _plan(obj.tolist())
+        return _plan(obj.tolist(), level)
+    if type(obj) is int:
+        return int.__repr__(obj)
     return json.dumps(obj)
+
+
+def _node(brackets: str, items: list, level: int):
+    """A planned object or list at indent ``level``: its text when every child is text."""
+    if not items:
+        return brackets
+    if not all(isinstance(child, str) for _, child in items):
+        return brackets, items
+    inner = "\n" + INDENT * (level + 1)
+    return brackets[0] + inner + ("," + inner).join([prefix + child for prefix, child in items]) + "\n" + INDENT * level + brackets[1]
 
 
 def _chunks(node, level: int):
@@ -147,9 +168,6 @@ def _chunks(node, level: int):
         yield from _array_chunks(node, level)
         return
     brackets, items = node
-    if not items:
-        yield brackets
-        return
     inner = "\n" + INDENT * (level + 1)
     sep = brackets[0] + inner
     for prefix, child in items:
@@ -171,54 +189,76 @@ def _template(shape: tuple, level: int) -> str:
 def _array_chunks(a: np.ndarray, level: int):
     """A non-empty float array's text, streamed in blocks along its leading axis.
 
-    The row template splits at its ``%s`` slots into ``parts``; every value is
-    followed by the separator after its slot, which for a row's last value
-    also closes the row and opens the next, and a block is one join of its
-    value texts interleaved with those separators.
+    The unit of the text is a leaf: an innermost row, or one value of a 1-D
+    array.  The template of a leading-axis row splits at its leaf slots into
+    ``parts``, and the separator after a leaf depends only on its slot.
+    When all slots have one separator (arrays of one or two dimensions) it
+    joins the pieces; otherwise each piece ends with its own.  A piece
+    template, the leaf's template and what it carries of its separator, is
+    the leaf's kind.  The array's last leaf carries nothing: ``parts[-1]``,
+    which closes its row, follows with the closing bracket.  A block is one
+    join of its pieces, one per leaf, from :func:`_leaf_texts`.
     """
     inner = "\n" + INDENT * (level + 1)
-    parts = _template(a.shape[1:], level + 1).split("%s")
-    width = len(parts) - 1
-    rows = max(1, BLOCK_FLOATS // width)
-    seps = (parts[1:-1] + [parts[-1] + "," + inner + parts[0]]) * min(rows, len(a))
-    pieces = [None] * (2 * len(seps))
-    pieces[1::2] = seps
+    leaf_axes = min(a.ndim - 1, 1)
+    width = a.shape[-1] if leaf_axes else 1
+    leaf = _template(a.shape[a.ndim - leaf_axes :], level + a.ndim - leaf_axes)
+    parts = _template(a.shape[1 : a.ndim - leaf_axes], level + 1).split("%s")
+    seps = parts[1:-1] + [parts[-1] + "," + inner + parts[0]]
+    joiner = seps[0] if len(set(seps)) == 1 else ""
+    index: dict = {}
+    kind = [index.setdefault(leaf + sep[len(joiner) :], len(index)) for sep in seps + [joiner]]
+    rows = max(1, BLOCK_FLOATS // (len(seps) * width))
+    kinds = np.tile(np.array(kind[:-1], dtype=np.uint64), min(rows, len(a)))
     yield "[" + inner + parts[0]
     for start in range(0, len(a), rows):
-        texts = _value_texts(a[start : start + rows])
-        if start + rows >= len(a):
-            del pieces[2 * len(texts) :]
-            pieces[-1] = parts[-1]
-        pieces[::2] = texts
-        yield "".join(pieces)
-    yield "\n" + INDENT * level + "]"
+        block = a[start : start + rows].reshape(-1, width)
+        last = start + rows >= len(a)
+        block_kinds = kinds[: len(block)].copy() if last else kinds[: len(block)]
+        block_kinds[-1] = kind[-1] if last else block_kinds[-1]
+        yield joiner.join(_leaf_texts(np.ascontiguousarray(block.T), list(index), block_kinds))
+        yield "" if last else joiner
+    yield parts[-1] + "\n" + INDENT * level + "]"
 
 
-def _value_texts(block: np.ndarray) -> list:
-    """``float.__repr__`` of every value in C order, formatted once per run of
-    equal bit patterns.
+def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list:
+    """``templates[kinds[r]] % tuple(columns[:, r])`` for every leaf r of a
+    block, given as the (width, n) float array ``columns`` of its values,
+    formatted once per run of equal kind and bit pattern.
 
-    Way-point sets repeat few values (zeros and ones of the identity
-    embedding, shared eigenvector entries): the Theorem 1 set at N = 24
-    has 673 distinct ones among 1,271,808, so formatting only those removes
-    most of the writer's cost.  The runs come from one plain sort: each
-    key is a value's bit pattern with its low bits replaced by its
-    position, so after the sort equal values are adjacent unless values
-    that differ only in those low bits interleave.  Runs are cut wherever
-    the full bit patterns of neighbours differ, which keeps every text
-    exact; such an interleaving only formats a value more than once.
+    Way-point sets repeat few entries (zeros and ones of the identity
+    embedding, shared eigenvector entries): the Theorem 1 set at N = 24 has
+    672 distinct [re, im] pairs among 635,904, so formatting only those
+    removes most of the writer's cost.  The runs come from one plain sort of
+    a key per leaf: a hash of its bit pattern, and of its kind if there are
+    several, with the low bits replaced by the leaf's position.  Equal leaves
+    of a kind are then adjacent unless leaves whose keys differ only in
+    those low bits interleave.  Runs are cut wherever the full patterns of
+    neighbours differ, which keeps every text exact; a shared key only
+    formats a leaf more than once.
     """
-    bits = block.ravel().view(np.uint64)
-    shift = (len(bits) - 1).bit_length()
-    low = (1 << shift) - 1
-    keys = bits & ~np.uint64(low) | np.arange(len(bits), dtype=np.uint64)
+    bits = columns.view(np.uint64)
+    if len(templates) > 1:
+        bits = np.vstack([bits, kinds])
+    n = bits.shape[1]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    mix = np.arange(1, 2 * len(bits), 2, dtype=np.uint64)[:, None] * _SPREAD
+    keys = np.bitwise_xor.reduce(bits * mix, axis=0) & ~low | np.arange(n, dtype=np.uint64)
     order = (np.sort(keys) & low).astype(np.intp)
-    sorted_bits = bits[order]
-    new_run = np.empty(len(bits), dtype=bool)
+    sorted_bits = np.take(bits, order, axis=1)
+    new_run = np.empty(n, dtype=bool)
     new_run[0] = True
-    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=new_run[1:])
-    texts = np.array(list(map(float.__repr__, sorted_bits[new_run].view(np.float64).tolist())), dtype=object)
-    run = np.empty(len(bits), dtype=np.intp)
+    np.any(sorted_bits[:, 1:] != sorted_bits[:, :-1], axis=0, out=new_run[1:])
+    first = order[new_run]
+    texts = np.empty(len(first), dtype=object)
+    for k, template in enumerate(templates):
+        pick = slice(None) if len(templates) == 1 else kinds[first] == k
+        values = np.take(columns, first[pick], axis=1).tolist()
+        if template == "%s":  # a value of a 1-D array: ``%`` would only parse the template
+            texts[pick] = list(map(float.__repr__, values[0]))
+        else:
+            texts[pick] = list(map(template.__mod__, values[0] if len(values) == 1 else zip(*values)))
+    run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new_run) - 1
     return texts[run].tolist()
 

@@ -152,8 +152,10 @@ def _cmd_waypoints(args) -> int:
         print("no system given: set emitted without spanning verdict")
         return EXIT_OK
 
-    hats = evolve.conjugated_dipole(wset.unitaries, sys_obj.mu)
-    report = landscape.spanning_rank(hats)
+    span = landscape._SpanAccumulator(wset.dim)
+    for block in evolve._blocks(len(wset)):
+        span.add(matspace.to_coords(evolve.conjugated_dipole(wset.unitaries[block], sys_obj.mu)))
+    report = span.report()
     landscape.save_span_report(report, out / "span.txt")
     print(f"spanning verdict: {report.verdict}")
     return EXIT_OK if report.full else EXIT_VERDICT

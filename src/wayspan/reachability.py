@@ -119,18 +119,25 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
         return cand
 
     def accept(cand: np.ndarray, p: int) -> bool:
-        # The unit element joins its class's coordinates and, unpacked, its row.
+        # The unit element joins its class's coordinates; unpack writes its row.
         norm = math.sqrt(cand @ cand)
         if norm <= RANK_RTOL:
             return False
         cls = p % 2
-        upper = np.divide(cand, norm, out=coords[cls][count[cls]]) / weight[cls]
+        np.divide(cand, norm, out=coords[cls][count[cls]])
         slots.append(offset[cls] + count[cls])
         powers.append(p % 4)
-        rows[slots[-1], pick[cls]] = upper
-        rows[slots[-1], mirror[cls]] = upper if cls else -upper
         count[cls] += 1
         return True
+
+    def unpack(first: int) -> None:
+        # The rows of the elements accepted from index ``first`` on, from their coordinates.
+        accepted, cls_of = np.array(slots[first:], dtype=np.intp), np.array(powers[first:], dtype=np.intp) % 2
+        for cls in (0, 1):
+            at = accepted[cls_of == cls, None]
+            upper = coords[cls][at[:, 0] - offset[cls]] / weight[cls]
+            rows[at, pick[cls]] = upper
+            rows[at, mirror[cls]] = upper if cls else -upper
 
     new: list[int] = []
     for gen in (h0, mu):
@@ -139,6 +146,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
             cand = (gen / norm).reshape(full)[pick[1]] * weight[1]
             if accept(project(cand, coords[1][: count[1]]), 1):
                 new.append(len(slots) - 1)
+    unpack(0)
 
     stack = rows.reshape(full, n, n)
     while new and len(slots) < full:
@@ -167,6 +175,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
             # after the block step is rejected as it stands.  The others are
             # taken in schedule order against the elements accepted earlier in
             # the batch.
+            first = len(slots)
             for k in np.flatnonzero(norms > RANK_RTOL):
                 cls, cand = p[k] % 2, cands[k]
                 if count[cls] == size[cls]:
@@ -181,6 +190,8 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
                         project(cand, coords[cls][: count[cls]])
                 if accept(cand, int(p[k])):
                     next_new.append(len(slots) - 1)
+            # No batch of this round reads the rows of elements accepted in it.
+            unpack(first)
             if len(slots) >= full:
                 break
         new = next_new

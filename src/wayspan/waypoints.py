@@ -216,8 +216,10 @@ def theorem1_waypoints(mu: np.ndarray) -> WaypointSet:
     perm = np.where(col == i, 0, np.where(col == j, n - 1, col - (col > i) - (col > j)))
     base = np.moveaxis(q[:, perm], 1, 0)[:, None]
     # The identity factor is the base itself: a product with it could turn a
-    # -0.0 of the base into +0.0.
-    quads = np.concatenate([base, base @ embed_2x2(np.array([_SWAP, _ROTATE, _PHASE]), i, j, n)], axis=1)
+    # -0.0 of the base into +0.0.  The set is built in place.
+    quads = np.empty((len(base), 4, n, n), dtype=complex)
+    quads[:, :1] = base
+    np.matmul(base, embed_2x2(np.array([_SWAP, _ROTATE, _PHASE]), i, j, n), out=quads[:, 1:])
 
     return WaypointSet(
         dim=n,
