@@ -6,16 +6,15 @@ the same document with each array replaced by its ``.tolist()``:
 
 * objects have string keys, written in sorted order, and an empty object
   or list is ``{}`` or ``[]``;
-* every other scalar is written by the ``json`` module, so floats use
-  Python's shortest round-trip ``repr`` and a saved document reloads
-  bit-exactly;
+* every other scalar is written by the ``json`` module (an exact ``int``
+  by ``int.__repr__``, as there), so floats use Python's shortest
+  round-trip ``repr`` and a saved document reloads bit-exactly;
 * a finite, non-empty float64 ``ndarray`` of at least one dimension is
   written from its buffer, its leading axis streamed to the target in
   blocks, so neither the nested lists nor the whole text is ever held.
-  The row template is split once at its value slots into the fixed indent
-  separators; each distinct value of a block goes through
-  ``float.__repr__`` once, and the block is one ``"".join`` of its value
-  texts interleaved with the separators;
+  Its unit is a leaf, an innermost row (a complex entry's ``[re, im]``) or
+  a value of a 1-D array, with the separator after it: each distinct leaf
+  of a block is formatted once, and the block is one join of its leaves;
 * any other array (non-finite, non-float64, empty or 0-d) is written
   through its ``.tolist()`` by the ``json`` path, keeping its
   ``NaN``/``Infinity`` tokens.
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -69,9 +69,7 @@ def write_text(target, text: str) -> None:
 INDENT = "  "
 # Values per streamed block; a block holds whole rows of the leading axis.
 BLOCK_FLOATS = 1 << 16
-# 2^64 over the golden ratio, made odd (Knuth's multiplicative hashing): a
-# product with an odd multiple of it carries low-bit differences into the
-# high bits of a sort key (:func:`_leaf_texts`).
+# Knuth's multiplicative hash, 2^64 / golden ratio (odd), for :func:`_leaf_texts`.
 _SPREAD = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -83,18 +81,12 @@ def canonical_dumps(doc) -> str:
 
 
 def write_document(target, doc) -> None:
-    """Write ``doc`` as canonical JSON to a path or a file-like object.
-
-    A path is opened in binary and takes the same chunks, encoded.
-    """
-    chunks = _chunks(_plan(doc), 0)
+    """Write ``doc`` as canonical JSON to a path (in binary) or a file-like object."""
+    chunks = itertools.chain(_chunks(_plan(doc), 0), ["\n"])
     if hasattr(target, "write"):
-        target.writelines(chunks)
-        target.write("\n")
-        return
+        return target.writelines(chunks)
     with open(target, "wb") as fh:
         fh.writelines(chunk.encode() for chunk in chunks)
-        fh.write(b"\n")
 
 
 def write_float_table(target, table, header=None) -> None:
@@ -125,38 +117,27 @@ def write_float_table(target, table, header=None) -> None:
 
 
 def _plan(obj, level: int = 0):
-    """Validate ``obj``, whose opening bracket is at indent ``level``, and
-    write every part of it that holds no streamed array.
-
-    Scalars become their final text.  An object or a list becomes its text
-    too unless a streamed array lies below it; then it stays a node
-    ``(brackets, [(prefix, child), ...])``, with an object's keys encoded
-    into the prefixes in sorted order.  Writing the plan cannot fail.
-    """
+    """Validate ``obj``, opened at indent ``level``, and write every part of it
+    that holds no streamed array; the others stay nodes ``(brackets, [(prefix,
+    child), ...])``, keys encoded into the prefixes in sorted order."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
+            return obj
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be str, not {type(key).__name__}")
-        return _node("{}", [(json.dumps(key) + ": ", _plan(obj[key], level + 1)) for key in sorted(obj)], level)
-    if isinstance(obj, (list, tuple)):
-        return _node("[]", [("", _plan(item, level + 1)) for item in obj], level)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
-            return obj
-        return _plan(obj.tolist(), level)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    return json.dumps(obj)
-
-
-def _node(brackets: str, items: list, level: int):
-    """A planned object or list at indent ``level``: its text when every child is text."""
-    if not items:
-        return brackets
-    if not all(isinstance(child, str) for _, child in items):
-        return brackets, items
-    inner = "\n" + INDENT * (level + 1)
-    return brackets[0] + inner + ("," + inner).join([prefix + child for prefix, child in items]) + "\n" + INDENT * level + brackets[1]
+        node = "{}", [(json.dumps(key) + ": ", _plan(obj[key], level + 1)) for key in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        node = "[]", [("", _plan(item, level + 1)) for item in obj]
+    else:
+        return json.dumps(obj)
+    if not node[1]:
+        return node[0]
+    return "".join(_chunks(node, level)) if all(isinstance(child, str) for _, child in node[1]) else node
 
 
 def _chunks(node, level: int):
@@ -172,7 +153,7 @@ def _chunks(node, level: int):
     sep = brackets[0] + inner
     for prefix, child in items:
         yield sep + prefix
-        yield from _chunks(child, level + 1)
+        yield from (child,) if isinstance(child, str) else _chunks(child, level + 1)
         sep = "," + inner
     yield "\n" + INDENT * level + brackets[1]
 
@@ -189,15 +170,11 @@ def _template(shape: tuple, level: int) -> str:
 def _array_chunks(a: np.ndarray, level: int):
     """A non-empty float array's text, streamed in blocks along its leading axis.
 
-    The unit of the text is a leaf: an innermost row, or one value of a 1-D
-    array.  The template of a leading-axis row splits at its leaf slots into
-    ``parts``, and the separator after a leaf depends only on its slot.
-    When all slots have one separator (arrays of one or two dimensions) it
-    joins the pieces; otherwise each piece ends with its own.  A piece
-    template, the leaf's template and what it carries of its separator, is
-    the leaf's kind.  The array's last leaf carries nothing: ``parts[-1]``,
-    which closes its row, follows with the closing bracket.  A block is one
-    join of its pieces, one per leaf, from :func:`_leaf_texts`.
+    The template of a leading-axis row splits at its leaf slots into
+    ``parts``.  The separator after a leaf depends on its slot: it is the
+    joiner of the pieces when all slots share it (one or two dimensions),
+    else the piece's own.  A leaf's kind is its piece template; the array's
+    last leaf carries no separator, ``parts[-1]`` closes it.
     """
     inner = "\n" + INDENT * (level + 1)
     leaf_axes = min(a.ndim - 1, 1)
@@ -213,29 +190,23 @@ def _array_chunks(a: np.ndarray, level: int):
     yield "[" + inner + parts[0]
     for start in range(0, len(a), rows):
         block = a[start : start + rows].reshape(-1, width)
-        last = start + rows >= len(a)
-        block_kinds = kinds[: len(block)].copy() if last else kinds[: len(block)]
-        block_kinds[-1] = kind[-1] if last else block_kinds[-1]
+        block_kinds = kinds[: len(block)]
+        if start + rows >= len(a):
+            block_kinds = np.append(block_kinds[:-1], np.uint64(kind[-1]))
+        if start:
+            yield joiner
         yield joiner.join(_leaf_texts(np.ascontiguousarray(block.T), list(index), block_kinds))
-        yield "" if last else joiner
     yield parts[-1] + "\n" + INDENT * level + "]"
 
 
 def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list:
-    """``templates[kinds[r]] % tuple(columns[:, r])`` for every leaf r of a
-    block, given as the (width, n) float array ``columns`` of its values,
-    formatted once per run of equal kind and bit pattern.
+    """``templates[kinds[r]] % tuple(columns[:, r])`` for each leaf r of a block,
+    formatted once per run of equal kind and bit pattern: the Theorem 1 set at
+    N = 24 has 672 distinct [re, im] pairs among 635,904.
 
-    Way-point sets repeat few entries (zeros and ones of the identity
-    embedding, shared eigenvector entries): the Theorem 1 set at N = 24 has
-    672 distinct [re, im] pairs among 635,904, so formatting only those
-    removes most of the writer's cost.  The runs come from one plain sort of
-    a key per leaf: a hash of its bit pattern, and of its kind if there are
-    several, with the low bits replaced by the leaf's position.  Equal leaves
-    of a kind are then adjacent unless leaves whose keys differ only in
-    those low bits interleave.  Runs are cut wherever the full patterns of
-    neighbours differ, which keeps every text exact; a shared key only
-    formats a leaf more than once.
+    One sort of a hash of each leaf's bits (and kind, if there are several),
+    its low bits replaced by the leaf's position, finds the runs, cut wherever
+    neighbours' full patterns differ: leaves that share a key format apart.
     """
     bits = columns.view(np.uint64)
     if len(templates) > 1:
@@ -246,18 +217,14 @@ def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list
     keys = np.bitwise_xor.reduce(bits * mix, axis=0) & ~low | np.arange(n, dtype=np.uint64)
     order = (np.sort(keys) & low).astype(np.intp)
     sorted_bits = np.take(bits, order, axis=1)
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.any(sorted_bits[:, 1:] != sorted_bits[:, :-1], axis=0, out=new_run[1:])
+    new_run = np.append(True, (sorted_bits[:, 1:] != sorted_bits[:, :-1]).any(axis=0))
     first = order[new_run]
     texts = np.empty(len(first), dtype=object)
     for k, template in enumerate(templates):
         pick = slice(None) if len(templates) == 1 else kinds[first] == k
         values = np.take(columns, first[pick], axis=1).tolist()
-        if template == "%s":  # a value of a 1-D array: ``%`` would only parse the template
-            texts[pick] = list(map(float.__repr__, values[0]))
-        else:
-            texts[pick] = list(map(template.__mod__, values[0] if len(values) == 1 else zip(*values)))
+        fmt = float.__repr__ if template == "%s" else template.__mod__  # a bare "%s" is repr, parsed
+        texts[pick] = list(map(fmt, values[0] if len(values) == 1 else zip(*values)))
     run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new_run) - 1
     return texts[run].tolist()

@@ -130,12 +130,11 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
         count[cls] += 1
         return True
 
-    def unpack(first: int) -> None:
-        # The rows of the elements accepted from index ``first`` on, from their coordinates.
-        accepted, cls_of = np.array(slots[first:], dtype=np.intp), np.array(powers[first:], dtype=np.intp) % 2
+    def unpack(start: tuple) -> None:
+        # The rows of the elements accepted since each class had ``start`` of them.
         for cls in (0, 1):
-            at = accepted[cls_of == cls, None]
-            upper = coords[cls][at[:, 0] - offset[cls]] / weight[cls]
+            at = slice(offset[cls] + start[cls], offset[cls] + count[cls])
+            upper = coords[cls][start[cls] : count[cls]] / weight[cls]
             rows[at, pick[cls]] = upper
             rows[at, mirror[cls]] = upper if cls else -upper
 
@@ -146,7 +145,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
             cand = (gen / norm).reshape(full)[pick[1]] * weight[1]
             if accept(project(cand, coords[1][: count[1]]), 1):
                 new.append(len(slots) - 1)
-    unpack(0)
+    unpack((0, 0))
 
     stack = rows.reshape(full, n, n)
     while new and len(slots) < full:
@@ -175,7 +174,6 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
             # after the block step is rejected as it stands.  The others are
             # taken in schedule order against the elements accepted earlier in
             # the batch.
-            first = len(slots)
             for k in np.flatnonzero(norms > RANK_RTOL):
                 cls, cand = p[k] % 2, cands[k]
                 if count[cls] == size[cls]:
@@ -191,7 +189,7 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
                 if accept(cand, int(p[k])):
                     next_new.append(len(slots) - 1)
             # No batch of this round reads the rows of elements accepted in it.
-            unpack(first)
+            unpack(start)
             if len(slots) >= full:
                 break
         new = next_new
