@@ -116,28 +116,27 @@ def write_float_table(target, table, header=None) -> None:
         fh.write("\n")
 
 
-def _plan(obj, level: int = 0):
-    """Validate ``obj``, opened at indent ``level``, and write every part of it
-    that holds no streamed array; the others stay nodes ``(brackets, [(prefix,
-    child), ...])``, keys encoded into the prefixes in sorted order."""
+def _plan(obj):
+    """Validate ``obj`` and encode its scalars; streamed arrays are kept as is.
+
+    An object or a list becomes ``(brackets, [(prefix, child), ...])``, with
+    an object's keys encoded into the prefixes in sorted order, and every
+    other leaf becomes its final text, so writing the plan cannot fail.
+    """
     if type(obj) is int:
         return int.__repr__(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
-            return obj
-        obj = obj.tolist()
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be str, not {type(key).__name__}")
-        node = "{}", [(json.dumps(key) + ": ", _plan(obj[key], level + 1)) for key in sorted(obj)]
-    elif isinstance(obj, (list, tuple)):
-        node = "[]", [("", _plan(item, level + 1)) for item in obj]
-    else:
-        return json.dumps(obj)
-    if not node[1]:
-        return node[0]
-    return "".join(_chunks(node, level)) if all(isinstance(child, str) for _, child in node[1]) else node
+        return "{}", [(json.dumps(key) + ": ", _plan(obj[key])) for key in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return "[]", [("", _plan(item)) for item in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
+            return obj
+        return _plan(obj.tolist())
+    return json.dumps(obj)
 
 
 def _chunks(node, level: int):
@@ -149,6 +148,9 @@ def _chunks(node, level: int):
         yield from _array_chunks(node, level)
         return
     brackets, items = node
+    if not items:
+        yield brackets
+        return
     inner = "\n" + INDENT * (level + 1)
     sep = brackets[0] + inner
     for prefix, child in items:
@@ -170,12 +172,10 @@ def _template(shape: tuple, level: int) -> str:
 def _array_chunks(a: np.ndarray, level: int):
     """A non-empty float array's text, streamed in blocks along its leading axis.
 
-    The template of a leading-axis row splits at its leaf slots into
-    ``parts``.  The separator after a leaf depends on its slot: it is the
-    joiner of the pieces when all slots share it (one or two dimensions),
-    else the piece's own.  A leaf's kind is its piece template; the array's
-    last leaf carries no separator, ``parts[-1]`` closes it.
-    """
+    A leading-axis row's template splits at its leaf slots into ``parts``.  A
+    leaf's kind, its piece template, carries the separator after its slot, or
+    none when all slots share it (one or two dimensions): that joins the pieces.
+    The array's last leaf carries none; ``parts[-1]`` closes it."""
     inner = "\n" + INDENT * (level + 1)
     leaf_axes = min(a.ndim - 1, 1)
     width = a.shape[-1] if leaf_axes else 1
@@ -205,8 +205,8 @@ def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list
     N = 24 has 672 distinct [re, im] pairs among 635,904.
 
     One sort of a hash of each leaf's bits (and kind, if there are several),
-    its low bits replaced by the leaf's position, finds the runs, cut wherever
-    neighbours' full patterns differ: leaves that share a key format apart.
+    its low bits replaced by the leaf's position, finds the runs, cut where
+    neighbours' full patterns differ: a key two leaves share costs time only.
     """
     bits = columns.view(np.uint64)
     if len(templates) > 1:
@@ -223,7 +223,7 @@ def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list
     for k, template in enumerate(templates):
         pick = slice(None) if len(templates) == 1 else kinds[first] == k
         values = np.take(columns, first[pick], axis=1).tolist()
-        fmt = float.__repr__ if template == "%s" else template.__mod__  # a bare "%s" is repr, parsed
+        fmt = float.__repr__ if template == "%s" else template.__mod__  # "%s" % v parses, then reprs
         texts[pick] = list(map(fmt, values[0] if len(values) == 1 else zip(*values)))
     run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new_run) - 1
