@@ -200,13 +200,11 @@ def _array_chunks(a: np.ndarray, level: int):
 
 
 def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list:
-    """``templates[kinds[r]] % tuple(columns[:, r])`` for each leaf r of a block,
-    formatted once per run of equal kind and bit pattern: the Theorem 1 set at
-    N = 24 has 672 distinct [re, im] pairs among 635,904.
-
-    One sort of a hash of each leaf's bits (and kind, if there are several),
-    its low bits replaced by the leaf's position, finds the runs, cut where
-    neighbours' full patterns differ: a key two leaves share costs time only.
+    """``templates[kinds[r]] % tuple(columns[:, r])`` for each leaf r of a block, formatted
+    once per run of equal kind and bit pattern (the Theorem 1 set at N = 24 has 672 distinct
+    [re, im] pairs among 635,904).  One sort finds the runs: of a hash of each leaf's bits and
+    kind (a lone value is its own), with the low bits replaced by the leaf's position.  Runs are
+    cut where neighbours' full patterns differ, so a key two leaves share costs time only.
     """
     bits = columns.view(np.uint64)
     if len(templates) > 1:
@@ -214,7 +212,8 @@ def _leaf_texts(columns: np.ndarray, templates: list, kinds: np.ndarray) -> list
     n = bits.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     mix = np.arange(1, 2 * len(bits), 2, dtype=np.uint64)[:, None] * _SPREAD
-    keys = np.bitwise_xor.reduce(bits * mix, axis=0) & ~low | np.arange(n, dtype=np.uint64)
+    hashed = bits[0] if len(bits) == 1 else np.bitwise_xor.reduce(bits * mix, axis=0)
+    keys = hashed & ~low | np.arange(n, dtype=np.uint64)
     order = (np.sort(keys) & low).astype(np.intp)
     sorted_bits = np.take(bits, order, axis=1)
     new_run = np.append(True, (sorted_bits[:, 1:] != sorted_bits[:, :-1]).any(axis=0))
