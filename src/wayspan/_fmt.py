@@ -172,10 +172,11 @@ def _template(shape: tuple, level: int) -> str:
 def _array_chunks(a: np.ndarray, level: int):
     """A non-empty float array's text, streamed in blocks along its leading axis.
 
-    A leading-axis row's template splits at its leaf slots into ``parts``.  A
-    leaf's kind, its piece template, carries the separator after its slot, or
-    none when all slots share it (one or two dimensions): that joins the pieces.
-    The array's last leaf carries none; ``parts[-1]`` closes it."""
+    A leaf's piece is its text and the separator after its slot in the
+    leading-axis row template ``parts``; when all slots share one separator
+    (one or two dimensions), pieces carry none and that separator joins them.
+    The array's last leaf carries none either, and ``parts[-1]`` closes it.
+    """
     inner = "\n" + INDENT * (level + 1)
     leaf_axes = min(a.ndim - 1, 1)
     width = a.shape[-1] if leaf_axes else 1
