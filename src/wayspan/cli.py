@@ -180,7 +180,12 @@ def _cmd_check(args) -> int:
     sys_obj = _load_system_any(args.system)
     field = evolve.load_field(args.field)
     with_gradient = args.rho0 is not None
-    blocks = evolve._unitary_blocks(evolve._step_blocks(sys_obj, field))
+    if with_gradient:
+        steps = evolve._step_blocks(sys_obj, field)
+    else:
+        # No Jacobian row is read, so the pass takes no eigenpair.
+        steps = evolve._step_blocks(sys_obj, field, False)
+    blocks = evolve._unitary_blocks(steps)
     run = landscape._read_pass(sys_obj, field, blocks, args.stride, with_gradient)
     report = run.span
     # The inputs load after the pass, which keeps them out of its peak

@@ -1,21 +1,33 @@
 """Propagator integration for piecewise-constant controls.
 
-The step generator ``h0 - eps_m * mu`` is Hermitian, so each step
-propagator is computed by eigendecomposition, which is exact for a
-constant step and unconditionally unitary up to round-off.  Each field
-gets one pass over its steps under its system (:class:`PropagatorTrajectory`),
-which propagation, gradients and synthesis share.  The same eigenbasis
-gives every step's exact midpoint coupling ``mid_hat_m``, with
+The step generator ``h0 - eps_m * mu`` is Hermitian, so the step
+propagators of a pass that reads eigenpairs are computed by
+eigendecomposition, which is exact for a constant step and unconditionally
+unitary up to round-off.  Each field gets one pass over its steps under its
+system (:class:`PropagatorTrajectory`), which propagation, gradients and
+synthesis share.  The same eigenbasis gives every step's exact midpoint
+coupling ``mid_hat_m``, with
 dS_m/d(eps_m) = i dt U_{m+1} mid_hat_m U_m† for the step S_m = U_{m+1} U_m†,
 so no other exponential is needed.  Row m of the Jacobian J is dt mid_hat_m
 (:func:`_mid_hats`), which ``landscape._jacobian_rows`` reads in isu(N)
 coordinates for every consumer.  Conjugated dipoles ``u† mu u`` are formed
 only by :func:`conjugated_dipole`, for the nodes a span samples.
 
+Every step exponential of the package is taken by
+:func:`_step_exponentials`, by one of two kernels.  ``check --rho0/--obs``,
+:func:`propagate` and :func:`_final_propagator`, and so steering and
+``gradient-check``'s own pass, read eigenpairs and take the ``eigh``
+exponentials.  Two passes read none: ``check`` without a gradient, whose
+span needs only the nodes, and the probes of
+``landscape.finite_difference_gradient``.  Their steps take a Taylor kernel
+with scaling and squaring (:func:`_taylor_exponentials`), and the ``eigh``
+exponential only where that is slower: below ``_TAYLOR_MIN_DIM`` levels, or
+past ``_TAYLOR_MAX_SQUARINGS`` squarings.
+
 Nodes are multiplied out in this module only, in two places.  The block
 generator :func:`_step_blocks` takes the node product
-U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m: it diagonalises and exponentiates
-``_BLOCK`` steps at a time and continues the product from the last node, so
+U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m: it exponentiates ``_BLOCK`` steps
+at a time and continues the product from the last node, so
 a consumer that keeps nothing of a block holds O(``_BLOCK`` N^2) whatever M.
 :func:`_chain` composes a steered chain from its segments' passes,
 U(t, 0) = U(t, t_k) W_k, and takes no step again.  :func:`_unitary_blocks` is
@@ -32,14 +44,16 @@ read them again (``steer``, ``gradient-check``, ``propagate``), and gives
 them back in the same blocks (:meth:`PropagatorTrajectory.blocks`), so one
 reader (``landscape._read_pass``) serves both.  Every stage that reads a kept
 pass works through the blocks of :func:`_blocks`, so its temporaries are
-O(``_BLOCK`` N^2) too.  Every per-matrix operation, isu(N) coordinates
-included, is the same in a block as over the whole field; BLAS can round a
-row of ``landscape.waypoint_visits``' overlaps, the one product of stacked
-rows taken per block, differently in its last bit (seen from N = 16 on).
+O(``_BLOCK`` N^2) too.  Every per-matrix operation, isu(N) coordinates and
+a step's choice of kernel and squarings included, is the same in a block as
+over the whole field; BLAS can round a row of ``landscape.waypoint_visits``'
+overlaps, the one product of stacked rows taken per block, differently in
+its last bit (seen from N = 16 on).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,30 +171,149 @@ def density_matrix(entries) -> np.ndarray:
     return out
 
 
-def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float) -> tuple[tuple, np.ndarray]:
-    """``eig = (w, v)`` of h0 - eps mu for every amplitude of ``values``, and each
-    step's exponential exp(-i dt (h0 - eps mu)) = V diag(exp(-i dt w)) Vᵀ.  Every
-    step exponential of the package is taken here.
+def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float, eigenpairs: bool = True) -> tuple:
+    """Each step's exponential exp(-i dt (h0 - eps mu)) for every amplitude eps of
+    ``values``, after ``eig = (w, v)`` of every h0 - eps mu, or ``None`` in its
+    place without ``eigenpairs``.  Every step exponential of the package is
+    taken here.
 
-    h0 - eps mu is real symmetric, so V is real, and the product is taken in
-    real arithmetic (``matspace._real_matmul``): as the transpose of
-    V (V diag(e))ᵀ, whose terms v_jk (v_ik e_k) are those of the complex
-    product (V diag(e)) Vᵀ, though BLAS can sum them in another order above
-    N = 16 (see the module docstring).  The exponentials come back as that
-    transposed view.  A generator or a spectrum that is not finite, as when
-    h0 - eps mu overflows, raises ``RuntimeError`` before any step is
-    exponentiated.
+    With ``eigenpairs`` the exponentials are :func:`_eigh_exponentials`.
+    Without, a pass that reads no eigenpair takes :func:`_taylor_exponentials`
+    of x = dt (h0 - eps mu), and the ``eigh`` exponential only where that
+    kernel is slower: below ``_TAYLOR_MIN_DIM`` levels, and for a step whose
+    ||x||_1 would need more than ``_TAYLOR_MAX_SQUARINGS`` squarings (or is not
+    finite).  ``eigh`` reads the lower triangle of each generator, and the
+    Taylor kernel takes the symmetric matrix of that triangle, so both see one
+    generator.  A step's kernel and its squarings depend on that step alone,
+    so a matrix gets the same bits in any block.  A generator that is not
+    finite, as when h0 - eps mu overflows, raises ``RuntimeError`` before any
+    kernel runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gen = sys.h0[None, :, :] - values[:, None, None] * sys.mu[None, :, :]
     if not np.isfinite(gen).all():
         raise RuntimeError("step generators h0 - eps mu are not finite")
+    if eigenpairs:
+        return _eigh_exponentials(gen, dt)
+    if sys.dim < _TAYLOR_MIN_DIM:
+        return None, _eigh_exponentials(gen, dt)[1]
+    h0, mu = (np.tril(m) + np.tril(m, -1).T for m in (sys.h0, sys.mu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (h0[None, :, :] - values[:, None, None] * mu[None, :, :]) * dt
+        norm = np.abs(x).sum(axis=-1).max(axis=-1)
+    # The row sums are the column sums of a symmetric x; NaN fails the test.
+    taylor = norm <= _THETA * 2.0**_TAYLOR_MAX_SQUARINGS
+    if taylor.all():
+        return None, _taylor_exponentials(x, _squarings(norm))
+    steps = np.empty(gen.shape, dtype=complex)
+    steps[~taylor] = _eigh_exponentials(gen[~taylor], dt)[1]
+    if taylor.any():
+        steps[taylor] = _taylor_exponentials(x[taylor], _squarings(norm[taylor]))
+    return None, steps
+
+
+def _eigh_exponentials(gen: np.ndarray, dt: float) -> tuple[tuple, np.ndarray]:
+    """``eig = (w, v)`` of every generator of the stack ``gen`` and each one's
+    exponential exp(-i dt gen) = V diag(exp(-i dt w)) Vᵀ.
+
+    The generators are real symmetric, so V is real, and the product is taken
+    in real arithmetic (``matspace._real_matmul``): as the transpose of
+    V (V diag(e))ᵀ, whose terms v_jk (v_ik e_k) are those of the complex
+    product (V diag(e)) Vᵀ, though BLAS can sum them in another order above
+    N = 16 (see the module docstring).  The exponentials come back as that
+    transposed view.  A spectrum that is not finite raises ``RuntimeError``
+    before any step is exponentiated.
+    """
     eig = np.linalg.eigh(gen)
     w, v = eig
     if not np.isfinite(w).all():
         raise RuntimeError("step eigenvalues are not finite")
     scaled = v * np.exp(-1j * dt * w)[:, None, :]
     return eig, np.swapaxes(_real_matmul(v, np.swapaxes(scaled, -1, -2)), -1, -2)
+
+
+# The Taylor kernel (:func:`_taylor_exponentials`).  cos and sin of x are
+# summed to _SERIES_TERMS terms each in y = x^2, so exp(-i x) = C - i S to
+# degree 2 _SERIES_TERMS - 1, and the first term left out has degree 20.  Its
+# tail, sum_{k >= 20} t^k / k!, bounds the truncation in the 1-norm wherever
+# ||x||_1 <= t; it is 2^-53, the unit round-off, at t = 1.31878, and
+# 0.75 2^-53 at _THETA.  A step with a larger ||x||_1 is scaled by 2^-s into
+# that range and its exponential squared s times (Moler and Van Loan, SIAM
+# Rev. 45(1), 2003, method 3).
+_SERIES_TERMS = 10
+_THETA = 1.3
+# (cos, sin) series coefficients in y: (-1)^k / (2k)! and (-1)^k / (2k + 1)!.
+_COS_SIN = np.array([[(-1.0) ** k / math.factorial(2 * k + j) for k in range(_SERIES_TERMS)] for j in (0, 1)])
+# The cut-offs of the Taylor kernel, from the times of both kernels on
+# 256-step blocks at N = 2..32 and ||x||_1 = 0.3..96 (1 BLAS thread; the
+# table is in CHANGES.md).  At N = 2 the Taylor kernel ran at 0.5-0.7 times
+# the speed of eigh, at N = 3 at 0.96-1.4, and from N = 4 on at 1.2 or more
+# with up to three squarings.
+_TAYLOR_MIN_DIM = 4
+# A fourth squaring made it slower than eigh at N = 32.  The round-off
+# doubles with each squaring, so after three it is 8 times that of the
+# series: the unitarity defect at N = 32 was 1.2e-14 (eigh: 1.6e-14), far
+# below TRAJECTORY_TOL.
+_TAYLOR_MAX_SQUARINGS = 3
+
+
+def _squarings(norm: np.ndarray) -> np.ndarray:
+    """The least s >= 0 with norm / 2^s <= ``_THETA``, per entry of the finite
+    ``norm``."""
+    frac, exp = np.frexp(norm / _THETA)
+    return np.maximum(exp - (frac == 0.5), 0)
+
+
+def _cos_sin(x: np.ndarray) -> np.ndarray:
+    """(cos x, sin x), stacked in a (2, K, N, N) array, for a stack x of K real
+    matrices with ||x||_1 <= ``_THETA``: each series to ``_SERIES_TERMS`` terms
+    in y = x^2, by Paterson–Stockmeyer (SIAM J. Comput. 2(1), 1973) with
+    step 2.  Both are sums of (c_2j + c_2j+1 y) y^2j, taken in Horner form in
+    y^2 and stacked in each product, and sin x is x times its sum: 11 products
+    of N x N matrices in all.  Steps 1 to 5 were timed, and 2 was fastest from
+    N = 8 on.  Every operation is a per-matrix product or an elementwise one,
+    so each matrix gets the same bits in any stack."""
+    n = x.shape[-1]
+    y = x @ x
+    y2 = y @ y
+    acc = None
+    for j in reversed(range(0, _SERIES_TERMS, 2)):
+        block = _COS_SIN[:, j + 1, None, None, None] * y
+        block.reshape(2, len(x), n * n)[..., :: n + 1] += _COS_SIN[:, j, None, None]
+        if acc is None:
+            acc = block
+        else:
+            acc = acc @ y2
+            acc += block
+    acc[1] = x @ acc[1]
+    return acc
+
+
+def _taylor_exponentials(x: np.ndarray, squarings: np.ndarray) -> np.ndarray:
+    """exp(-i x) = C - i S for a stack x of real symmetric matrices, each scaled
+    by 2^-s (exactly) for its entry s of ``squarings``, and
+    (C, S) = :func:`_cos_sin` of the scaled matrix squared s times in real
+    arithmetic.  C and S commute, so (C - i S)^2 = (C + S)(C - S) - 2i C S:
+    both products in one stacked call."""
+    if squarings.any():
+        x = x * np.ldexp(1.0, -squarings)[:, None, None]
+    pair = _cos_sin(x)
+    for k in range(int(squarings.max(initial=0))):
+        pick = squarings > k
+        whole = pick.all()
+        cos, sin = part = pair if whole else pair[:, pick]
+        left, right = np.empty_like(part), np.empty_like(part)
+        np.add(cos, sin, out=left[0])
+        np.subtract(cos, sin, out=right[0])
+        left[1], right[1] = cos, sin
+        np.matmul(left, right, out=part)
+        part[1] *= 2.0
+        if not whole:
+            pair[:, pick] = part
+    out = np.empty(x.shape, dtype=complex)
+    out.real = pair[0]
+    np.negative(pair[1], out=out.imag)
+    return out
 
 
 def _blocks(count: int) -> list[slice]:
@@ -198,24 +331,31 @@ def _blocks(count: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *cuts], [*cuts, count])]
 
 
-def _step_blocks(sys: QuantumSystem, field: ControlField):
+def _step_blocks(sys: QuantumSystem, field: ControlField, eigenpairs: bool = True):
     """The field's step pass under ``sys``, one block of :func:`_blocks` at a
     time: yields ``(block, (w, v), nodes)`` with the eigenpairs of the steps in
     ``block`` and the nodes U_{block.start} .. U_{block.stop}, U_0 = I exactly.
+    Without ``eigenpairs`` it yields ``None`` for them, and the steps take the
+    eigen-free kernel of :func:`_step_exponentials`.
 
     Each block continues the product from the last node of the one before,
-    U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m, one ``np.dot`` into each node of
-    the block (a ``matmul`` per step costs more at small N, same bits).
-    Nothing is validated.
+    U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m, one ``step.dot(prev, out=nxt)``
+    into each node of the block: the C routine of ``np.dot`` without its
+    dispatch, and a ``matmul`` per step costs more at small N, all with the
+    same bits.  Nothing is validated.
     """
     node = np.eye(sys.dim, dtype=complex)
     for block in _blocks(field.steps):
-        eig, steps = _step_exponentials(sys, field.values[block], field.dt)
+        values = field.values[block]
+        if eigenpairs:
+            eig, steps = _step_exponentials(sys, values, field.dt)
+        else:
+            eig, steps = _step_exponentials(sys, values, field.dt, False)
         nodes = np.empty((len(steps) + 1, *node.shape), dtype=complex)
         nodes[0] = node
         views = list(nodes)
         for step, prev, nxt in zip(steps, views, views[1:]):
-            np.dot(step, prev, out=nxt)
+            step.dot(prev, out=nxt)
         node = nodes[-1]
         yield block, eig, nodes
 

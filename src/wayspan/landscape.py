@@ -218,7 +218,9 @@ def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jac
     conjugated block by block, and their coordinates go to one
     :class:`_SpanAccumulator` as they come; both give the same bits in any
     partition of the rows.  With ``jacobian``, J's rows are kept, M (N^2 - 1)
-    floats.
+    floats, from the eigenpairs of the blocks; without, the blocks' eigenpairs
+    are not read and may be ``None``, as ``evolve._step_blocks`` yields them
+    without ``eigenpairs``.
 
     It checks nothing: ``evolve._unitary_blocks`` bounds ||u†u - I||_F by
     ``TRAJECTORY_TOL`` where the nodes are formed, so the trace
@@ -321,9 +323,11 @@ def finite_difference_gradient(
     ``f = Tr(U_M rho0 U_M† obs)``.  A probe changes step m only, so its
     endpoint is ``(U_M U_{m+1}†) step_m(eps_m ± h) U_m``, with the nodes of
     ``traj`` and the probe steps from the pass's own step helper,
-    ``evolve._step_exponentials``: one batched ``eigh`` of both signs per
-    block of ``evolve._BLOCK`` steps, the block every stage that walks a pass
+    ``evolve._step_exponentials``: one batched call for both signs per block
+    of ``evolve._BLOCK`` steps, the block every stage that walks a pass
     shares, so the work is O(M) and the extra memory is bounded by the block.
+    A probe reads no eigenpair, so its steps take the eigen-free kernel, whose
+    choice of kernel and squarings for a matrix does not depend on the block.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
@@ -334,7 +338,7 @@ def finite_difference_gradient(
     for block in evolve._blocks(field.steps):
         eps = field.values[block]
         probes = np.concatenate([eps + h, eps - h])
-        steps = evolve._step_exponentials(sys, probes, field.dt)[1].reshape(2, eps.size, sys.dim, sys.dim)
+        steps = evolve._step_exponentials(sys, probes, field.dt, False)[1].reshape(2, eps.size, sys.dim, sys.dim)
         ends = nodes[-1] @ dagger(nodes[block.start + 1 : block.stop + 1]) @ steps @ nodes[block]
         f = np.real(np.einsum("sbij,ji->sb", ends @ rho0 @ dagger(ends), obs))
         out[block] = (f[0] - f[1]) / (2.0 * h)

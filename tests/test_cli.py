@@ -562,3 +562,48 @@ class TestNumericalFailure:
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"ERROR: numerical failure: {message}\n"
         assert not (tmp_path / "st" / "field.json").exists()
+
+
+class TestEigenFreeCheck:
+    """``check`` without ``--rho0/--obs`` reads no eigenpair, so from
+    ``evolve._TAYLOR_MIN_DIM`` levels on its steps take the Taylor kernel."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_a_check_without_gradient_takes_no_eigh(self, tmp_path, monkeypatch, rng, n, capsys):
+        system = _system(tmp_path / "sys.json", np.diag(np.arange(n) * 1.0), coupled_traceless_symmetric(n, rng))
+        field = tmp_path / "steps.json"
+        steps = 2 * evolve._BLOCK + 3
+        evolve.save_field(ControlField(horizon=0.05 * steps, values=rng.normal(size=steps)), field)
+        rho0 = _matrix_doc(tmp_path / "rho0.json", np.diag([1.0] + [0.0] * (n - 1)))
+        obs = _matrix_doc(tmp_path / "obs.json", np.diag(np.linspace(-1.0, 1.0, n)))
+        argv = ("check", "--system", system, "--field", field, "--stride", 5)
+        assert run(*argv, "--rho0", rho0, "--obs", obs) == 0
+        with_gradient = capsys.readouterr().out.splitlines()[0]
+        stacks, real_eigh = [], np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            stacks.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        assert run(*argv) == 0
+        assert stacks == []
+        assert capsys.readouterr().out.splitlines() == [with_gradient]
+
+    def test_steps_past_the_cut_off_keep_the_eigh_error(self, tmp_path, files, capsys):
+        # Finite generators whose eigenvalues overflow: ||x||_1 is far past
+        # the squaring cut-off, so the step takes the eigh exponential and
+        # exits 2 with its message, with or without the gradient.
+        system = _system(tmp_path / "big.json", np.diag([1.5, -1.5, 1.0, -1.0]) * 1e308, np.kron(np.real(SX), np.real(SX)) * -0.8e308)
+        field = tmp_path / "tiny.json"
+        evolve.save_field(ControlField(horizon=3e-300, values=[0.5, 1.5, -1.5]), field)
+        rho0 = _matrix_doc(tmp_path / "rho0.json", np.diag([1.0, 0.0, 0.0, 0.0]))
+        obs = _matrix_doc(tmp_path / "obs.json", np.diag([1.0, 0.0, 0.0, -1.0]))
+        message = "ERROR: numerical failure: step eigenvalues are not finite\n"
+        argv = ("check", "--system", system, "--field", field)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for extra in ((), ("--rho0", rho0, "--obs", obs)):
+                assert run(*argv, *extra) == 2
+                assert capsys.readouterr() == ("", message)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

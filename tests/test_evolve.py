@@ -347,3 +347,109 @@ def test_a_step_past_the_float_range_is_refused(h0, mu, message):
     with np.errstate(all="raise"):
         with pytest.raises(RuntimeError, match=message):
             evolve.propagate(sys_n, ControlField(horizon=1e-300, values=[0.5, 1.5, -1.5]))
+
+
+def _kernel_bounds(n, s):
+    """Error model of the Taylor kernel after s squarings, in units of the unit
+    round-off u = 2^-53: (gap to scipy's expm in the max entry, unitarity
+    defect ||U†U - I||_F).
+
+    The series is truncated below u (``evolve._THETA``).  Each entry of an N x N
+    product is a sum of N terms, whose rounding is about sqrt(N) u
+    (Higham and Mary, SIAM J. Sci. Comput. 41(5), 2019), so the kernel and
+    the reference each round an entry by about sqrt(N) u, and each squaring
+    doubles what the step held before.  U†U - I = E†U0 + U0†E + E†E for the
+    error E of the kernel alone, so the defect is at most 2 ||E||_F, with
+    ||E||_F <= sqrt(N) ||E||_2."""
+    root = np.sqrt(n)
+    return 2.0**s * (1.0 + 2.0 * root), 2.0**s * 2.0 * root * (1.0 + root)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=32),
+    s=st.integers(min_value=0, max_value=evolve._TAYLOR_MAX_SQUARINGS),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_taylor_kernel_matches_expm_within_its_error_model(n, s, frac, seed):
+    # ||x||_1 anywhere in (theta 2^(s-1), theta 2^s] for s squarings, or in
+    # (0, theta] for none: every squaring count the kernel takes.
+    x = random_traceless_symmetric(n, np.random.default_rng(seed)) + np.eye(n)
+    low = 0.0 if s == 0 else 0.5
+    norm = evolve._THETA * 2.0**s * (low + (1.0 - low) * max(frac, 1e-3))
+    x *= norm / np.abs(x).sum(axis=0).max()
+    squarings = evolve._squarings(np.abs(x).sum(axis=0).max(keepdims=True))
+    assert squarings[0] == s
+    u = evolve._taylor_exponentials(x[None], squarings)[0]
+    gap_units, defect_units = _kernel_bounds(n, s)
+    eps = np.finfo(float).eps / 2
+    assert np.abs(u - scipy.linalg.expm(-1j * x)).max() <= gap_units * eps
+    assert matspace.unitarity_defect(u) <= defect_units * eps
+
+
+def test_taylor_series_is_truncated_below_the_unit_roundoff():
+    # The tail sum_{k >= 2 terms} theta^k / k! of the exponential series, in
+    # exact rationals, is below u = 2^-53 at theta, and the coefficients are
+    # those of cos and sin in y = x^2.
+    from fractions import Fraction
+    import math
+
+    theta, first = Fraction(evolve._THETA), 2 * evolve._SERIES_TERMS
+    tail = sum(theta**k / math.factorial(k) for k in range(first, first + 60))
+    assert tail < Fraction(1, 2**53)
+    assert 2 * theta > 2 and evolve._COS_SIN.shape == (2, evolve._SERIES_TERMS)
+    for k in range(evolve._SERIES_TERMS):
+        assert evolve._COS_SIN[0, k] == (-1) ** k / math.factorial(2 * k)
+        assert evolve._COS_SIN[1, k] == (-1) ** k / math.factorial(2 * k + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_the_eigen_free_kernel_picks_by_dimension_and_norm(n):
+    # Below _TAYLOR_MIN_DIM every step, and from it on every step whose
+    # ||x||_1 needs more than _TAYLOR_MAX_SQUARINGS squarings, takes the eigh
+    # exponential bit for bit; the others take the Taylor kernel.
+    sys_n, _ = random_system_and_field(n, 1, n)
+    dt = 0.5 / np.abs(sys_n.h0).sum(axis=0).max()
+    targets = np.array([0.2, -1.0, 4.0, -9.0, 40.0, -1e4])
+    values = np.repeat(targets / (dt * np.abs(sys_n.mu).sum(axis=0).max()), 3)
+    eig, steps = evolve._step_exponentials(sys_n, values, dt, False)
+    assert eig is None and steps.flags.writeable
+    exact = evolve._step_exponentials(sys_n, values, dt)[1]
+    x = (sys_n.h0 - values[:, None, None] * sys_n.mu) * dt
+    past = np.abs(x).sum(axis=-1).max(axis=-1) > evolve._THETA * 2.0**evolve._TAYLOR_MAX_SQUARINGS
+    assert past.any() and not past.all()
+    eigh = past | (n < evolve._TAYLOR_MIN_DIM)
+    assert np.array_equal(steps[eigh], exact[eigh])
+    assert np.abs(steps - exact).max() < 1e-12
+    if n >= evolve._TAYLOR_MIN_DIM:
+        assert not np.array_equal(steps[~eigh], exact[~eigh])
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_eigen_free_steps_are_the_same_in_any_block(n):
+    # A step's kernel and squarings depend on it alone: the same bits in a
+    # stack of one as in a stack of all, with mixed kernels and squarings.
+    sys_n, field = random_system_and_field(n, 40, 7 * n)
+    values = field.values * np.geomspace(0.1, 100.0, 40)
+    whole = evolve._step_exponentials(sys_n, values, 0.3, False)[1]
+    for m in range(len(values)):
+        assert np.array_equal(evolve._step_exponentials(sys_n, values[m : m + 1], 0.3, False)[1][0], whole[m])
+
+
+def test_eigen_free_pass_refuses_what_the_eigh_pass_refuses(monkeypatch):
+    # A generator that is not finite is refused before any kernel runs, and
+    # a step past the cut-offs keeps the eigh pass's error.
+    overflowing = QuantumSystem(4, np.diag([1.0, -1.0, 0.5, -0.5]) * 2.0**1022, np.real(np.kron(SX, SX)) * 2.0**1021)
+    big = QuantumSystem(4, np.diag([1.5, -1.5, 1.0, -1.0]) * 1e308, np.real(np.kron(SX, SX)) * -0.8e308)
+    kernels = [evolve._taylor_exponentials, evolve._eigh_exponentials]
+    for name in ("_taylor_exponentials", "_eigh_exponentials"):
+        monkeypatch.setattr(evolve, name, lambda *args: pytest.fail("a kernel ran"))
+    with np.errstate(all="raise"), pytest.raises(RuntimeError, match="step generators h0 - eps mu are not finite"):
+        evolve._step_exponentials(overflowing, np.array([0.5, 8.0]), 1.0, False)
+    monkeypatch.setattr(evolve, "_taylor_exponentials", kernels[0])
+    monkeypatch.setattr(evolve, "_eigh_exponentials", kernels[1])
+    field = ControlField(horizon=3e-300, values=[0.5, 1.5, -1.5])
+    for eigenpairs in (True, False):
+        with np.errstate(all="raise"), pytest.raises(RuntimeError, match="step eigenvalues are not finite"):
+            list(evolve._step_blocks(big, field, eigenpairs))

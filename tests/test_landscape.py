@@ -723,3 +723,39 @@ def test_streamed_check_memory_is_flat_in_the_step_count(jacobian):
         assert large - small <= 1.2 * 24 * evolve._BLOCK * (n * n - 1) * np.dtype(float).itemsize
     else:
         assert abs(large - small) < 0.1 * small
+
+
+@pytest.mark.parametrize("steps", [1, 3, 4, 5, 7, 8, 11])
+@pytest.mark.parametrize("n", [4, 5])
+def test_no_gradient_pass_blocks_join_up(monkeypatch, n, steps):
+    # The pass of a check without gradient takes no eigenpair, and its steps
+    # mix the Taylor kernel at several squaring counts with the eigh
+    # exponential past the cut-off.  Blocks of 4 steps against a single
+    # block give the same span and endpoint bits.
+    sys_n, field = random_system_and_field(n, steps, 100 * n + steps)
+    field = ControlField(horizon=field.horizon, values=field.values * np.geomspace(0.1, 30.0, steps))
+
+    def outputs(stride):
+        blocks = evolve._unitary_blocks(evolve._step_blocks(sys_n, field, False))
+        run = landscape._read_pass(sys_n, field, blocks, stride)
+        return run.endpoint, run.span.singular_values, run.span.complement_basis
+
+    for stride in (1, 3):
+        monkeypatch.setattr(evolve, "_BLOCK", sys.maxsize)
+        whole = outputs(stride)
+        monkeypatch.setattr(evolve, "_BLOCK", 4)
+        blocked = outputs(stride)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def test_eigen_free_oracle_probe_blocks_join_up(monkeypatch):
+    # At N = 4 the oracle's probes take the Taylor kernel, whose squarings
+    # are chosen per matrix: blocks of 4 steps give the bits of one block.
+    sys_n, field = random_system_and_field(4, 11, 5)
+    rng = np.random.default_rng(5)
+    rho0, obs = random_density(4, rng), random_traceless_symmetric(4, rng)
+    traj = evolve.propagate(sys_n, field)
+    monkeypatch.setattr(evolve, "_BLOCK", sys.maxsize)
+    whole = landscape.finite_difference_gradient(traj, rho0, obs)
+    monkeypatch.setattr(evolve, "_BLOCK", 4)
+    assert np.array_equal(landscape.finite_difference_gradient(traj, rho0, obs), whole)
