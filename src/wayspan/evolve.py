@@ -172,10 +172,10 @@ def density_matrix(entries) -> np.ndarray:
 
 
 def _step_exponentials(sys: QuantumSystem, values: np.ndarray, dt: float, eigenpairs: bool = True) -> tuple:
-    """Each step's exponential exp(-i dt (h0 - eps mu)) for every amplitude eps of
-    ``values``, after ``eig = (w, v)`` of every h0 - eps mu, or ``None`` in its
-    place without ``eigenpairs``.  Every step exponential of the package is
-    taken here.
+    """``(eig, steps)`` for the amplitudes eps of ``values``: ``eig = (w, v)`` of
+    every h0 - eps mu, or ``None`` without ``eigenpairs``, and each step's
+    exponential exp(-i dt (h0 - eps mu)).  Every step exponential of the
+    package is taken here.
 
     With ``eigenpairs`` the exponentials are :func:`_eigh_exponentials`.
     Without, a pass that reads no eigenpair takes :func:`_taylor_exponentials`
@@ -247,12 +247,12 @@ _COS_SIN = np.array([[(-1.0) ** k / math.factorial(2 * k + j) for k in range(_SE
 # The cut-offs of the Taylor kernel, from the times of both kernels on
 # 256-step blocks at N = 2..32 and ||x||_1 = 0.3..96 (1 BLAS thread; the
 # table is in CHANGES.md).  At N = 2 the Taylor kernel ran at 0.5-0.7 times
-# the speed of eigh, at N = 3 at 0.96-1.4, and from N = 4 on at 1.2 or more
+# the speed of eigh, at N = 3 at 0.8-1.4, and from N = 4 on at 1.2 or more
 # with up to three squarings.
 _TAYLOR_MIN_DIM = 4
-# A fourth squaring made it slower than eigh at N = 32.  The round-off
-# doubles with each squaring, so after three it is 8 times that of the
-# series: the unitarity defect at N = 32 was 1.2e-14 (eigh: 1.6e-14), far
+# With a fourth it ran at 0.95-1.1 times eigh's speed at N = 32.  The
+# round-off doubles with each squaring, so after three it is 8 times that of
+# the series: the unitarity defect at N = 32 was 1.2e-14 (eigh: 1.6e-14), far
 # below TRAJECTORY_TOL.
 _TAYLOR_MAX_SQUARINGS = 3
 
