@@ -235,18 +235,16 @@ def _cmd_steer(args) -> int:
         seed=args.seed,
     )
     synthesis = steer.synthesize_through_waypoints(sys_obj, wset, opts)
-
-    span = landscape.trajectory_independence(synthesis.trajectory)
     out = _out_dir(args) or Path(".")
     evolve.save_field(synthesis.field, out / "field.json")
     landscape.visits_csv(list(synthesis.visits), out / "visits.csv")
-    landscape.save_span_report(span, out / "span.txt")
+    landscape.save_span_report(synthesis.span, out / "span.txt")
 
     worst = min(v.fidelity for v in synthesis.visits)
     print(f"segments converged: {sum(s.converged for s in synthesis.segments)}/{len(synthesis.segments)}")
     print(f"worst visit fidelity: {worst:.6f} (target {opts.fid_target})")
-    print(f"independence verdict: {span.verdict}")
-    ok = synthesis.all_visited and span.full
+    print(f"independence verdict: {synthesis.span.verdict}")
+    ok = synthesis.all_visited and synthesis.span.full
     return EXIT_OK if ok else EXIT_VERDICT
 
 

@@ -30,25 +30,27 @@ U_{m+1} = exp(-i dt (h0 - eps_m mu)) U_m: it exponentiates ``_BLOCK`` steps
 at a time and continues the product from the last node, so
 a consumer that keeps nothing of a block holds O(``_BLOCK`` N^2) whatever M.
 :func:`_chain` composes a steered chain from its segments' passes,
-U(t, 0) = U(t, t_k) W_k, and takes no step again.  :func:`_unitary_blocks` is
-the one guard on the nodes of either.  The generators h0 - eps mu are real
+U(t, 0) = U(t, t_k) W_k, into the blocks of a pass of its length, and takes
+no step again.  :func:`_unitary_blocks` is the one guard on the nodes of
+either.  The generators h0 - eps mu are real
 symmetric, so the step eigenvectors are real, and the products of the step
 exponentials and of the frames v_m† U_m are taken in real arithmetic
 (``matspace._real_matmul``).  In a sweep over N = 2..32 the frames kept
 the bits of the complex products at every N, and the exponentials at every
 N up to 16.  At N = 17, 18, 21, 22, 25, 26, 29 and 30, BLAS sums the
 exponentials in another order, and their last bit can move.
-``check`` reads the guarded blocks as they come and keeps neither
-nodes nor eigenpairs; :func:`propagate` keeps them, for the commands that
-read them again (``steer``, ``gradient-check``, ``propagate``), and gives
-them back in the same blocks (:meth:`PropagatorTrajectory.blocks`), so one
-reader (``landscape._read_pass``) serves both.  Every stage that reads a kept
+``check`` reads the guarded blocks of its pass as they come, and ``steer``
+those of its chain, which carries no eigenpairs; neither keeps a node.
+:func:`propagate` keeps nodes and eigenpairs, for the commands that read
+them again (``gradient-check``, ``propagate``), and gives them back in the
+same blocks (:meth:`PropagatorTrajectory.blocks`), so one reader
+(``landscape._read_pass``) serves all three.  Every stage that reads a kept
 pass works through the blocks of :func:`_blocks`, so its temporaries are
 O(``_BLOCK`` N^2) too.  Every per-matrix operation, isu(N) coordinates and
 a step's choice of kernel and squarings included, is the same in a block as
-over the whole field; BLAS can round a row of ``landscape.waypoint_visits``'
-overlaps, the one product of stacked rows taken per block, differently in
-its last bit (seen from N = 16 on).
+over the whole field; BLAS can round a row of the visit search's overlaps
+(``landscape._VisitSearch``), the one product of stacked rows taken per
+block, differently in its last bit (seen from N = 16 on).
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ class ControlField:
     def dt(self) -> float:
         return self.horizon / self.steps
 
+    @property
+    def times(self) -> np.ndarray:
+        """Grid times t_m = m dt of the nodes, m = 0..M."""
+        return np.linspace(0.0, self.horizon, self.steps + 1)
+
     @classmethod
     def constant(cls, value: float, horizon: float, steps: int) -> "ControlField":
         return cls(horizon=horizon, values=np.full(steps, float(value)))
@@ -138,8 +145,7 @@ class PropagatorTrajectory:
 
     @property
     def times(self) -> np.ndarray:
-        """Grid times t_m = m dt of the nodes, m = 0..M."""
-        return np.linspace(0.0, self.field.horizon, self.field.steps + 1)
+        return self.field.times
 
     def blocks(self):
         """The pass as :func:`_step_blocks` yields it, in read-only views of the
@@ -324,7 +330,7 @@ def _blocks(count: int) -> list[slice]:
     No block is shorter than ``_BLOCK`` unless it is the only one.  BLAS
     takes a short product by other kernels, whose sums can run in another
     order, and numpy a one-row product by another routine; a row of
-    ``landscape.waypoint_visits``' overlaps in a short tail block would then
+    ``landscape._VisitSearch``'s overlaps in a short tail block would then
     differ in its last bits from the same row of the product over all rows.
     """
     cuts = list(range(_BLOCK, count - _BLOCK + 1, _BLOCK))
@@ -436,35 +442,36 @@ def propagate(sys: QuantumSystem, field: ControlField) -> PropagatorTrajectory:
     return PropagatorTrajectory(sys=sys, field=field, eig=eig, unitaries=nodes)
 
 
-def _chain(sys: QuantumSystem, passes, steps: int) -> PropagatorTrajectory:
+def _chain(sys: QuantumSystem, passes, steps: int):
     """The trajectory of the step passes ``passes``, ``steps`` steps in all,
-    taken one after the other from U_0 = I: the pass of their concatenated
-    fields, composed from them and guarded (:func:`_unitary_blocks`) as
-    :func:`propagate` guards a pass, with read-only nodes.
+    taken one after the other from U_0 = I, as :func:`_step_blocks` yields a
+    pass without eigenpairs, in the blocks of ``_blocks(steps)``, guarded
+    (:func:`_unitary_blocks`) and with read-only nodes.
 
-    Segment k keeps its eigenpairs, and its nodes are its own times W_k, the
-    chain node where it starts: U(t, 0) = U(t, t_k) W_k.  So the chain node
-    where segment k ends is ``passes[k].unitaries[-1] @ W_k`` bit for bit.
-    No step is taken again; the chain's dt, from the concatenated horizon, can
-    differ from the segments' in its last bits.  Each pass is composed as it
-    comes, so ``passes`` can be a generator that makes the next pass only once
-    the last is composed, and no more than one pass need be held beside the
-    chain's arrays.
+    The nodes of segment k are its own times W_k, the chain node where it
+    starts: U(t, 0) = U(t, t_k) W_k, one product per node.  So the chain node
+    where segment k ends is ``passes[k].unitaries[-1] @ W_k`` bit for bit,
+    and no step is taken again.  A pass is asked for only once the one before
+    is composed, so ``passes`` can be a generator that makes it then; a block
+    and one pass are all that is held.
     """
-    fields = []
 
     def blocks():
-        start, offset = np.eye(sys.dim, dtype=complex), 0
-        for traj in passes:
-            fields.append(traj.field)
-            for block, eig, nodes in traj.blocks():
-                composed = nodes @ start
-                yield slice(offset + block.start, offset + block.stop), eig, composed
-            start, offset = composed[-1], offset + traj.steps
+        passes_left, segment = iter(passes), ()
+        nodes = np.eye(sys.dim, dtype=complex)[None]
+        for block in _blocks(steps):
+            nodes, last = np.empty((block.stop - block.start + 1, sys.dim, sys.dim), dtype=complex), nodes[-1]
+            nodes[0], filled = last, 1
+            while filled < len(nodes):
+                if not len(segment):
+                    start, segment = nodes[filled - 1], next(passes_left).unitaries[1:]
+                take = min(len(segment), len(nodes) - filled)
+                np.matmul(segment[:take], start, out=nodes[filled : filled + take])
+                segment, filled = segment[take:], filled + take
+            nodes.flags.writeable = False
+            yield block, None, nodes
 
-    eig, nodes = _collect(sys, steps, _unitary_blocks(blocks()))
-    nodes.setflags(write=False)
-    return PropagatorTrajectory(sys=sys, field=concat_fields(fields), eig=eig, unitaries=nodes)
+    return _unitary_blocks(blocks())
 
 
 def conjugated_dipole(u: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -211,16 +211,17 @@ class _PassReading:
     jacobian: np.ndarray | None
 
 
-def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jacobian: bool = False) -> _PassReading:
+def _read_pass(sys: QuantumSystem, field, blocks, stride: int, jacobian: bool = False, search=None) -> _PassReading:
     """Read the pass of ``field`` under ``sys`` from its ``blocks``, in the shape
     and partition of ``evolve._step_blocks``, keeping no node.  The nodes at
     multiples of ``stride`` (a positive integer, else ``ValueError``) are
     conjugated block by block, and their coordinates go to one
     :class:`_SpanAccumulator` as they come; both give the same bits in any
     partition of the rows.  With ``jacobian``, J's rows are kept, M (N^2 - 1)
-    floats, from the eigenpairs of the blocks; without, the blocks' eigenpairs
-    are not read and may be ``None``, as ``evolve._step_blocks`` yields them
-    without ``eigenpairs``.
+    floats, from the eigenpairs of the blocks and the dt of ``field``;
+    without, neither is read: ``field`` may be ``None``, and so may the
+    eigenpairs, as ``evolve._step_blocks`` yields them without
+    ``eigenpairs``.  A ``search`` (:class:`_VisitSearch`) is fed every block.
 
     It checks nothing: ``evolve._unitary_blocks`` bounds ||u†u - I||_F by
     ``TRAJECTORY_TOL`` where the nodes are formed, so the trace
@@ -240,6 +241,8 @@ def _read_pass(sys: QuantumSystem, field: ControlField, blocks, stride: int, jac
         span.add(to_coords(evolve.conjugated_dipole(nodes[sample::stride], sys.mu)))
         if rows is not None:
             rows[block] = _jacobian_rows(field.dt, sys.mu, eig, nodes)
+        if search is not None:
+            search.add(block, nodes)
     return _PassReading(span=span.report(), endpoint=nodes[-1].copy(), jacobian=rows)
 
 
@@ -264,38 +267,49 @@ def gate_fidelity(target: np.ndarray, u: np.ndarray) -> float:
     return float(abs(np.vdot(target, u)) / target.shape[0])
 
 
-def waypoint_visits(traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: float) -> list[VisitRecord]:
-    """Best visit fidelity of every way-point over the trajectory nodes.
+class _VisitSearch:
+    """The running best match |Tr(W† U_m)| / N of every way-point W of a set
+    over the nodes of a pass of ``steps`` steps, fed in the blocks of
+    ``evolve._blocks``: the one visit search of the package.  A block gives
+    its nodes but the last, which opens the next block, so each node's
+    overlaps are a row of one product that starts where it starts over all
+    nodes, with the bits it has there; ties keep the first node, as one
+    argmax over all nodes would."""
 
-    Fidelity is phase-invariant, |Tr(W† U_m)| / N, since way-points only
-    matter through conjugation; a way-point counts as visited when its
-    best fidelity reaches 1 - fid_tol.  Indices in the records are the
-    1-based list positions of the set.
-    """
+    def __init__(self, wset: WaypointSet, steps: int):
+        self.dim, self.last = wset.dim, steps
+        self.conj = wset.unitaries.conj().reshape(len(wset), -1)
+        self.best = np.full(len(wset), -np.inf)
+        self.steps = np.zeros(len(wset), dtype=int)
+
+    def add(self, block: slice, nodes: np.ndarray) -> None:
+        """Match the nodes U_block.start .. U_block.stop of a block."""
+        nodes = nodes[: len(nodes) - (block.stop < self.last)]
+        overlaps = np.abs(self.conj @ nodes.reshape(-1, self.conj.shape[1]).T) / self.dim
+        m = np.argmax(overlaps, axis=1)
+        fid = overlaps[np.arange(len(m)), m]
+        better = fid > self.best
+        self.best[better], self.steps[better] = fid[better], block.start + m[better]
+
+    def records(self, field: ControlField, fid_tol: float) -> list[VisitRecord]:
+        """One record per way-point at the grid times of ``field``, 1-based in
+        the order of the set; visited when its best fidelity reaches 1 - fid_tol."""
+        times = field.times
+        return [
+            VisitRecord(index=k + 1, fidelity=fid, time=float(times[m]), step=int(m), visited=fid >= 1.0 - fid_tol)
+            for k, (fid, m) in enumerate(zip(self.best.tolist(), self.steps))
+        ]
+
+
+def waypoint_visits(traj: PropagatorTrajectory, wset: WaypointSet, fid_tol: float) -> list[VisitRecord]:
+    """Best visit fidelity of every way-point over the nodes of the kept pass
+    ``traj``, read in its blocks (:class:`_VisitSearch`)."""
     if wset.dim != traj.dim:
         raise ValueError(f"dimension mismatch: set {wset.dim} vs trajectory {traj.dim}")
-    count, nodes = len(wset), traj.unitaries
-    conj = wset.unitaries.conj().reshape(count, -1)
-    best, steps = np.full(count, -np.inf), np.zeros(count, dtype=int)
-    # A running best over blocks of nodes; the strict > keeps the first
-    # maximum on ties, as one argmax over all nodes would.
-    for block in evolve._blocks(len(nodes)):
-        overlaps = np.abs(conj @ nodes[block].reshape(-1, conj.shape[1]).T) / traj.dim
-        m = np.argmax(overlaps, axis=1)
-        fid = overlaps[np.arange(count), m]
-        better = fid > best
-        best[better], steps[better] = fid[better], block.start + m[better]
-    times = traj.times
-    return [
-        VisitRecord(
-            index=k + 1,
-            fidelity=float(best[k]),
-            time=float(times[steps[k]]),
-            step=int(steps[k]),
-            visited=float(best[k]) >= 1.0 - fid_tol,
-        )
-        for k in range(count)
-    ]
+    search = _VisitSearch(wset, traj.steps)
+    for block, _, nodes in traj.blocks():
+        search.add(block, nodes)
+    return search.records(traj.field, fid_tol)
 
 
 def gradient(traj: PropagatorTrajectory, rho0: np.ndarray, obs: np.ndarray) -> np.ndarray:

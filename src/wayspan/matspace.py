@@ -62,21 +62,36 @@ def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(b, dtype=complex).view(float)).view(complex)
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a 2^-e, e)``: a copy of ``a`` scaled by the power of two that puts its
+    largest |entry| in [1/2, 1), and the exponent e (0 for the zero matrix).
+
+    Scaling by a power of two is exact while the entries stay normal floats,
+    so a test relative to the scale of ``a`` gives on the copy the verdict it
+    gives on ``a``, and keeps it where a quantity of ``a`` in it, such as its
+    norm or trace, would overflow.
+    """
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    exp = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    parts = a.view(float)
+    np.ldexp(parts, -exp, out=parts)
+    return a, exp
+
+
 def hs_norm(a: np.ndarray) -> float:
     """Frobenius norm, i.e. the norm induced by the HS inner product.
 
-    ``a`` is scaled by the power of two at its largest entry before the norm
-    is taken, and the result is scaled back, so the sum of squares neither
-    underflows nor overflows: ``hs_norm(2^k a) == 2^k hs_norm(a)`` exactly
-    while the entries of both stay normal floats.  Scaling by a power of two
-    is exact, so the result equals ``np.linalg.norm(a)`` bit for bit wherever
-    that norm neither underflows nor overflows.
+    The norm is taken of :func:`_unit_scaled` ``a`` and scaled back, so the
+    sum of squares neither underflows nor overflows: ``hs_norm(2^k a) ==
+    2^k hs_norm(a)`` exactly while the entries of both stay normal floats.
+    Scaling by a power of two is exact, so the result equals
+    ``np.linalg.norm(a)`` bit for bit wherever that norm neither underflows
+    nor overflows.  A norm past the float range is inf, without a warning;
+    a test relative to it is made on the scaled copy instead.
     """
-    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
-    exp = np.frexp(np.abs(a).max(initial=0.0))[1]
-    parts = a.view(float)
-    np.ldexp(parts, -exp, out=parts)
-    return float(np.ldexp(np.linalg.norm(a), exp))
+    scaled, exp = _unit_scaled(a)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
@@ -99,9 +114,10 @@ def assert_hermitian_zt(m, *, name: str = "matrix") -> np.ndarray:
     defect = _hermitian_defect(m)
     if not defect <= HERMITIAN_RTOL:
         raise ValueError(f"{name} is not Hermitian: relative defect {defect:.3e}")
-    tr = abs(complex(np.trace(m)))
-    if not tr <= TRACE_RTOL * hs_norm(m):
-        raise ValueError(f"{name} is not traceless: |trace| = {tr:.3e}")
+    # On the scaled copy, so that neither the trace nor the norm overflows.
+    scaled = _unit_scaled(m)[0]
+    if not abs(complex(np.trace(scaled))) <= TRACE_RTOL * hs_norm(scaled):
+        raise ValueError(f"{name} is not traceless: |trace| = {abs(complex(np.trace(m))):.3e}")
     return m
 
 

@@ -13,13 +13,14 @@ is, for c a power of two, and up to round-off for any c > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import reachability
 from ._fmt import FormatError, float_array, int_field, parse_json, read_text, require_key
-from .matspace import _hermitian_defect, hs_norm
+from .matspace import _hermitian_defect, _unit_scaled, hs_norm
 from .tolerances import HERMITIAN_RTOL, OFFDIAG_RTOL, TRACE_RTOL
 
 __all__ = [
@@ -74,7 +75,9 @@ class QuantumSystem:
             raise ValueError(f"system dimension must be an integer >= 2, got {self.dim!r}")
         h0 = _as_real_symmetric(self.h0, "h0", self.dim)
         mu = _as_real_symmetric(self.mu, "mu", self.dim)
-        if not abs(np.trace(mu)) <= TRACE_RTOL * hs_norm(mu):
+        # On the scaled copy, so that neither the trace nor the norm overflows.
+        scaled = _unit_scaled(mu)[0]
+        if not abs(np.trace(scaled)) <= TRACE_RTOL * hs_norm(scaled):
             raise HypothesisViolation(
                 "mu_traceless", f"zero-trace hypothesis violated: Tr(mu) = {np.trace(mu):.6g}"
             )
@@ -120,22 +123,23 @@ def check_hypotheses(sys: QuantumSystem) -> HypothesisReport:
 
     The nonzero-coupling hypothesis is a strict inequality, so only
     numerically zero entries fail it: those at most ``OFFDIAG_RTOL`` times
-    the Frobenius norm of ``mu``.  Never mutates the system and is
+    the Frobenius norm of ``mu``.  The test is made on the
+    ``matspace._unit_scaled`` copy of ``mu``, so it holds where that norm
+    exceeds the float range.  Never mutates the system and is
     deterministic; the controllability verdict is delegated to
     :func:`reachability.lie_closure`.
     """
-    mu = sys.mu
-    tol = OFFDIAG_RTOL * hs_norm(mu)
     off_mask = ~np.eye(sys.dim, dtype=bool)
-    offdiag_min = float(np.abs(mu[off_mask]).min())
+    scaled, exp = _unit_scaled(sys.mu)
+    tol = OFFDIAG_RTOL * hs_norm(scaled)
     closure = reachability.lie_closure(sys.h0, sys.mu)
     return HypothesisReport(
         zero_trace=True,
         symmetric=True,
-        offdiag_nonzero=offdiag_min > tol,
+        offdiag_nonzero=float(np.abs(scaled[off_mask]).min()) > tol,
         controllable=closure.verdict,
-        offdiag_min=offdiag_min,
-        offdiag_tol=tol,
+        offdiag_min=float(np.abs(sys.mu[off_mask]).min()),
+        offdiag_tol=math.ldexp(tol, exp),
         lie_dimension=closure.dimension,
     )
 

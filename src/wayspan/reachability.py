@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matspace import hs_norm
+from .matspace import _unit_scaled, hs_norm
 from .tolerances import ABS_FLOOR, CLOSURE_TRACE_TOL, RANK_RTOL, REORTH_FRACTION
 
 __all__ = [
@@ -140,6 +140,9 @@ def lie_closure(h0: np.ndarray, mu: np.ndarray) -> LieClosureResult:
 
     new: list[int] = []
     for gen in (h0, mu):
+        # Scaled by a power of two first, so that a norm past the float range
+        # leaves the unit element as it is at any other scale.
+        gen = _unit_scaled(gen)[0]
         norm = hs_norm(gen)
         if norm > 0.0:
             cand = (gen / norm).reshape(full)[pick[1]] * weight[1]

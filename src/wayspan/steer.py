@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evolve, reachability
 from .evolve import ControlField, PropagatorTrajectory
-from .landscape import VisitRecord, _jacobian, gate_fidelity, waypoint_visits
+from .landscape import SpanReport, VisitRecord, _jacobian, _read_pass, _VisitSearch, gate_fidelity
 from .matspace import assert_unitary, dagger, hs_norm, to_coords
 from .model import QuantumSystem
 from .tolerances import ARMIJO, GRID_RTOL, MIN_STEP, PIVOT_RTOL, RANK_TOL
@@ -48,17 +48,17 @@ def default_segment_time(sys: QuantumSystem) -> float:
     failures at a too-short horizon are reported honestly rather than
     hidden.  A zero dipole has no such horizon, and its Lie closure, span{h0},
     is too small: ``NotControllableError``.  A dipole so small that the
-    quotient overflows has none either: ``ValueError``, which names the
-    horizon and ``--segment-time``.
+    quotient overflows has none either, nor one whose norm overflows:
+    ``ValueError``, which names the horizon, the norm and ``--segment-time``.
     """
     norm = hs_norm(sys.mu)
     if norm == 0.0:
         _require_controllable(sys)
     horizon = 10.0 * np.pi * sys.dim / norm
-    if not np.isfinite(horizon):
+    if not 0.0 < horizon < np.inf:
         raise ValueError(
             f"the default horizon per segment, 10 pi N / ||mu||_HS with ||mu||_HS = {norm:.3g}, "
-            "is not finite; give one with --segment-time"
+            "is not a positive finite number; give one with --segment-time"
         )
     return horizon
 
@@ -107,11 +107,16 @@ class SynthesisResult:
 
 @dataclass(frozen=True)
 class WaypointSynthesis:
-    """Concatenated field, its trajectory composed from the segments' passes,
-    per-segment results and the visit verification."""
+    """Concatenated field, per-segment results, and the two readings of its
+    trajectory that certify it, taken in one pass over the streamed chain
+    (:func:`synthesize_through_waypoints`): the span of the conjugated
+    dipoles at every node, and the visits, whose global search costs
+    K (M + 1) overlaps of N^2 complex terms, O(K^2) in the chain.  The chain
+    is guarded a block at a time, so a bad node raises up to 2
+    ``evolve._BLOCK`` steps after it."""
 
     field: ControlField
-    trajectory: PropagatorTrajectory
+    span: SpanReport
     segments: tuple[SynthesisResult, ...]
     visits: tuple[VisitRecord, ...]
 
@@ -280,12 +285,16 @@ def synthesize_through_waypoints(
     first), per the composition U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0);
     anchoring each target to the achieved endpoint keeps per-segment errors
     from compounding across the chain.  The segment fields share one grid
-    and concatenate into a single control.  Its trajectory is composed from
-    the segments' own passes as they are steered (``evolve._chain``), so it
-    is the trajectory that was steered, with no step taken again.  It passes
-    the unitarity guard of ``evolve.propagate``, which stops the chain at the
-    first segment that fails it, and is verified against the set with
-    phase-invariant visit fidelities.
+    and concatenate into a single control.
+
+    Its trajectory is composed from the segments' own passes as they are
+    steered (``evolve._chain``), with no step taken again, and read once, as
+    it streams: each block gives the span its nodes' conjugated dipoles and
+    the visit search its nodes.  The search is global, K (M + 1) overlaps of
+    N^2 complex terms for K way-points and M steps, so O(K^2) in the chain.
+    The guard of ``evolve.propagate`` checks a chain block at a time: a bad
+    node raises at the end of its block, after up to 2 ``evolve._BLOCK``
+    more steps of later segments.
     """
     _require_controllable(sys)
     if wset.dim != sys.dim:
@@ -307,6 +316,16 @@ def synthesize_through_waypoints(
             yield kept.pop()
 
     steps = len(wset.unitaries) * _segment_steps(sys.dim, opts.steps_per_segment)
-    traj = evolve._chain(sys, passes(), steps)
-    visits = waypoint_visits(traj, wset, fid_tol=1.0 - opts.fid_target)
-    return WaypointSynthesis(field=traj.field, trajectory=traj, segments=tuple(segments), visits=tuple(visits))
+    search = _VisitSearch(wset, steps)
+    chain = evolve._chain(sys, passes(), steps)
+    try:
+        span = _read_pass(sys, None, chain, 1, search=search).span
+    except RuntimeError:
+        # A span that is not finite is reported once the chain is through, so
+        # that a later segment's failure, or the guard's, still comes first.
+        for _ in chain:
+            pass
+        raise
+    field = evolve.concat_fields([s.field for s in segments])
+    visits = search.records(field, 1.0 - opts.fid_target)
+    return WaypointSynthesis(field=field, span=span, segments=tuple(segments), visits=tuple(visits))

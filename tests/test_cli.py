@@ -21,13 +21,14 @@ from conftest import (
     SZ,
     coupled_traceless_symmetric,
     random_system_and_field,
+    random_traceless_symmetric,
     rotated_traceless_symmetric,
     spoil_last_block,
 )
-from wayspan import cli, evolve, reachability, waypoints
+from wayspan import cli, evolve, matspace, reachability, waypoints
 from wayspan.evolve import ControlField
 from wayspan._fmt import write_document
-from wayspan.model import load_system
+from wayspan.model import check_hypotheses, load_system
 
 
 def _system(path, h0, mu):
@@ -506,6 +507,44 @@ class TestEnergyUnit:
             assert self._outputs(tmp_path, capsys, 1021, ("steer",)) == {"steer": (2, [], message)}
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list((tmp_path / "st").iterdir()) == []
+
+
+class TestNormPastTheFloatRange:
+    """h0 = diag(1, 2, 3, 4) and mu = 2^1022 times a traceless symmetric
+    matrix, whose HS norm exceeds the float range.  The tests relative to
+    that norm are made on mu scaled by a power of two, so ``validate`` and
+    ``controllability`` keep the verdicts of the unscaled mu; ``steer``, whose
+    default horizon divides by the norm, exits 2 naming it.  RuntimeWarnings
+    are errors under pytest, so none is emitted."""
+
+    @staticmethod
+    def _system(tmp_path, k):
+        mu = random_traceless_symmetric(4, np.random.default_rng(3))
+        return _system(tmp_path / f"sys_{k}.json", np.diag([1.0, 2.0, 3.0, 4.0]), np.ldexp(mu, k))
+
+    def test_validate_and_controllability_keep_the_verdicts_of_the_unscaled_dipole(self, tmp_path, capsys):
+        outputs, reports = {}, {}
+        for k in (0, 1022):
+            system = self._system(tmp_path, k)
+            assert (matspace.hs_norm(load_system(system).mu) == np.inf) == (k == 1022)
+            reports[k] = check_hypotheses(load_system(system))
+            for name in ("validate", "controllability"):
+                code = run(name, "--system", system)
+                out = capsys.readouterr().out.splitlines()
+                outputs[k, name] = code, [line for line in out if not line.endswith(".json:") and "min |mu_ij|" not in line]
+        assert outputs[0, "validate"] == outputs[1022, "validate"] == (0, [
+            "  zero trace: ok", "  symmetric: ok", "  off-diagonal couplings nonzero: ok", "  controllable: U (Lie dimension 16)"])
+        assert outputs[0, "controllability"] == outputs[1022, "controllability"] == (0, ["dimension: 16", "verdict: U"])
+        # The reported minimum and tolerance are those of the unscaled mu, times 2^1022.
+        for name in ("offdiag_min", "offdiag_tol"):
+            assert getattr(reports[1022], name) == np.ldexp(getattr(reports[0], name), 1022)
+
+    def test_steer_names_the_norm_of_its_default_horizon(self, tmp_path, capsys):
+        out = tmp_path / "st"
+        assert run("steer", "--system", self._system(tmp_path, 1022), "--provenance", "theorem3", "--out", out) == 2
+        assert capsys.readouterr() == ("", "ERROR: the default horizon per segment, 10 pi N / ||mu||_HS with "
+                                       "||mu||_HS = inf, is not a positive finite number; give one with --segment-time\n")
+        assert not out.exists()
 
 
 class TestNumericalFailure:

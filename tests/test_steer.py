@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,50 @@ def test_chain_through_quadruple_set(pauli_system, opts):
     assert landscape.trajectory_independence(traj).full
 
 
+def _record_chain(monkeypatch):
+    """The blocks that ``evolve._chain`` yields from here on, each as its slice
+    and a copy of its nodes, appended as the chain is read."""
+    blocks, real_chain = [], evolve._chain
+
+    def recorded(*args):
+        for block, eig, nodes in real_chain(*args):
+            assert eig is None and not nodes.flags.writeable
+            blocks.append((block, nodes.copy()))
+            yield block, eig, nodes
+
+    monkeypatch.setattr(evolve, "_chain", recorded)
+    return blocks
+
+
+def _collected_chain(sys_n, synthesis, blocks):
+    """The streamed chain of ``synthesis`` as a kept pass, after three checks.
+
+    Its blocks are the partition of a pass of its length; the node where
+    each segment starts is the running product of the segment endpoints bit
+    for bit; and a fresh pass of the concatenated field differs from it by
+    round-off: about N eps per node product, and the phase error of its dt
+    against the segments' dt, |ddt| max|w| per step.  The chain carries no
+    eigenpairs, and neither reading of a kept pass reads them, so the kept
+    pass gets zeros.
+    """
+    field, segments = synthesis.field, synthesis.segments
+    assert [block for block, _ in blocks] == evolve._blocks(field.steps)
+    nodes = np.concatenate([blocks[0][1][:1], *(block_nodes[1:] for _, block_nodes in blocks)])
+    n = sys_n.dim
+    chain = evolve.PropagatorTrajectory(sys_n, field, (np.zeros((field.steps, n)), np.zeros((field.steps, n, n))), nodes)
+    reached, start = np.eye(n, dtype=complex), 0
+    for seg in segments:
+        assert chain.unitaries[start].tobytes() == reached.tobytes()
+        reached, start = seg.endpoint @ reached, start + seg.field.steps
+    assert chain.unitaries[-1].tobytes() == reached.tobytes()
+
+    fresh = evolve.propagate(sys_n, field)
+    ddt = abs(field.dt - segments[0].field.dt)
+    bound = field.steps * (8 * n * EPS + ddt * float(np.abs(fresh.eig[0]).max()))
+    assert np.abs(chain.unitaries - fresh.unitaries).max() <= bound
+    return chain, fresh, bound
+
+
 @pytest.mark.parametrize("provenance, segment_time", [("theorem1", 5.0), ("theorem3", 2.9)])
 def test_synthesis_carries_its_composed_segment_passes(pauli_system, opts, monkeypatch, tmp_path, provenance, segment_time):
     # The chain's trajectory is composed from the segments' own passes, not
@@ -153,44 +198,56 @@ def test_synthesis_carries_its_composed_segment_passes(pauli_system, opts, monke
         return real_synthesize(sys_, target, *args)
 
     monkeypatch.setattr(steer, "_synthesize", recorded)
+    blocks = _record_chain(monkeypatch)
     wset = waypoints.theorem1_waypoints(pauli_system.mu) if provenance == "theorem1" else waypoints.theorem3_waypoints(2)
     synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
     assert synthesis.all_visited
-    chain, segments, steps = synthesis.trajectory, synthesis.segments, opts.steps_per_segment
-    assert chain.sys is pauli_system and chain.field is synthesis.field
-    assert not chain.unitaries.flags.writeable
+    segments = synthesis.segments
 
     # The targets, and so the segment fields and field.json, are those of the
-    # running product of the endpoints; the chain's boundary nodes are that
-    # product bit for bit.
+    # running product of the endpoints, which the chain's boundary nodes are.
     evolve.save_field(synthesis.field, tmp_path / "chain.json")
     evolve.save_field(evolve.concat_fields([s.field for s in segments]), tmp_path / "segments.json")
     assert (tmp_path / "chain.json").read_bytes() == (tmp_path / "segments.json").read_bytes()
     reached = np.eye(2, dtype=complex)
-    for k, (w, target, seg) in enumerate(zip(wset.unitaries, targets, segments, strict=True)):
+    for w, target, seg in zip(wset.unitaries, targets, segments, strict=True):
         assert target.tobytes() == (w @ dagger(reached)).tobytes()
-        assert chain.unitaries[k * steps].tobytes() == reached.tobytes()
         reached = seg.endpoint @ reached
-    assert chain.unitaries[-1].tobytes() == reached.tobytes()
-
-    # A fresh pass of the concatenated field differs by round-off: about N eps
-    # per node product, and the phase error of its dt against the segments' dt,
-    # |ddt| max|w| per step.
-    fresh = evolve.propagate(pauli_system, synthesis.field)
-    assert all(np.array_equal(a, b) for a, b in zip(chain.eig, fresh.eig))
-    ddt = abs(synthesis.field.dt - segments[0].field.dt)
-    assert (ddt > 0.0) == (provenance == "theorem3")
-    w_max = float(np.abs(chain.eig[0]).max())
-    bound = chain.steps * (8 * chain.dim * EPS + ddt * w_max)
-    assert np.abs(chain.unitaries - fresh.unitaries).max() <= bound
+    chain, fresh, bound = _collected_chain(pauli_system, synthesis, blocks)
+    assert (abs(synthesis.field.dt - segments[0].field.dt) > 0.0) == (provenance == "theorem3")
 
     fid_tol = 1.0 - opts.fid_target
-    assert synthesis.visits == tuple(landscape.waypoint_visits(chain, wset, fid_tol=fid_tol))
     again = landscape.waypoint_visits(fresh, wset, fid_tol=fid_tol)
     assert [(v.index, v.step, v.visited) for v in synthesis.visits] == [(v.index, v.step, v.visited) for v in again]
     # For f = |Tr(W† U)|^2 / N^2, |f(U) - f(U')| <= 2 ||U - U'||_F / sqrt(N),
     # at most 2 N max|U - U'|.
     assert max(abs(a.fidelity - b.fidelity) for a, b in zip(synthesis.visits, again)) <= 2.0 * chain.dim * bound
+
+
+@pytest.mark.parametrize("block", [evolve._BLOCK, 16])
+@pytest.mark.parametrize("n, provenance, segment_time", [(2, "theorem1", 5.0), (2, "theorem3", 2.9), (4, "theorem3", None)])
+def test_streamed_reading_equals_the_collected_one(pauli_system, opts, monkeypatch, n, provenance, segment_time, block):
+    # The visits and the span read from the chain as it streams are those of
+    # the kept pass of the same nodes, bit for bit.  Blocks of 16 steps cut
+    # the 50-step segments.
+    monkeypatch.setattr(evolve, "_BLOCK", block)
+    sys_n = pauli_system if n == 2 else _diagonal_drift_system(4, np.random.default_rng(7))
+    if segment_time is None:
+        opts = SteerOptions(segment_time=steer.default_segment_time(sys_n), seed=303)
+    else:
+        opts = dataclasses.replace(opts, segment_time=segment_time)
+    assert opts.steps_per_segment in (None, 50)
+    wset = waypoints.theorem1_waypoints(sys_n.mu) if provenance == "theorem1" else waypoints.theorem3_waypoints(n)
+    blocks = _record_chain(monkeypatch)
+    synthesis = steer.synthesize_through_waypoints(sys_n, wset, opts)
+    chain = _collected_chain(sys_n, synthesis, blocks)[0]
+    assert (len(blocks) > 1) == (block == 16 or n == 4)
+    assert synthesis.visits == tuple(landscape.waypoint_visits(chain, wset, fid_tol=1.0 - opts.fid_target))
+    kept, streamed = landscape.trajectory_independence(chain), synthesis.span
+    assert (streamed.dim, streamed.count, streamed.rank, streamed.full) == (kept.dim, kept.count, kept.rank, kept.full)
+    assert streamed.count == synthesis.field.steps + 1
+    assert np.array_equal(streamed.singular_values, kept.singular_values)
+    assert np.array_equal(streamed.complement_basis, kept.complement_basis)
 
 
 def test_concatenated_field_reproduces_segment_boundaries(pauli_system, opts):
@@ -298,14 +355,14 @@ def test_chain_computes_no_endpoint_twice(pauli_system, opts, monkeypatch):
     monkeypatch.setattr(evolve, "_final_propagator", counted)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     wset = waypoints.WaypointSet(dim=2, unitaries=np.array([swap, np.eye(2)]), provenance="custom")
+    blocks = _record_chain(monkeypatch)
     synthesis = steer.synthesize_through_waypoints(pauli_system, wset, opts)
     # One call per line-search trial, plus one per segment for its initial field.
     fields = [np.asarray(f.values).tobytes() for f in calls]
     assert len(fields) == len(set(fields))
-    reached = np.eye(2)
-    for seg in synthesis.segments:
-        reached = seg.endpoint @ reached
-    assert np.allclose(reached, synthesis.trajectory.unitaries[-1], atol=1e-12)
+    # The chain composes the segments' passes: its last node is the running
+    # product of their endpoints.
+    _collected_chain(pauli_system, synthesis, blocks)
 
 
 def test_accepted_step_reuses_its_trial_pass(pauli_system, opts, monkeypatch):
@@ -590,17 +647,44 @@ def _diagonal_drift_system(n, rng):
 
 
 @pytest.mark.parametrize("seed", [303, 304, 305])
-def test_theorem3_chain_converges_in_few_newton_steps(seed):
+def test_theorem3_chain_converges_in_few_newton_steps(seed, monkeypatch):
     # The steering contract at N = 4 with the options `steer` defaults to:
     # every segment converges, every way-point is visited and the trajectory
-    # spans isu(4), in a handful of Newton steps per segment.
+    # spans isu(4), in a handful of Newton steps per segment.  Its 2250 steps
+    # stream in the blocks of a pass, which cut the segments.
     sys4 = _diagonal_drift_system(4, np.random.default_rng(7))
     opts = SteerOptions(segment_time=steer.default_segment_time(sys4), seed=seed)
+    blocks = _record_chain(monkeypatch)
     synthesis = steer.synthesize_through_waypoints(sys4, waypoints.theorem3_waypoints(4), opts)
     assert [s.converged for s in synthesis.segments] == [True] * 45
     assert synthesis.all_visited
-    assert landscape.trajectory_independence(synthesis.trajectory).full
+    assert synthesis.span.full
     assert max(s.iterations for s in synthesis.segments) <= 6
+    _collected_chain(sys4, synthesis, blocks)
+    assert len(blocks) == 8
+
+
+def test_chain_memory_does_not_grow_with_its_steps():
+    # The chain is read as it streams and not kept.  What still grows with
+    # its M steps is the fields, the segments' and the concatenated one, and
+    # the visit search's overlaps, K per node of a block for K way-points.
+    # From 45 to 180 segments of 50 steps (the Theorem 3 set, then four times
+    # over) a kept chain added about 610 B per step, 416 of them its nodes and
+    # step eigenpairs; the stream adds about 140.
+    sys4 = _diagonal_drift_system(4, np.random.default_rng(7))
+    opts = SteerOptions(segment_time=steer.default_segment_time(sys4), steps_per_segment=50, seed=303)
+    base = waypoints.theorem3_waypoints(4).unitaries
+    peaks = []
+    for repeats in (1, 4):
+        wset = waypoints.WaypointSet(dim=4, unitaries=np.concatenate([base] * repeats), provenance="custom")
+        tracemalloc.start()
+        try:
+            synthesis = steer.synthesize_through_waypoints(sys4, wset, opts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert synthesis.all_visited and synthesis.span.full
+    assert (peaks[1] - peaks[0]) / (135 * opts.steps_per_segment) < 256
 
 
 @pytest.mark.parametrize("seed", [303, 304, 305])

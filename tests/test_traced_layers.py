@@ -48,7 +48,15 @@ def test_every_traced_layer_is_a_package_function():
 @pytest.mark.parametrize(
     "command, entered",
     [
-        ("steer", {"evolve._final_propagator", "evolve._step_frames", "steer._synthesize", "steer._fidelity_state"}),
+        (
+            "steer",
+            {
+                "model.load_system", "waypoints.theorem3_waypoints", "reachability.lie_closure",
+                "steer._synthesize", "steer._fidelity_state", "steer._fidelity_gradient",
+                "evolve._final_propagator", "evolve._step_frames", "evolve.conjugated_dipole",
+                "matspace.basis_zt", "evolve.save_field", "landscape.save_span_report",
+            },
+        ),
         ("propagate", {"evolve.propagate", "evolve.load_field", "model.load_system"}),
     ],
 )
