@@ -2,22 +2,16 @@
 
 Every on-disk document is written by :func:`write_document`, whose output
 is byte for byte ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` of
-the same document with each array replaced by its ``.tolist()``:
-
-* objects have string keys, written in sorted order, and an empty object
-  or list is ``{}`` or ``[]``;
-* every other scalar is written by the ``json`` module (an exact ``int``
-  by ``int.__repr__``, as there), so floats use Python's shortest
-  round-trip ``repr`` and a saved document reloads bit-exactly;
-* a finite, non-empty float64 ``ndarray`` of at least one dimension is
-  written from its buffer, its leading axis streamed to the target in
-  blocks, so neither the nested lists nor the whole text is ever held.
-  Its unit is a leaf, an innermost row (a complex entry's ``[re, im]``) or
-  a value of a 1-D array, with the separator after it: each distinct leaf
-  of a block is formatted once, and the block is one join of its leaves;
-* any other array (non-finite, non-float64, empty or 0-d) is written
-  through its ``.tolist()`` by the ``json`` path, keeping its
-  ``NaN``/``Infinity`` tokens.
+the same document with each array replaced by its ``.tolist()``.  The
+``json`` module writes all of it but the streamed arrays: a finite,
+non-empty float64 ``ndarray`` of at least one dimension is written by
+:func:`_array_chunks` from its buffer, its leading axis streamed to the
+target in blocks, so neither its nested lists nor its text is ever held
+whole, and each distinct leaf of a block (an innermost row, such as a
+complex entry's ``[re, im]``, or a value of a 1-D array) is formatted once.
+Floats are Python's shortest round-trip ``repr`` on both paths, so a saved
+document reloads bit-exactly.  Any other array is written through its
+``.tolist()``, keeping its ``NaN``/``Infinity`` tokens.
 
 The whole document is checked before the target is opened, so an
 unserializable value or a non-string key never leaves a truncated file.
@@ -36,8 +30,9 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +64,11 @@ def write_text(target, text: str) -> None:
 INDENT = "  "
 # Values per streamed block; a block holds whole rows of the leading axis.
 BLOCK_FLOATS = 1 << 16
+# The marker of a streamed array is this token and the array's index, as a JSON
+# string.  The token is 128 random bits, so a string of a document holds it
+# only by a chance of about 2^-128.
+_TOKEN = os.urandom(16).hex()
+_MARKER = re.compile(f'"{_TOKEN}(\\d+)"')
 # Knuth's multiplicative hash, 2^64 / golden ratio (odd), for :func:`_leaf_texts`.
 _SPREAD = np.uint64(0x9E3779B97F4A7C15)
 
@@ -81,8 +81,17 @@ def canonical_dumps(doc) -> str:
 
 
 def write_document(target, doc) -> None:
-    """Write ``doc`` as canonical JSON to a path (in binary) or a file-like object."""
-    chunks = itertools.chain(_chunks(_plan(doc), 0), ["\n"])
+    """Write ``doc`` as canonical JSON to a path (in binary) or a file-like object.
+
+    ``json.dumps`` lays out the document with each streamed array replaced
+    by a numbered marker string (:func:`_skeleton`); the text is split at
+    the markers, and each array is streamed where its marker stood, at the
+    indentation of the marker's line.  The markers are numbered because
+    sorted keys can put the arrays in another order than the walk met them.
+    """
+    arrays: list = []
+    pieces = _MARKER.split(json.dumps(_skeleton(doc, arrays), indent=2, sort_keys=True))
+    chunks = _streamed(pieces, arrays)
     if hasattr(target, "write"):
         return target.writelines(chunks)
     with open(target, "wb") as fh:
@@ -116,48 +125,34 @@ def write_float_table(target, table, header=None) -> None:
         fh.write("\n")
 
 
-def _plan(obj):
-    """Validate ``obj`` and encode its scalars; streamed arrays are kept as is.
-
-    An object or a list becomes ``(brackets, [(prefix, child), ...])``, with
-    an object's keys encoded into the prefixes in sorted order, and every
-    other leaf becomes its final text, so writing the plan cannot fail.
-    """
-    if type(obj) is int:
-        return int.__repr__(obj)
+def _skeleton(obj, arrays: list):
+    """``obj`` for ``json.dumps``: each array :func:`_array_chunks` streams is
+    appended to ``arrays`` and replaced by the marker of its index, any other
+    array by its ``.tolist()``.  A key that is not a ``str`` raises
+    ``TypeError``, which ``json.dumps`` does not for keys that are all ints."""
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be str, not {type(key).__name__}")
-        return "{}", [(json.dumps(key) + ": ", _plan(obj[key])) for key in sorted(obj)]
+        return {key: _skeleton(value, arrays) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return "[]", [("", _plan(item)) for item in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
-            return obj
-        return _plan(obj.tolist())
-    return json.dumps(obj)
+        return [_skeleton(item, arrays) for item in obj]
+    if not isinstance(obj, np.ndarray):
+        return obj
+    if obj.dtype == np.float64 and obj.ndim and obj.size and _all_finite(obj):
+        arrays.append(obj)
+        return f"{_TOKEN}{len(arrays) - 1}"
+    return obj.tolist()
 
 
-def _chunks(node, level: int):
-    """Text pieces of a planned node whose opening bracket is at indent ``level``."""
-    if isinstance(node, str):
-        yield node
-        return
-    if isinstance(node, np.ndarray):
-        yield from _array_chunks(node, level)
-        return
-    brackets, items = node
-    if not items:
-        yield brackets
-        return
-    inner = "\n" + INDENT * (level + 1)
-    sep = brackets[0] + inner
-    for prefix, child in items:
-        yield sep + prefix
-        yield from (child,) if isinstance(child, str) else _chunks(child, level + 1)
-        sep = "," + inner
-    yield "\n" + INDENT * level + brackets[1]
+def _streamed(pieces: list, arrays: list):
+    """The text of :func:`write_document` from ``pieces``, its ``json`` text
+    split at the markers: text, then an array's index and the text after it."""
+    for k in range(1, len(pieces), 2):
+        yield pieces[k - 1]
+        line = pieces[k - 1][pieces[k - 1].rfind("\n") + 1 :]
+        yield from _array_chunks(arrays[int(pieces[k])], (len(line) - len(line.lstrip(" "))) // len(INDENT))
+    yield pieces[-1] + "\n"
 
 
 def _template(shape: tuple, level: int) -> str:

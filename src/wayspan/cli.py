@@ -4,8 +4,8 @@ Exit codes are a stable scripting contract: 0 for success or a passing
 verdict, 1 for a failed verdict or non-convergence, 2 for usage, parse or
 shape errors, for a file that cannot be read or written (any ``OSError``)
 and for a numerical failure: a guard (node unitarity, the
-eigendecomposition of mu, a span that is not finite) raised
-``RuntimeError``, so no verdict exists.
+eigendecomposition of mu, a span that is not finite, a Newton system of
+``steer`` that is not finite) raised ``RuntimeError``, so no verdict exists.
 """
 
 from __future__ import annotations
@@ -153,9 +153,12 @@ def _cmd_waypoints(args) -> int:
         return EXIT_OK
 
     span = landscape._SpanAccumulator(wset.dim)
-    for block in evolve._blocks(len(wset)):
-        span.add(matspace.to_coords(evolve.conjugated_dipole(wset.unitaries[block], sys_obj.mu)))
-    report = span.report()
+    # A dipole past the float range gives coordinates that are not finite,
+    # whose span the report refuses: the overflow itself is not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in evolve._blocks(len(wset)):
+            span.add(matspace.to_coords(evolve.conjugated_dipole(wset.unitaries[block], sys_obj.mu)))
+        report = span.report()
     landscape.save_span_report(report, out / "span.txt")
     print(f"spanning verdict: {report.verdict}")
     return EXIT_OK if report.full else EXIT_VERDICT

@@ -147,11 +147,16 @@ def _fidelity_gradient(target: np.ndarray, traj: PropagatorTrajectory) -> tuple[
     ``jac @ to_coords(2i conj(z) target† U_M) / N^2`` (real trace 0); the same
     ``jac`` gives the Newton step (:func:`_newton_direction`).  ``traj`` is the
     field's step pass, as ``_fidelity_state`` returns it; U_M is its last node.
+    A ``jac`` or gap that is not finite, as when the step couplings
+    ``v† mu v`` overflow, raises ``RuntimeError`` before LAPACK sees it.
     """
     u = traj.unitaries[-1]
     z = complex(np.vdot(target, u))
     gap = dagger(target) @ u
-    jac = _jacobian(traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = _jacobian(traj)
+    if not (np.isfinite(jac).all() and np.isfinite(gap).all()):
+        raise RuntimeError("the Newton system is not finite: its Jacobian or its gap target† U_M overflows")
     grad = jac @ to_coords(2j * np.conj(z) * gap) / traj.dim**2
     return grad, _newton_direction(np.exp(-1j * np.angle(z)) * gap, jac)
 

@@ -42,7 +42,7 @@ from ._fmt import (
     require_key,
     write_document,
 )
-from .matspace import assert_hermitian_zt, dagger, embed_2x2, hs_norm, unitarity_defect
+from .matspace import _unit_scaled, assert_hermitian_zt, dagger, embed_2x2, hs_norm, unitarity_defect
 from .tolerances import (
     EIGH_RESIDUAL_RTOL,
     LEMMA1_DET_THRESHOLD,
@@ -195,19 +195,25 @@ def theorem1_waypoints(mu: np.ndarray) -> WaypointSet:
     patterns follow from ``mu = Q diag(w) Q†`` by algebra, so only that
     premise is verified: ``max |Q† mu Q - diag(w)|`` must be at most
     ``EIGH_RESIDUAL_RTOL`` times ``||mu||_2 = max(|w_0|, |w_{N-1}|)``,
-    otherwise ``RuntimeError``.  The bound scales with mu, so a scaled mu
-    passes as the unscaled one does; ``WaypointSet`` checks that every
-    way-point is unitary.
+    otherwise ``RuntimeError``; ``WaypointSet`` checks that every way-point
+    is unitary.  Both the decomposition and its check are taken on mu
+    scaled by the power of two that puts its largest entry in [1/2, 1)
+    (``matspace._unit_scaled``), so neither the eigenvalues nor the residual
+    overflow, and ``2^k mu`` gives the set of mu bit for bit wherever that
+    scaling is exact.
     """
     mu = assert_hermitian_zt(mu, name="mu")
     if not mu.any():
         raise ValueError("coupling operator must be nonzero")
     n = mu.shape[0]
+    mu, exp = _unit_scaled(mu)
     w, q = np.linalg.eigh(mu)
     residual = float(np.abs(dagger(q) @ mu @ q - np.diag(w)).max())
     bound = EIGH_RESIDUAL_RTOL * max(abs(w[0]), abs(w[-1]))
     if not residual <= bound:
-        raise RuntimeError(f"eigendecomposition of mu has residual {residual:.3e} above the bound {bound:.3e}")
+        raise RuntimeError(
+            f"eigendecomposition of mu has residual {residual:.3e} above the bound {bound:.3e} (of mu scaled by 2^{-exp})"
+        )
 
     # perm[p, c - 1] is the eigenvector placed in column c for pair p: the
     # first at i, the last at j, and the others in order at the free columns.

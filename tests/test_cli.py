@@ -546,6 +546,33 @@ class TestNormPastTheFloatRange:
                                        "||mu||_HS = inf, is not a positive finite number; give one with --segment-time\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("provenance, count", [("theorem1", 24), ("theorem3", 45)])
+    def test_waypoints_refuse_the_overflowing_span_without_a_warning(self, tmp_path, capsys, provenance, count):
+        # The Theorem 1 set is built from the scaled copy of mu; the largest
+        # singular value of the span of either set's dipoles is past the float range.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("waypoints", "--provenance", provenance, "--system", self._system(tmp_path, 1022), "--out", tmp_path)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == f"way-points: {count} (provenance {provenance}, dim 4)\n"
+        assert captured.err.startswith("ERROR: numerical failure: singular values of the span are not finite")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_steer_refuses_a_newton_system_that_is_not_finite(self, tmp_path, capfd):
+        # At so short a horizon the step couplings v† mu v overflow.  The
+        # Newton system is refused before LAPACK, which would print to the C
+        # stdout that capfd reads, and without a warning.
+        out = tmp_path / "st"
+        argv = ("steer", "--system", self._system(tmp_path, 1022), "--provenance", "theorem3", "--segment-time", 1e-307)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out", out) == 2
+        assert capfd.readouterr() == ("", "ERROR: numerical failure: the Newton system is not finite: "
+                                      "its Jacobian or its gap target† U_M overflows\n")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not out.exists()
+
 
 class TestNumericalFailure:
     """A numerical guard that raises is reported on stderr and exits 2, not 1."""
@@ -646,3 +673,13 @@ class TestEigenFreeCheck:
                 assert run(*argv, *extra) == 2
                 assert capsys.readouterr() == ("", message)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_importing_the_cli_loads_no_slow_module():
+    # Every command pays the import of wayspan.cli, in a fresh interpreter.
+    code = "import sys, wayspan.cli; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "wayspan.cli" in loaded
+    assert loaded.isdisjoint({"numpy.random", "scipy", "uuid", "secrets", "hashlib", "csv"})

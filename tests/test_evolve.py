@@ -451,3 +451,20 @@ def test_eigen_free_pass_refuses_what_the_eigh_pass_refuses(monkeypatch):
     for eigenpairs in (True, False):
         with np.errstate(all="raise"), pytest.raises(RuntimeError, match="step eigenvalues are not finite"):
             list(evolve._step_blocks(big, field, eigenpairs))
+
+
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda: evolve.density_matrix(np.full((2, 3), 0.5)), "density matrix must be square, got shape (2, 3)"),
+        (lambda: evolve.density_matrix(np.array([1.0])), "density matrix must be square, got shape (1,)"),
+        (lambda: evolve.conjugated_dipole(np.eye(3), np.real(SZ)), "dimension mismatch: u (3, 3) vs mu (2, 2)"),
+        (lambda: evolve.conjugated_dipole(np.array([1.0, 0.0]), np.real(SZ)), "dimension mismatch: u (2,) vs mu (2, 2)"),
+        (lambda: evolve.conjugated_dipole(np.eye(2), np.ones((1, 2, 2))), "dimension mismatch: u (2, 2) vs mu (1, 2, 2)"),
+        (lambda: evolve.concat_fields([]), "need at least one field"),
+    ],
+)
+def test_stated_input_checks_raise_value_error(call, start):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value).startswith(start)

@@ -263,6 +263,35 @@ def test_failed_validation_leaves_no_file(tmp_path, doc):
     assert not path.exists()
 
 
+
+@pytest.mark.parametrize("doc", [{1: 2.0}, [{"a": np.ones(2)}, {2: 1}], {"a": {(1, 2): np.ones(2)}}])
+def test_a_key_that_is_not_a_string_fails_and_leaves_no_file(tmp_path, doc):
+    # json.dumps would write a dict whose keys are all ints: the writer refuses it.
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match="^document keys must be str, not "):
+        write_document(path, doc)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # Arrays under keys whose sorted order is not their insertion order.
+        {"[": [np.array([0.0])], "": np.array([1.0])},
+        {"z": np.ones((2, 2)), "b": [np.arange(3.0), {"y": np.zeros(1), "a": np.full((1, 2), -0.0)}], "a": np.eye(2)},
+        # Arrays in lists in dicts, two and more levels deep.
+        {"a": [[np.ones(2), {"b": [[np.arange(4.0).reshape(2, 2)], []]}], np.array([TINY])]},
+        [{"a": [{"b": [np.array([[1e16, 1e-5]])]}]}, [[np.array([SUB]), [np.ones((1, 1, 2))]]]],
+        # The whole document is one array.
+        np.arange(6.0).reshape(3, 2),
+        np.array([-0.0]),
+    ],
+)
+def test_nested_and_reordered_arrays_match_the_oracle(tmp_path, doc):
+    write_document(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == _oracle(doc).encode()
+    assert canonical_dumps(doc) == _oracle(doc)
+
 def _per_entry_table(table, header=None):
     lines = [",".join(header)] if header is not None else []
     lines += [",".join(repr(float(v)) for v in row) for row in table]
@@ -417,3 +446,10 @@ def test_float_array_rejects_exactly_the_non_finite_arrays(a):
     else:
         with pytest.raises(FormatError, match="non-finite"):
             _fmt.float_array(a, "a", a.shape)
+
+
+@pytest.mark.parametrize("text", ["[]", "[{}]", "1", '"doc"', "null"])
+def test_a_document_root_that_is_not_an_object_is_refused(text):
+    with pytest.raises(FormatError) as exc:
+        _fmt.parse_json(io.StringIO(text))
+    assert exc.type is FormatError and str(exc.value) == "document root must be a JSON object"

@@ -759,3 +759,25 @@ def test_eigen_free_oracle_probe_blocks_join_up(monkeypatch):
     whole = landscape.finite_difference_gradient(traj, rho0, obs)
     monkeypatch.setattr(evolve, "_BLOCK", 4)
     assert np.array_equal(landscape.finite_difference_gradient(traj, rho0, obs), whole)
+
+
+def _pauli_pass():
+    return evolve.propagate(QuantumSystem(2, np.real(SZ), np.real(SX)), ControlField(horizon=1.0, values=[0.3, -0.2]))
+
+
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda: landscape.gradient(_pauli_pass(), np.eye(3) / 3, np.real(SZ)), "dimension mismatch: rho0 (3, 3), obs (2, 2), system 2"),
+        (lambda: landscape.gradient(_pauli_pass(), np.diag([1.0, 0.0]), np.eye(3)), "dimension mismatch: rho0 (2, 2), obs (3, 3), system 2"),
+        (lambda: landscape.gate_fidelity(np.eye(2), np.eye(3)), "dimension mismatch: (2, 2) vs (3, 3)"),
+        (lambda: landscape.waypoint_visits(_pauli_pass(), waypoints.theorem3_waypoints(3), 1e-3), "dimension mismatch: set 3 vs trajectory 2"),
+        (lambda: landscape.kinematic_residual(np.eye(2), np.eye(3) / 3, np.eye(2)), "dimension mismatch: u (2, 2), rho0 (3, 3), obs (2, 2)"),
+        (lambda: landscape.kinematic_residual(np.eye(2), np.diag([1.0, 0.0]), np.eye(3)), "dimension mismatch: u (2, 2), rho0 (2, 2), obs (3, 3)"),
+        (lambda: landscape.kinematic_residual(np.ones(2), np.ones(2), np.ones(2)), "dimension mismatch: u (2,), rho0 (2,), obs (2,)"),
+    ],
+)
+def test_stated_shape_checks_raise_value_error(call, start):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value).startswith(start)

@@ -262,3 +262,21 @@ def test_nan_entry_fails_the_check(check, matrix, message):
     m[1, 2] = np.nan
     with pytest.raises(ValueError, match=message):
         check(m)
+
+
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda: matspace.assert_unitary(np.ones((2, 3)), name="target"), "target must be square, got shape (2, 3)"),
+        (lambda: matspace.assert_unitary(np.ones(2)), "matrix must be square, got shape (2,)"),
+        (lambda: matspace.assert_hermitian_zt(np.ones((3, 2)), name="z"), "z must be square, got shape (3, 2)"),
+        (lambda: matspace.unitarity_defect(np.ones((2, 3))), "u must be a square matrix or a stack of them, got shape (2, 3)"),
+        (lambda: matspace.unitarity_defect(np.ones(4)), "u must be a square matrix or a stack of them, got shape (4,)"),
+        (lambda: matspace.embed_2x2(np.eye(3), 1, 2, 4), "block must be 2x2, got shape (3, 3)"),
+        (lambda: matspace.embed_2x2(np.ones(2), 1, 2, 4), "block must be 2x2, got shape (2,)"),
+    ],
+)
+def test_stated_shape_checks_raise_value_error(call, start):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value).startswith(start)

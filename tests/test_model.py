@@ -147,3 +147,29 @@ def test_check_hypotheses_deterministic():
     first = model.check_hypotheses(sys2)
     second = model.check_hypotheses(sys2)
     assert first == second
+
+
+H0_2 = np.diag([0.0, 1.0])
+MU_2 = np.real(SX)
+
+
+@pytest.mark.parametrize(
+    "call, error, start",
+    [
+        (lambda: QuantumSystem(2, [["a", "b"], ["c", "d"]], MU_2), HypothesisViolation, "h0 must have real entries: "),
+        (lambda: QuantumSystem(2, H0_2, [[0.0, "one"], [1.0, 0.0]]), HypothesisViolation, "mu must have real entries: "),
+        (lambda: QuantumSystem(2, np.eye(3), MU_2), ValueError, "h0 must be 2x2, got shape (3, 3)"),
+        (lambda: QuantumSystem(2, H0_2, np.ones(2)), ValueError, "mu must be 2x2, got shape (2,)"),
+        (lambda: QuantumSystem(2, [[np.nan, 0.0], [0.0, 1.0]], MU_2), ValueError, "h0 contains non-finite entries"),
+        (lambda: QuantumSystem(2, H0_2, [[0.0, np.inf], [np.inf, 0.0]]), ValueError, "mu contains non-finite entries"),
+        (lambda: QuantumSystem(1, [[0.0]], [[0.0]]), ValueError, "system dimension must be an integer >= 2, got 1"),
+        (lambda: QuantumSystem(2.0, H0_2, MU_2), ValueError, "system dimension must be an integer >= 2, got 2.0"),
+        (lambda: model.load_system(_doc(2, H0_2.tolist(), MU_2.tolist(), label=3)), FormatError, "field 'label' must be a string"),
+        (lambda: model.load_system_csv(io.StringIO("")), FormatError, "empty CSV system document"),
+        (lambda: model.load_system_csv(io.StringIO(" \n\n  \n")), FormatError, "empty CSV system document"),
+    ],
+)
+def test_stated_input_checks_raise_their_errors(call, error, start):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value).startswith(start)

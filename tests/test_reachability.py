@@ -314,3 +314,17 @@ def test_complex_generators_are_rejected(which):
     gens[which] = gens[which].astype(complex)
     with pytest.raises(ValueError, match="complex"):
         reachability.lie_closure(gens["h0"], gens["mu"])
+
+
+@pytest.mark.parametrize(
+    "h0, mu, start",
+    [
+        (np.eye(2), np.eye(3), "generators must be square with equal shape, got (2, 2) and (3, 3)"),
+        (np.ones((2, 3)), np.ones((2, 3)), "generators must be square with equal shape, got (2, 3) and (2, 3)"),
+        (np.ones(2), np.ones(2), "generators must be square with equal shape, got (2,) and (2,)"),
+    ],
+)
+def test_lie_closure_refuses_unequal_or_non_square_generators(h0, mu, start):
+    with pytest.raises(ValueError) as exc:
+        reachability.lie_closure(h0, mu)
+    assert exc.type is ValueError and str(exc.value).startswith(start)

@@ -697,3 +697,16 @@ def test_random_target_at_n8_converges_with_default_options(seed):
     result = steer.synthesize_to_target(sys8, random_unitary(8, rng), opts)
     assert result.converged
     assert result.field.steps == 126
+
+
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda s, o: steer.synthesize_to_target(s, np.eye(3), o), "target shape (3, 3) does not match dimension 2"),
+        (lambda s, o: steer.synthesize_through_waypoints(s, waypoints.theorem3_waypoints(3), o), "dimension mismatch: set 3 vs system 2"),
+    ],
+)
+def test_a_dimension_mismatch_is_refused(pauli_system, opts, call, start):
+    with pytest.raises(ValueError) as exc:
+        call(pauli_system, opts)
+    assert exc.type is ValueError and str(exc.value).startswith(start)

@@ -143,6 +143,34 @@ def test_a_wrong_eigendecomposition_names_its_residual(monkeypatch, rng):
         waypoints.theorem1_waypoints(random_traceless_symmetric(4, rng))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_theorem1_set_is_that_of_mu_up_to_the_top_of_the_float_range():
+    # At 2^1022 the largest eigenvalue of this mu is past the float range.  The
+    # set is built from mu scaled by a power of two, so it is the set of mu,
+    # bit for bit, at every k where 2^k mu is exact (RuntimeWarnings are errors).
+    mu = random_traceless_symmetric(4, np.random.default_rng(3))
+    base = waypoints.theorem1_waypoints(mu)
+    for k in (-1000, 0, 1000, 1021, 1022):
+        assert np.array_equal(_bits(waypoints.theorem1_waypoints(np.ldexp(mu, k)).unitaries), _bits(base.unitaries)), k
+
+
+def test_theorem1_set_at_unit_scale_keeps_the_decomposition_of_mu():
+    # The base unitary of each quadruple is Q of eigh(mu) itself, with column 0
+    # at i, column N-1 at j and the others in order, bit for bit: so the set,
+    # and the document it is saved as, are those of the unscaled decomposition.
+    n = 4
+    mu = random_traceless_symmetric(n, np.random.default_rng(3))
+    q = np.linalg.eigh(mu.astype(complex))[1]
+    wset = waypoints.theorem1_waypoints(mu)
+    for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+        rest = iter(range(1, n - 1))
+        perm = [0 if c == i else n - 1 if c == j else next(rest) for c in range(n)]
+        assert np.array_equal(_bits(wset.unitaries[4 * p]), _bits(q[:, perm])), (i, j)
+
+
 class TestDipoleDependentSet:
     def test_pauli_z_quadruple(self):
         wset = waypoints.theorem1_waypoints(np.real(SZ))
@@ -406,3 +434,26 @@ def test_set_rejects_a_nan_waypoint():
     unitaries[1, 0, 2] = np.nan
     with pytest.raises(ValueError, match=r"^way-point 2 is not unitary: \|\|u†u - I\|\|_F = nan$"):
         WaypointSet(dim=3, unitaries=unitaries, provenance="custom")
+
+
+# The witness-failure RuntimeError of separating_unitary is not reached here:
+# by Chebyshev's sum inequality (see its docstring) the predicted value is at
+# least ||z|| ||mu|| / N^2, far above WITNESS_RTOL ||z|| ||mu||.
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda: ThetaGrid([0.0, 1.0, 2.0, 3.0, np.nan]), "grid angles must be finite"),
+        (lambda: ThetaGrid([0.0, 1.0, np.inf, 3.0, 4.0]), "grid angles must be finite"),
+        (lambda: WaypointSet(dim=2, unitaries=[np.eye(2)], provenance="theorem2"), "provenance must be one of "),
+        (lambda: WaypointSet(dim=2, unitaries=np.eye(2), provenance="custom"), "unitaries must be (count, 2, 2), got (2, 2)"),
+        (lambda: WaypointSet(dim=3, unitaries=[np.eye(2)], provenance="custom"), "unitaries must be (count, 3, 3), got (1, 2, 2)"),
+        (lambda: WaypointSet(dim=2, unitaries=[np.eye(2)] * 2, provenance="custom", pair_index=[[1]]),
+         "pair_index length must match the number of way-points"),
+        (lambda: waypoints.theorem3_waypoints(1), "dimension must be >= 2, got 1"),
+        (lambda: waypoints.separating_unitary(np.real(SZ), np.diag([1.0, 0.0, -1.0])), "dimension mismatch: z (2, 2) vs mu (3, 3)"),
+    ],
+)
+def test_stated_input_checks_raise_value_error(call, start):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value).startswith(start)
